@@ -22,6 +22,7 @@ from .errors import (
     DegenerateTensor,
     EllipticityViolation,
     FrameDegenerate,
+    GridMismatch,
     MDependent,
     NonIntegrableField,
     NonPositiveH1,

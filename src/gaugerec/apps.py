@@ -16,14 +16,14 @@ density.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
-from .errors import NonPositiveH1, SingularSystem
+from .errors import NonPositiveH1
 from .fields import SYM_PAIRS, Grid, ScalarField, SymTensorField
-from .forward import BoundaryTrace, _flat_strides
+from .forward import BoundaryTrace, _flat_strides, _InteriorLU, _stencil_rows
 from .gauge import recover_tau_b_zero
 from .recon import EngineConfig, reconstruct_global
 
@@ -92,9 +92,8 @@ def _boundary_scalar(grid: Grid, obj) -> np.ndarray:
 # Conservative discretization of w -> -div(D grad w)
 # ---------------------------------------------------------------------------
 
-def divergence_form_matrix(D: SymTensorField) -> sp.csr_matrix:
-    """Sparse operator: -div(D grad w) at interior rows, identity at the
-    boundary.
+def _flux_stencil(D: SymTensorField, nodes: np.ndarray) -> dict:
+    """Coefficients of -div(D grad w) at the interior ``nodes`` (flat indices).
 
     Diagonal blocks use half-node averages of D (flux conservative); mixed
     blocks use centered differencing of the cross flux on full nodes.  All
@@ -102,27 +101,18 @@ def divergence_form_matrix(D: SymTensorField) -> sp.csr_matrix:
     """
     grid = D.grid
     n = grid.dim
-    shape = grid.shape
-    N = grid.num_nodes
     h = grid.spacing
-    strides = _flat_strides(shape)
-
-    interior = grid.interior_mask
-    int_idx = np.argwhere(interior)
-    int_flat = np.flatnonzero(interior.ravel())
-    Dmat = D.as_matrix()
+    strides = _flat_strides(grid.shape)
+    Dflat = D.as_matrix().reshape(-1, n, n)
 
     entries: dict[tuple[int, ...], np.ndarray] = {}
 
-    def add(offset: tuple[int, ...], vals: np.ndarray) -> None:
-        if offset in entries:
-            entries[offset] = entries[offset] + vals
-        else:
-            entries[offset] = vals.astype(np.complex128)
+    def add(offset: np.ndarray, vals: np.ndarray) -> None:
+        key = tuple(int(o) for o in offset)
+        entries[key] = entries.get(key, 0.0) - vals
 
     def shifted(comp_i: int, comp_j: int, shift: np.ndarray) -> np.ndarray:
-        pos = int_idx + shift
-        return Dmat[tuple(pos.T) + (comp_i, comp_j)]
+        return Dflat[nodes + int(shift @ strides), comp_i, comp_j]
 
     zero = np.zeros(n, dtype=np.intp)
     for p in range(n):
@@ -131,9 +121,9 @@ def divergence_form_matrix(D: SymTensorField) -> sp.csr_matrix:
         d_here = shifted(p, p, zero)
         d_plus = 0.5 * (d_here + shifted(p, p, ep))
         d_minus = 0.5 * (d_here + shifted(p, p, -ep))
-        add(tuple(ep), d_plus / h[p] ** 2)
-        add(tuple(-ep), d_minus / h[p] ** 2)
-        add(tuple(zero), -(d_plus + d_minus) / h[p] ** 2)
+        add(ep, d_plus / h[p] ** 2)
+        add(-ep, d_minus / h[p] ** 2)
+        add(zero, -(d_plus + d_minus) / h[p] ** 2)
     for p in range(n):
         for q in range(n):
             if p == q:
@@ -145,42 +135,40 @@ def divergence_form_matrix(D: SymTensorField) -> sp.csr_matrix:
             dpq_plus = shifted(p, q, ep)
             dpq_minus = shifted(p, q, -ep)
             scale = 1.0 / (4.0 * h[p] * h[q])
-            add(tuple(ep + eq), dpq_plus * scale)
-            add(tuple(ep - eq), -dpq_plus * scale)
-            add(tuple(-ep + eq), -dpq_minus * scale)
-            add(tuple(-ep - eq), dpq_minus * scale)
+            add(ep + eq, dpq_plus * scale)
+            add(ep - eq, -dpq_plus * scale)
+            add(-ep + eq, -dpq_minus * scale)
+            add(-ep - eq, dpq_minus * scale)
+    return entries
 
-    rows = []
-    cols = []
-    data = []
-    for offset, vals in entries.items():
-        rows.append(int_flat)
-        cols.append(int_flat + int(np.asarray(offset, dtype=np.intp) @ strides))
-        data.append(-vals)
+
+def divergence_form_matrix(D: SymTensorField) -> sp.csr_matrix:
+    """Sparse N x N operator: -div(D grad w) at interior rows, identity at the
+    boundary, in row-major node order.
+
+    This is the form for applying the operator (the model residuals).  The
+    flux solve does not factor it: it assembles the same interior rows in
+    nested-dissection order and factors only their interior block, with the
+    boundary values moved to the right-hand side (see ``forward._InteriorLU``).
+    """
+    grid = D.grid
+    int_flat = np.flatnonzero(grid.interior_mask.ravel())
+    rows = _stencil_rows(grid, int_flat, _flux_stencil(D, int_flat)).tocoo()
     bnd = grid.boundary_flat
-    rows.append(bnd)
-    cols.append(bnd)
-    data.append(np.ones(bnd.size, dtype=np.complex128))
-    return sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(N, N)).tocsr()
+    return sp.csr_matrix(
+        (np.concatenate([rows.data, np.ones(bnd.size)]),
+         (np.concatenate([int_flat[rows.row], bnd]),
+          np.concatenate([rows.col, bnd]))),
+        shape=(grid.num_nodes, grid.num_nodes))
 
 
 def _flux_solve(D: SymTensorField, rhs_interior: np.ndarray,
                 boundary_values: np.ndarray) -> np.ndarray:
-    grid = D.grid
-    A = divergence_form_matrix(D)
-    rhs = np.zeros(grid.num_nodes, dtype=np.complex128)
-    rhs[grid.boundary_flat] = boundary_values
-    int_flat = np.flatnonzero(grid.interior_mask.ravel())
-    rhs[int_flat] = rhs_interior.reshape(-1)[int_flat]
-    try:
-        w = splu(A.tocsc()).solve(rhs)
-    except RuntimeError as exc:
-        raise SingularSystem(f"flux solve failed: {exc}") from exc
-    if not np.all(np.isfinite(w)):
-        raise SingularSystem("flux solve produced non-finite values")
-    return w.reshape(grid.shape)
+    """Solve -div(D grad w) = rhs_interior inside, w = boundary_values on the
+    boundary."""
+    system = _InteriorLU(D.grid, partial(_flux_stencil, D))
+    w = system.solve(boundary_values, rhs_interior.reshape(-1)[system.order])
+    return w.reshape(D.grid.shape)
 
 
 # ---------------------------------------------------------------------------

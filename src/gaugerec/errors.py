@@ -12,6 +12,7 @@ import numpy as np
 __all__ = [
     "ToolkitError",
     "ConfigError",
+    "GridMismatch",
     "SingularSystem",
     "EllipticityViolation",
     "VanishingGauge",
@@ -42,6 +43,20 @@ class ConfigError(ToolkitError):
     def __init__(self, field: str, message: str):
         self.field = field
         super().__init__(f"{field}: {message}")
+
+
+class GridMismatch(ToolkitError, ValueError):
+    """Fields that must share a grid differ in shape or extent.
+
+    ``index`` is the position of the first field whose grid differs from the
+    grid of field 0.
+    """
+
+    def __init__(self, index: int, expected, got):
+        self.index = index
+        super().__init__(
+            f"field {index} lives on shape {got.shape}, extent {got.extent}; "
+            f"field 0 on shape {expected.shape}, extent {expected.extent}")
 
 
 class _NodeError(ToolkitError):

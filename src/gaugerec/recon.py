@@ -31,6 +31,7 @@ from .errors import (
     ConfigError,
     CoverageFailure,
     FrameDegenerate,
+    GridMismatch,
     MDependent,
     VanishingGauge,
     VanishingU1,
@@ -215,6 +216,15 @@ class PatchMap:
 # Stage implementations
 # ---------------------------------------------------------------------------
 
+def _common_grid(u: list[ScalarField]) -> Grid:
+    """The grid of ``u[0]``; GridMismatch when any other field's differs."""
+    grid = u[0].grid
+    for j, f in enumerate(u[1:], start=1):
+        if f.grid != grid:
+            raise GridMismatch(j, grid, f.grid)
+    return grid
+
+
 def build_ratios(u: list[ScalarField], floor: float = 0.0) -> RatioBundle:
     """Form v_j = u_{j+1}/u_1 and differentiate.
 
@@ -223,7 +233,7 @@ def build_ratios(u: list[ScalarField], floor: float = 0.0) -> RatioBundle:
     """
     if len(u) < 2:
         raise ValueError("need at least two solutions")
-    grid = u[0].grid
+    grid = _common_grid(u)
     u1 = u[0]
     absu1 = np.abs(u1.values)
     if floor > 0:
@@ -683,7 +693,7 @@ def reconstruct_global(u: list[ScalarField], config: EngineConfig | None = None
     cfg = (config or EngineConfig()).validate()
     if not u:
         raise ValueError("no solutions supplied")
-    grid = u[0].grid
+    grid = _common_grid(u)
     n = grid.dim
     if len(u) < num_solutions(n):
         raise ValueError(f"need at least {num_solutions(n)} solutions, got {len(u)}")

@@ -18,6 +18,7 @@ from gaugerec import (
 )
 from gaugerec.harness import PRESETS, ExperimentConfig
 from gaugerec.harness import _elasto_data, _qpat_data
+from gaugerec.apps import _flux_solve
 
 
 def qpat_case(n=65):
@@ -76,6 +77,23 @@ def test_flux_operator_second_order_on_variable_coefficients():
         errs.append(np.abs(out[interior] - expect[interior]).max())
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(orders) > 1.7
+
+
+def test_flux_solve_matches_dense_identity_row_solve():
+    grid = square_grid(11)
+    x1, x2 = grid.meshes
+    mat = np.empty(grid.shape + (2, 2), dtype=complex)
+    mat[..., 0, 0] = 1.5 + 0.4 * x1 * x2 + 0.1j
+    mat[..., 1, 1] = 1.0 + 0.3 * np.sin(np.pi * x1) + 0.05j * x2
+    mat[..., 0, 1] = mat[..., 1, 0] = 0.2 * x1 - 0.1 * x2
+    D = SymTensorField.from_matrix(grid, mat)
+    source = np.cos(2 * x1) + 1j * x2 ** 2
+    boundary = np.exp(x1 - 0.5j * x2).reshape(-1)[grid.boundary_flat]
+    rhs = source.reshape(-1).astype(complex)
+    rhs[grid.boundary_flat] = boundary
+    w_ref = np.linalg.solve(divergence_form_matrix(D).toarray(), rhs)
+    w = _flux_solve(D, source, boundary)
+    assert np.abs(w.reshape(-1) - w_ref).max() <= 1e-12 * np.abs(w_ref).max()
 
 
 # ---------------------------------------------------------------------------

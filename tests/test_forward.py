@@ -19,6 +19,8 @@ from gaugerec import (
     square_grid,
     synthesize,
 )
+from gaugerec.fields import Grid
+from gaugerec.forward import _nested_dissection
 
 
 def const_coeffs(grid, amat, bvec, cval):
@@ -138,6 +140,128 @@ def test_residual_tolerance_is_enforced():
         synthesize(cs, [f, f], rtol=0.0)
     except SingularSystem as exc:
         assert exc.trace_index == 0
+
+
+# ---------------------------------------------------------------------------
+# Interior-only solve in nested-dissection order
+# ---------------------------------------------------------------------------
+
+def box_grid(shape):
+    return Grid(shape, ((0.0, 1.0),) * len(shape))
+
+
+def variable_coeffs(grid):
+    """Smooth complex (a, b, c) with every cross term of a nonzero."""
+    n = grid.dim
+    xs = grid.meshes
+    bump = np.prod([np.sin(np.pi * x) for x in xs], axis=0)
+    mat = np.zeros(grid.shape + (n, n), dtype=complex)
+    for p in range(n):
+        mat[..., p, p] = 1.0 + 0.1 * p + 0.3 * bump + 0.05j * (1 + xs[p])
+        for q in range(p + 1, n):
+            mat[..., p, q] = mat[..., q, p] = 0.15 * xs[p] * xs[q] + 0.05j * bump
+    b = np.stack([0.3 * xs[(p + 1) % n] + 0.2j * xs[p] for p in range(n)], axis=-1)
+    c = 0.4 * bump - 0.2 + 0.3j * xs[0]
+    return CoefficientSet.from_fields(
+        SymTensorField.from_matrix(grid, mat), VectorField(grid, b),
+        ScalarField(grid, c))
+
+
+def dense_identity_row_system(cs):
+    """The identity-row N x N system, built node by node as the reference."""
+    grid = cs.grid
+    n = grid.dim
+    h = grid.spacing
+    N = grid.num_nodes
+    A = np.zeros((N, N), dtype=complex)
+    amat = cs.a.as_matrix()
+    drift = cs.diva.values + cs.b.values
+    unit = np.eye(n, dtype=int)
+    for idx in np.ndindex(grid.shape):
+        i = np.ravel_multi_index(idx, grid.shape)
+        if grid.boundary_mask[idx]:
+            A[i, i] = 1.0
+            continue
+
+        def col(offset):
+            return np.ravel_multi_index(tuple(np.add(idx, offset)), grid.shape)
+
+        a = amat[idx]
+        A[i, i] += cs.c.values[idx]
+        for p in range(n):
+            A[i, i] -= 2.0 * a[p, p] / h[p] ** 2
+            for s in (1, -1):
+                A[i, col(s * unit[p])] += a[p, p] / h[p] ** 2 + s * drift[idx][p] / (2 * h[p])
+            for q in range(p + 1, n):
+                for sp_ in (1, -1):
+                    for sq in (1, -1):
+                        A[i, col(sp_ * unit[p] + sq * unit[q])] += \
+                            sp_ * sq * a[p, q] / (2 * h[p] * h[q])
+    return A
+
+
+@pytest.mark.parametrize("shape", [(9, 9), (12, 9), (9, 10, 11), (13, 9, 9)])
+def test_nested_dissection_orders_every_interior_node_once(shape):
+    order = _nested_dissection(shape)
+    interior = np.flatnonzero(box_grid(shape).interior_mask.ravel())
+    assert order.size == interior.size
+    assert np.array_equal(np.sort(order), interior)
+
+
+@pytest.mark.parametrize("shape", [(17, 13), (11, 12, 10)])
+def test_nested_dissection_separators_decouple_their_halves(shape):
+    """Walk the bisection tree: at every split, no entry of the interior
+    matrix couples the two halves, and the separator is ordered after both."""
+    grid = box_grid(shape)
+    system = DirichletSystem(variable_coeffs(grid))
+    order = system._lu.order
+    n_int = order.size
+    coupled = system._lu._A[:, :n_int].tocoo()
+    node_row = np.asarray(order)[coupled.row]
+    node_col = np.asarray(order)[coupled.col]
+    position = np.empty(grid.num_nodes, dtype=int)
+    position[order] = np.arange(n_int)
+    splits = 0
+
+    def walk(block):
+        nonlocal splits
+        axis = int(np.argmax(block.shape))
+        m = block.shape[axis] // 2
+        if block.shape[axis] < 3:
+            return
+        lo = np.take(block, np.arange(m), axis=axis).ravel()
+        hi = np.take(block, np.arange(m + 1, block.shape[axis]), axis=axis).ravel()
+        sep = np.take(block, [m], axis=axis).ravel()
+        across = (np.isin(node_row, lo) & np.isin(node_col, hi)) \
+            | (np.isin(node_row, hi) & np.isin(node_col, lo))
+        assert not across.any()
+        assert position[sep].min() > max(position[lo].max(), position[hi].max())
+        splits += 1
+        walk(np.take(block, np.arange(m), axis=axis))
+        walk(np.take(block, np.arange(m + 1, block.shape[axis]), axis=axis))
+
+    nodes = np.arange(grid.num_nodes).reshape(shape)
+    walk(nodes[(slice(1, -1),) * grid.dim])
+    assert splits > 3
+
+
+@pytest.mark.parametrize("shape", [(9, 9), (9, 10, 11)])
+def test_interior_solve_matches_dense_identity_row_solve(shape):
+    grid = box_grid(shape)
+    cs = variable_coeffs(grid)
+    A = dense_identity_row_system(cs)
+    xs = grid.meshes
+    f = BoundaryTrace.from_node_values(grid, np.exp(xs[0] - 0.5j * xs[-1]))
+    src = ScalarField(grid, np.cos(2 * xs[0]) + 1j * xs[-1] ** 2)
+    system = DirichletSystem(cs)
+    for source in (None, src):
+        rhs = np.zeros(grid.num_nodes, dtype=complex)
+        if source is not None:
+            rhs[grid.interior_mask.ravel()] = source.values[grid.interior_mask]
+        rhs[grid.boundary_flat] = f.values
+        u_ref = np.linalg.solve(A, rhs).reshape(grid.shape)
+        u = system.solve(f, source=source).values
+        assert np.abs(u - u_ref).max() <= 1e-12 * np.abs(u_ref).max()
 
 
 def test_gauge_transform_identities():

@@ -153,6 +153,16 @@ def test_roundtrip_on_the_trivial_preset_hits_roundoff():
     assert report.mode == "roundtrip"
 
 
+def test_roundtrip_is_second_order_up_to_257():
+    """Each part of the triple keeps second order on the finest pair of
+    grids, where solver roundoff, if it were large, would show first."""
+    cfg = ExperimentConfig(mode="roundtrip", preset="smooth-complex-2d",
+                           grids=[129, 257])
+    orders = run(cfg).orders["delta=0"]
+    for key in ("a", "b_plus_diva", "c"):
+        assert orders[key][0] >= 1.8, (key, orders[key])
+
+
 def test_stability_runs_are_deterministic():
     cfg = dict(mode="stability", preset="identity-2d", grids=[17],
                noise=[1e-4, 1e-3], seed=11)

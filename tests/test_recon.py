@@ -9,6 +9,7 @@ from gaugerec import (
     CoverageFailure,
     EngineConfig,
     FrameDegenerate,
+    GridMismatch,
     MDependent,
     ScalarField,
     VanishingU1,
@@ -135,6 +136,26 @@ def test_dependent_curvatures_are_rejected():
         build_M(rb, fr)
     cols = {int(c) for _, c in info.value.nodes}
     assert 16 in cols  # the x1 = 0.5 column on a 33-node axis
+
+
+def test_fields_on_grids_of_different_shape_are_rejected():
+    fields = harmonic_fields(square_grid(33))[:3] + harmonic_fields(square_grid(41))[3:]
+    with pytest.raises(GridMismatch) as info:
+        reconstruct_global(fields)
+    assert info.value.index == 3
+    with pytest.raises(GridMismatch):
+        build_ratios(fields)
+
+
+def test_fields_on_grids_of_different_extent_are_rejected():
+    wide = square_grid(33, extent=((0.0, 1.0), (0.0, 2.0)))
+    fields = harmonic_fields(square_grid(33))
+    fields[1] = ScalarField(wide, fields[1].values)
+    with pytest.raises(GridMismatch) as info:
+        reconstruct_global(fields)
+    assert info.value.index == 1
+    with pytest.raises(GridMismatch):
+        build_ratios(fields)
 
 
 def test_engine_config_validation_paths():
