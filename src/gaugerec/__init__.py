@@ -92,7 +92,6 @@ from .gauge import (
     GaugeSplit,
     curl_residual,
     integrate_gradient,
-    integrate_gradient_lines,
     recover_tau_b_zero,
     recover_tau_divfree_b,
     recover_tau_known_phi,

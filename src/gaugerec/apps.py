@@ -25,7 +25,7 @@ from .errors import NonPositiveH1
 from .fields import SYM_PAIRS, Grid, ScalarField, SymTensorField
 from .forward import BoundaryTrace, _flat_strides, _InteriorLU, _stencil_rows
 from .gauge import recover_tau_b_zero
-from .recon import EngineConfig, reconstruct_global
+from .recon import EngineConfig, _common_grid, reconstruct_global
 
 __all__ = [
     "QpatData",
@@ -175,6 +175,37 @@ def _flux_solve(D: SymTensorField, rhs_interior: np.ndarray,
 # Pipelines
 # ---------------------------------------------------------------------------
 
+def _anchored_scale(rep, gamma_boundary, weight=1.0) -> tuple[ScalarField, dict]:
+    """tau by the drift-free transport route, anchored on the boundary.
+
+    The anchor is, per boundary node, the weighted least-squares factor t
+    with t rep.a = gamma_boundary (off-diagonal components weighted 2, as
+    in the Frobenius product), times ``weight``.  Returns tau and the
+    route's diagnostics.
+    """
+    grid = rep.grid
+    gb = _boundary_tensor(grid, gamma_boundary)
+    ab = rep.a.values.reshape(grid.num_nodes, -1)[grid.boundary_flat]
+    weights = np.array([1.0 if i == j else 2.0 for i, j in SYM_PAIRS[grid.dim]])
+    num = np.sum(weights * np.conj(ab) * gb, axis=1) * weight
+    den = np.sum(weights * np.abs(ab) ** 2, axis=1)
+    diag: dict = {}
+    tau = recover_tau_b_zero(rep, BoundaryTrace(grid, num / den, label="tau anchor"),
+                             diagnostics=diag)
+    return tau, diag
+
+
+def _pipeline_report(rep, patch_map, diag: dict, **extra) -> dict:
+    return {
+        "gauge": rep.gauge,
+        "curl_residual": diag.get("curl_residual"),
+        "anchor_mismatch": diag.get("anchor_mismatch"),
+        **extra,
+        "admissible_patches": int(sum(patch_map.admissible)),
+        "total_patches": len(patch_map.admissible),
+    }
+
+
 def qpat_reconstruct(data: QpatData, config: EngineConfig | None = None
                      ) -> tuple[SymTensorField, ScalarField, dict]:
     """Recover (gamma, sigma) from absorption-weighted interior data.
@@ -187,7 +218,7 @@ def qpat_reconstruct(data: QpatData, config: EngineConfig | None = None
     """
     if len(data.H) < 2:
         raise ValueError("need at least two interior functionals")
-    grid = data.H[0].grid
+    grid = _common_grid(data.H)
     H1 = data.H[0]
     bad = H1.values.real <= 0.0
     if bad.any():
@@ -197,16 +228,7 @@ def qpat_reconstruct(data: QpatData, config: EngineConfig | None = None
     ones = ScalarField(grid, np.ones(grid.shape))
     fields = [ones] + [ScalarField(grid, Hj.values / H1.values) for Hj in data.H[1:]]
     rep, patch_map = reconstruct_global(fields, config)
-
-    gb = _boundary_tensor(grid, data.gamma_boundary)
-    ab = rep.a.values.reshape(grid.num_nodes, -1)[grid.boundary_flat]
-    weights = np.array([1.0 if i == j else 2.0 for i, j in SYM_PAIRS[grid.dim]])
-    num = np.sum(weights * np.conj(ab) * gb, axis=1) * data.f1.values ** 2
-    den = np.sum(weights * np.abs(ab) ** 2, axis=1)
-    anchor = BoundaryTrace(grid, num / den, label="tau anchor")
-
-    diag: dict = {}
-    tau = recover_tau_b_zero(rep, anchor, diagnostics=diag)
+    tau, diag = _anchored_scale(rep, data.gamma_boundary, data.f1.values ** 2)
     D = SymTensorField(grid, rep.a.values * tau.values[..., None])
 
     sb = _boundary_scalar(grid, data.sigma_boundary)
@@ -215,15 +237,8 @@ def qpat_reconstruct(data: QpatData, config: EngineConfig | None = None
 
     gamma = SymTensorField(grid, D.values * (w * w)[..., None])
     sigma = ScalarField(grid, H1.values * w)
-    report = {
-        "gauge": rep.gauge,
-        "curl_residual": diag.get("curl_residual"),
-        "anchor_mismatch": diag.get("anchor_mismatch"),
-        "source_calibration": complex(lam),
-        "admissible_patches": int(sum(patch_map.admissible)),
-        "total_patches": len(patch_map.admissible),
-    }
-    return gamma, sigma, report
+    return gamma, sigma, _pipeline_report(rep, patch_map, diag,
+                                          source_calibration=complex(lam))
 
 
 def elasto_reconstruct(data: ElastoData, config: EngineConfig | None = None
@@ -236,55 +251,37 @@ def elasto_reconstruct(data: ElastoData, config: EngineConfig | None = None
     """
     if data.omega <= 0:
         raise ValueError("omega must be positive")
-    grid = data.H[0].grid
     rep, patch_map = reconstruct_global(list(data.H), config)
+    tau, diag = _anchored_scale(rep, data.gamma_boundary)
+    gamma = SymTensorField(rep.grid, rep.a.values * tau.values[..., None])
+    rho = ScalarField(rep.grid, tau.values * rep.c.values / data.omega ** 2)
+    return gamma, rho, _pipeline_report(rep, patch_map, diag)
 
-    gb = _boundary_tensor(grid, data.gamma_boundary)
-    ab = rep.a.values.reshape(grid.num_nodes, -1)[grid.boundary_flat]
-    weights = np.array([1.0 if i == j else 2.0 for i, j in SYM_PAIRS[grid.dim]])
-    num = np.sum(weights * np.conj(ab) * gb, axis=1)
-    den = np.sum(weights * np.abs(ab) ** 2, axis=1)
-    anchor = BoundaryTrace(grid, num / den, label="tau anchor")
 
-    diag: dict = {}
-    tau = recover_tau_b_zero(rep, anchor, diagnostics=diag)
-    gamma = SymTensorField(grid, rep.a.values * tau.values[..., None])
-    rho = ScalarField(grid, tau.values * rep.c.values / data.omega ** 2)
-    report = {
-        "gauge": rep.gauge,
-        "curl_residual": diag.get("curl_residual"),
-        "anchor_mismatch": diag.get("anchor_mismatch"),
-        "admissible_patches": int(sum(patch_map.admissible)),
-        "total_patches": len(patch_map.admissible),
-    }
-    return gamma, rho, report
+def _worst_residual(gamma: SymTensorField, H: list[ScalarField], residual) -> float:
+    """Largest interior model residual over the data, relative to
+    sup|H_j| / h^2.  ``residual(A, h)`` gives the residual at every node for
+    the flat data h, with A the flux operator of ``divergence_form_matrix``."""
+    grid = gamma.grid
+    A = divergence_form_matrix(gamma)
+    interior = grid.interior_mask.ravel()
+    worst = 0.0
+    for Hj in H:
+        r = residual(A, Hj.values.reshape(-1))[interior]
+        scale = max(float(np.abs(Hj.values).max()), 1e-300) / min(grid.spacing) ** 2
+        worst = max(worst, float(np.abs(r).max()) / scale)
+    return worst
 
 
 def qpat_model_residual(gamma: SymTensorField, sigma: ScalarField,
                         H: list[ScalarField]) -> float:
     """Relative interior residual of -div(gamma grad(H_j/sigma)) + H_j."""
-    grid = gamma.grid
-    A = divergence_form_matrix(gamma)
-    int_flat = np.flatnonzero(grid.interior_mask.ravel())
-    worst = 0.0
-    for Hj in H:
-        u = (Hj.values / sigma.values).reshape(-1)
-        r = (A @ u)[int_flat] + Hj.values.reshape(-1)[int_flat]
-        scale = max(float(np.abs(Hj.values).max()), 1e-300) / min(grid.spacing) ** 2
-        worst = max(worst, float(np.abs(r).max()) / scale)
-    return worst
+    s = sigma.values.reshape(-1)
+    return _worst_residual(gamma, H, lambda A, h: A @ (h / s) + h)
 
 
 def elasto_model_residual(gamma: SymTensorField, rho: ScalarField,
                           omega: float, H: list[ScalarField]) -> float:
     """Relative interior residual of div(gamma grad u_j) + omega^2 rho u_j."""
-    grid = gamma.grid
-    A = divergence_form_matrix(gamma)
-    int_flat = np.flatnonzero(grid.interior_mask.ravel())
-    worst = 0.0
-    for Hj in H:
-        u = Hj.values.reshape(-1)
-        r = -(A @ u)[int_flat] + (omega ** 2 * rho.values * Hj.values).reshape(-1)[int_flat]
-        scale = max(float(np.abs(Hj.values).max()), 1e-300) / min(grid.spacing) ** 2
-        worst = max(worst, float(np.abs(r).max()) / scale)
-    return worst
+    k = omega ** 2 * rho.values.reshape(-1)
+    return _worst_residual(gamma, H, lambda A, h: -(A @ h) + k * h)

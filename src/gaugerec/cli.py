@@ -1,6 +1,6 @@
 """Command line front end.
 
-    gaugerec <mode> --config cfg.json [--out DIR] [--seed N] [--threads K]
+    gaugerec <mode> --config cfg.json [--out DIR] [--seed N]
 
 Modes mirror the harness: synthesize, reconstruct, roundtrip, qpat,
 elasto, stability.  Exit codes: 0 on success, 2 when the domain could not
@@ -15,8 +15,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, CoverageFailure, ToolkitError
-from .fields import save_field
-from .harness import MODES, ExperimentConfig, run, write_manifest
+from .harness import MODES, ExperimentConfig, run, save_representative, write_manifest
 
 __all__ = ["main", "build_parser"]
 
@@ -33,25 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help="cap BLAS / solver thread pools")
     return parser
-
-
-def _limit_threads(k: int) -> None:
-    try:
-        import threadpoolctl
-
-        # Keep the controller alive for the process lifetime.
-        global _THREAD_LIMITER
-        _THREAD_LIMITER = threadpoolctl.threadpool_limits(limits=k)
-    except ImportError:
-        import os
-
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(k)
-        print("threadpoolctl not installed; set thread env vars for "
-              "subprocesses only", file=sys.stderr)
 
 
 def _write_partial(exc: CoverageFailure, out_dir: Path) -> None:
@@ -63,19 +44,12 @@ def _write_partial(exc: CoverageFailure, out_dir: Path) -> None:
     with open(out_dir / "coverage_failure.json", "w") as fh:
         json.dump(payload, fh, indent=2)
     if rep is not None:
-        save_field(rep.a, out_dir / "partial_a.json")
-        save_field(rep.b_plus_diva, out_dir / "partial_bpda.json")
-        save_field(rep.c, out_dir / "partial_c.json")
+        save_representative(rep, out_dir, "partial_{}.json")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None:
-        if args.threads < 1:
-            print("error: --threads must be positive", file=sys.stderr)
-            return 1
-        _limit_threads(args.threads)
     try:
         with open(args.config) as fh:
             raw = json.load(fh)
@@ -88,8 +62,6 @@ def main(argv=None) -> int:
     raw["mode"] = args.mode
     if args.seed is not None:
         raw["seed"] = args.seed
-    if args.threads is not None:
-        raw["threads"] = args.threads
 
     out_dir = Path(args.out) if args.out else None
     try:

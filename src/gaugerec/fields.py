@@ -35,6 +35,7 @@ __all__ = [
     "ScalarField",
     "VectorField",
     "SymTensorField",
+    "unpack_sym",
     "grad_values",
     "second_derivative_values",
     "hess_values",
@@ -238,13 +239,7 @@ class SymTensorField(_Field):
 
     def as_matrix(self) -> np.ndarray:
         """Unpack to full (..., n, n) symmetric matrices."""
-        n = self.grid.dim
-        out = np.zeros(self.grid.shape + (n, n), dtype=np.complex128)
-        for p, (i, j) in enumerate(SYM_PAIRS[n]):
-            out[..., i, j] = self.values[..., p]
-            if i != j:
-                out[..., j, i] = self.values[..., p]
-        return out
+        return unpack_sym(self.values, self.grid.dim)
 
     @classmethod
     def from_matrix(cls, grid: Grid, mat) -> "SymTensorField":
@@ -259,6 +254,17 @@ class SymTensorField(_Field):
 # Array-level stencils.  The engine uses these directly; the field wrappers
 # below are the public face.
 # ---------------------------------------------------------------------------
+
+def unpack_sym(packed: np.ndarray, n: int) -> np.ndarray:
+    """Full (..., n, n) symmetric matrices from components packed on the
+    trailing axis in ``SYM_PAIRS`` order."""
+    out = np.zeros(packed.shape[:-1] + (n, n), dtype=np.complex128)
+    for p, (i, j) in enumerate(SYM_PAIRS[n]):
+        out[..., i, j] = packed[..., p]
+        if i != j:
+            out[..., j, i] = packed[..., p]
+    return out
+
 
 def grad_values(vals: np.ndarray, spacing) -> np.ndarray:
     """All first partials of a node array; result has a trailing axis."""

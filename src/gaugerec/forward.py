@@ -76,6 +76,14 @@ class CoefficientSet:
             diva = divergence_tensor(a)
         return cls(a, b, c, diva)
 
+    @classmethod
+    def constant(cls, grid: Grid, a0) -> "CoefficientSet":
+        """The constant class (a0, 0, 0) on ``grid``."""
+        n = grid.dim
+        a = SymTensorField.from_matrix(grid, np.broadcast_to(a0, grid.shape + (n, n)))
+        zero_v = VectorField(grid, np.zeros(grid.shape + (n,)))
+        return cls(a, zero_v, ScalarField(grid, np.zeros(grid.shape)), zero_v)
+
     @property
     def grid(self) -> Grid:
         return self.a.grid
@@ -171,22 +179,28 @@ def _nested_dissection(shape: tuple[int, ...]) -> np.ndarray:
     """
     nodes = np.arange(int(np.prod(shape))).reshape(shape)
     parts = []
-
-    def visit(block: np.ndarray) -> None:
-        axis = int(np.argmax(block.shape))
-        m = block.shape[axis] // 2
-        if block.shape[axis] < 3:
-            parts.append(block.ravel())
-            return
-        cut = [slice(None)] * block.ndim
-        for half in (slice(None, m), slice(m + 1, None)):
-            cut[axis] = half
-            visit(block[tuple(cut)])
-        cut[axis] = m
-        parts.append(block[tuple(cut)].ravel())
-
-    visit(nodes[(slice(1, -1),) * len(shape)])
+    _dissect(nodes[(slice(1, -1),) * len(shape)], parts)
     return np.concatenate(parts)
+
+
+def _dissect(block: np.ndarray, parts: list) -> None:
+    """Append the nodes of ``block`` to ``parts`` in nested-dissection order.
+
+    A module-level function, not a closure: a closure that calls itself is a
+    reference cycle, which kept the index arrays alive until the next garbage
+    collection and so left a varying amount of freed heap resident.
+    """
+    axis = int(np.argmax(block.shape))
+    m = block.shape[axis] // 2
+    if block.shape[axis] < 3:
+        parts.append(block.ravel())
+        return
+    cut = [slice(None)] * block.ndim
+    for half in (slice(None, m), slice(m + 1, None)):
+        cut[axis] = half
+        _dissect(block[tuple(cut)], parts)
+    cut[axis] = m
+    parts.append(block[tuple(cut)].ravel())
 
 
 def _stencil_rows(grid: Grid, nodes: np.ndarray, stencil: dict,

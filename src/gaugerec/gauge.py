@@ -36,7 +36,7 @@ from .fields import (
     second_derivative_values,
 )
 from .forward import BoundaryTrace, CoefficientSet, DirichletSystem
-from .recon import ClassRepresentative, _continuity_signs
+from .recon import ClassRepresentative, _axis_scan, unit_gauge_triple
 
 __all__ = [
     "GaugeSplit",
@@ -44,7 +44,6 @@ __all__ = [
     "split_pairing",
     "curl_residual",
     "integrate_gradient",
-    "integrate_gradient_lines",
     "recover_tau_b_zero",
     "recover_tau_known_phi",
     "recover_tau_divfree_b",
@@ -57,50 +56,14 @@ class GaugeSplit:
 
     convention "det": det(unit) = 1, tau = det(a)^(1/n) on the continuous
     branch that is principal at the domain corner node.
-    convention "pairing": Tr(unit unit) = 1 (bilinear), sign fixed by
-    continuity and Re Tr > 0 at the center node.
+    convention "pairing": Tr(unit unit) = 1 (bilinear), the scale of
+    ``unit_gauge_triple``: sign fixed by continuity and Re Tr > 0 at the
+    center node.
     """
 
     tau: ScalarField
     unit: SymTensorField
     convention: str
-
-
-def _continuous_angle(z: np.ndarray) -> tuple[np.ndarray, float]:
-    """Unwrap the phase of a nonvanishing complex field by neighbor
-    continuity, anchored at the principal value of the first node.
-
-    Returns the angle field and the largest single neighbor step; steps
-    close to pi mean the branch tracking cannot be trusted.
-    """
-    shape = z.shape
-    ang = np.empty(shape, dtype=np.float64)
-
-    def step(cur, prev):
-        return np.angle(cur / prev)
-
-    worst = 0.0
-    if len(shape) == 2:
-        ang[0, 0] = np.angle(z[0, 0])
-        d0 = step(z[1:, 0], z[:-1, 0])
-        ang[1:, 0] = ang[0, 0] + np.cumsum(d0)
-        d1 = step(z[:, 1:], z[:, :-1])
-        ang[:, 1:] = ang[:, :1] + np.cumsum(d1, axis=1)
-        for d in (d0, d1):
-            if d.size:
-                worst = max(worst, float(np.abs(d).max()))
-    else:
-        ang[0, 0, 0] = np.angle(z[0, 0, 0])
-        d0 = step(z[1:, 0, 0], z[:-1, 0, 0])
-        ang[1:, 0, 0] = ang[0, 0, 0] + np.cumsum(d0)
-        d1 = step(z[:, 1:, 0], z[:, :-1, 0])
-        ang[:, 1:, 0] = ang[:, :1, 0] + np.cumsum(d1, axis=1)
-        d2 = step(z[:, :, 1:], z[:, :, :-1])
-        ang[:, :, 1:] = ang[:, :, :1] + np.cumsum(d2, axis=2)
-        for d in (d0, d1, d2):
-            if d.size:
-                worst = max(worst, float(np.abs(d).max()))
-    return ang, worst
 
 
 def split_det(a: SymTensorField, floor: float = 1e-12) -> GaugeSplit:
@@ -121,7 +84,10 @@ def split_det(a: SymTensorField, floor: float = 1e-12) -> GaugeSplit:
     if bad.any():
         raise VanishingDeterminant("det(a) below the relative floor",
                                    nodes=np.argwhere(bad))
-    ang, worst = _continuous_angle(d)
+    # Unwrap the phase along the scan path, from the principal value at the
+    # first node; a step close to pi means the branch cannot be tracked.
+    ang, worst = _axis_scan(d.shape, np.angle(d[(0,) * n]),
+                            lambda cur, prev: np.angle(d[cur] / d[prev]), np.add)
     if worst > 0.5 * np.pi:
         raise BranchAmbiguity(
             f"determinant phase jumps by {worst:.3f} rad between neighbors")
@@ -132,22 +98,15 @@ def split_det(a: SymTensorField, floor: float = 1e-12) -> GaugeSplit:
 
 
 def split_pairing(a: SymTensorField) -> GaugeSplit:
-    """tau = sqrt(Tr(a a)) with sign continuity, unit = a / tau."""
+    """tau = sqrt(Tr(a a)) with sign continuity, unit = a / tau.
+
+    Raises VanishingGauge where Tr(a a) vanishes.
+    """
     grid = a.grid
-    mat = a.as_matrix()
-    s2 = np.einsum("...ij,...ji->...", mat, mat)
-    if (np.abs(s2) < 1e-28).any():
-        raise VanishingGauge("Tr(a a) vanishes; pairing split undefined")
-    s = np.sqrt(s2)
-    unit = mat / s[..., None, None]
-    sgn = _continuity_signs(unit)
-    anchor = tuple(m // 2 for m in grid.shape)
-    tr = np.trace(unit[anchor]) * sgn[anchor]
-    flip = -1.0 if (tr.real < 0 or (tr.real == 0 and tr.imag < 0)) else 1.0
-    scale = s * sgn * flip
+    unit, _, _, scale = unit_gauge_triple(
+        a.as_matrix(), np.zeros(grid.shape + (grid.dim,)), np.zeros(grid.shape))
     return GaugeSplit(ScalarField(grid, scale),
-                      SymTensorField.from_matrix(grid, mat / scale[..., None, None]),
-                      "pairing")
+                      SymTensorField.from_matrix(grid, unit), "pairing")
 
 
 # ---------------------------------------------------------------------------
@@ -214,33 +173,6 @@ def integrate_gradient(g: VectorField) -> ScalarField:
     return ScalarField(grid, phi.reshape(grid.shape))
 
 
-def integrate_gradient_lines(g: VectorField) -> ScalarField:
-    """Axis-scan trapezoidal integration of g, used as a cross-check.
-
-    Integrates along axis 0 on the first hyperplane column, then fills the
-    remaining axes plane by plane.  Exact for fields whose components are
-    linear along the integration direction.
-    """
-    grid = g.grid
-    h = grid.spacing
-    phi = np.zeros(grid.shape, dtype=np.complex128)
-
-    def cum(comp, axis):
-        avg = 0.5 * (np.take(comp, range(1, comp.shape[axis]), axis=axis)
-                     + np.take(comp, range(0, comp.shape[axis] - 1), axis=axis))
-        return np.cumsum(avg, axis=axis) * h[axis]
-
-    if grid.dim == 2:
-        c0 = cum(g.values[:, :1, 0], 0)
-        phi[1:, 0] = c0[:, 0]
-        phi[:, 1:] = phi[:, :1] + cum(g.values[:, :, 1], 1)
-    else:
-        phi[1:, 0, 0] = cum(g.values[:, :1, :1, 0], 0)[:, 0, 0]
-        phi[:, 1:, 0] = phi[:, :1, 0] + cum(g.values[:, :, :1, 1], 1)[:, :, 0]
-        phi[:, :, 1:] = phi[:, :, :1] + cum(g.values[:, :, :, 2], 2)
-    return ScalarField(grid, phi)
-
-
 def _transport_target(rep: ClassRepresentative) -> VectorField:
     """g = a^-1 b from the representative, the candidate for grad(ln tau)."""
     amat = rep.a.as_matrix()
@@ -289,16 +221,17 @@ def _interior_curl(g: VectorField, collar: int) -> float:
     return curl_residual(VectorField(grid.subgrid(window), g.values[window]))
 
 
-def _identity_poisson(grid: Grid, source: np.ndarray,
-                      w_boundary: BoundaryTrace) -> np.ndarray:
-    eye = np.broadcast_to(np.eye(grid.dim), grid.shape + (grid.dim, grid.dim))
-    zeros_v = VectorField(grid, np.zeros(grid.shape + (grid.dim,)))
-    coeffs = CoefficientSet(
-        SymTensorField.from_matrix(grid, eye), zeros_v,
-        ScalarField(grid, np.zeros(grid.shape)), zeros_v)
-    w = DirichletSystem(coeffs).solve(w_boundary,
-                                      source=ScalarField(grid, source))
-    return w.values
+def _exp_poisson(grid: Grid, source: np.ndarray,
+                 boundary_tau: BoundaryTrace) -> np.ndarray:
+    """tau = exp(w), where lap(w) = source inside and w = log(boundary_tau)
+    on the boundary (principal logarithm).  A zero in the boundary datum
+    raises VanishingGauge."""
+    if (np.abs(boundary_tau.values) == 0).any():
+        raise VanishingGauge("boundary tau datum vanishes")
+    w_b = BoundaryTrace(grid, np.log(boundary_tau.values))
+    w = DirichletSystem(CoefficientSet.constant(grid, np.eye(grid.dim))).solve(
+        w_b, source=ScalarField(grid, source))
+    return np.exp(w.values)
 
 
 def recover_tau_b_zero(rep: ClassRepresentative, anchor,
@@ -327,14 +260,11 @@ def recover_tau_b_zero(rep: ClassRepresentative, anchor,
     if res > curl_tol:
         raise NonIntegrableField("a^-1 b is not a discrete gradient", residual=res)
     if isinstance(anchor, BoundaryTrace):
-        if (np.abs(anchor.values) == 0).any():
-            raise VanishingGauge("anchor trace vanishes somewhere on the boundary")
         r = divergence(g).values
         if c > 0:
             window = tuple(slice(c, s - c) for s in grid.shape)
             r = np.pad(r[window], c, mode="edge")
-        w_b = BoundaryTrace(grid, np.log(anchor.values))
-        tau = np.exp(_identity_poisson(grid, r, w_b))
+        tau = _exp_poisson(grid, r, anchor)
     else:
         phi = integrate_gradient(g)
         tau = _calibrate(np.exp(phi.values), grid, anchor)
@@ -364,10 +294,7 @@ def recover_tau_known_phi(rep: ClassRepresentative, phi: ScalarField,
     grid = rep.grid
     g = _transport_target(rep)
     rhs = divergence(g).values - _laplacian_values(phi.values, grid.spacing)
-    if (np.abs(boundary_tau.values) == 0).any():
-        raise VanishingGauge("boundary tau datum vanishes")
-    w_b = BoundaryTrace(grid, np.log(boundary_tau.values))
-    return ScalarField(grid, np.exp(_identity_poisson(grid, rhs, w_b)))
+    return ScalarField(grid, _exp_poisson(grid, rhs, boundary_tau))
 
 
 def recover_tau_divfree_b(rep: ClassRepresentative,

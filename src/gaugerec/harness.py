@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +51,7 @@ __all__ = [
     "unit_truth",
     "triple_errors",
     "run",
+    "save_representative",
     "square_grid",
     "write_manifest",
 ]
@@ -95,14 +96,6 @@ def _grad_bump_values(grid: Grid) -> np.ndarray:
     return out
 
 
-def _const_matrix_coeffs(grid: Grid, a0: np.ndarray) -> CoefficientSet:
-    n = grid.dim
-    a = SymTensorField.from_matrix(grid, np.broadcast_to(a0, grid.shape + (n, n)))
-    zero_v = VectorField(grid, np.zeros(grid.shape + (n,)))
-    zero_s = ScalarField(grid, np.zeros(grid.shape))
-    return CoefficientSet(a, zero_v, zero_s, zero_v)
-
-
 def _perturbed_tensor_coeffs(grid: Grid, S_re: np.ndarray, S_im: np.ndarray,
                              b_coef: np.ndarray, c_fn) -> CoefficientSet:
     """Id + bump * (S_re + i S_im) with analytic divergence, plus a bump
@@ -142,7 +135,7 @@ class Preset:
 
 
 def _p_identity(grid: Grid) -> CoefficientSet:
-    return _const_matrix_coeffs(grid, np.eye(grid.dim, dtype=np.complex128))
+    return CoefficientSet.constant(grid, np.eye(grid.dim, dtype=np.complex128))
 
 
 _SR = np.array([[0.6, 0.3], [0.3, -0.4]])
@@ -245,12 +238,12 @@ PRESETS: dict[str, Preset] = {
     "real-2d": Preset("real-2d", 2, "pde", _p_real, _ill_harmonic),
     "constant-tensor-2d": Preset(
         "constant-tensor-2d", 2, "pde",
-        lambda grid: _const_matrix_coeffs(grid, _A0_2D),
+        lambda grid: CoefficientSet.constant(grid, _A0_2D),
         lambda grid: constant_tensor_family(grid, _A0_2D),
         extras={"a0": _A0_2D}),
     "constant-tensor-3d": Preset(
         "constant-tensor-3d", 3, "pde",
-        lambda grid: _const_matrix_coeffs(grid, _A0_3D),
+        lambda grid: CoefficientSet.constant(grid, _A0_3D),
         lambda grid: constant_tensor_family(grid, _A0_3D),
         extras={"a0": _A0_3D}),
     "isotropic-c": Preset("isotropic-c", 2, "pde", _p_isotropic_c,
@@ -280,7 +273,6 @@ class ExperimentConfig:
     engine: EngineConfig = dc_field(default_factory=EngineConfig)
     inputs: list[str] = dc_field(default_factory=list)
     illumination: dict = dc_field(default_factory=dict)
-    threads: int | None = None
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -289,12 +281,14 @@ class ExperimentConfig:
         mode = raw.get("mode")
         if mode not in MODES:
             raise ConfigError("mode", f"must be one of {MODES}, got {mode!r}")
+        for k in raw:
+            if k not in cls.__dataclass_fields__:
+                raise ConfigError(k, "unknown option")
         eng_raw = raw.get("engine", {})
         if not isinstance(eng_raw, dict):
             raise ConfigError("engine", "must be an object")
-        known = {f for f in EngineConfig.__dataclass_fields__}
         for k in eng_raw:
-            if k not in known:
+            if k not in EngineConfig.__dataclass_fields__:
                 raise ConfigError(f"engine.{k}", "unknown engine option")
         engine = EngineConfig(**eng_raw)
         cfg = cls(
@@ -309,7 +303,6 @@ class ExperimentConfig:
             engine=engine,
             inputs=list(raw.get("inputs", [])),
             illumination=dict(raw.get("illumination", {})),
-            threads=raw.get("threads"),
         )
         return cfg.validate()
 
@@ -520,10 +513,31 @@ def _degrade(data: list[ScalarField], delta: float, cfg: ExperimentConfig
     return out
 
 
+def save_representative(rep, out_dir: Path, stem: str,
+                        parts: tuple[str, ...] = ("a", "bpda", "c")) -> None:
+    """Write the named parts of a representative ("a", "bpda", "c", "b") to
+    ``out_dir / stem.format(part)``."""
+    fields = {"a": rep.a, "bpda": rep.b_plus_diva, "c": rep.c, "b": rep.b}
+    for part in parts:
+        save_field(fields[part], out_dir / stem.format(part))
+
+
+def _entry(grid: Grid, **figures) -> dict:
+    return {"shape": list(grid.shape), "h": max(grid.spacing), **figures}
+
+
+def _report(cfg: ExperimentConfig, gauge: str, entries: list[dict], t_start: float,
+            orders: dict | None = None, stability: dict | None = None
+            ) -> ReconstructionReport:
+    """The mode's report; its total time runs from ``t_start`` to now."""
+    timings = {"total": time.perf_counter() - t_start}
+    return ReconstructionReport(cfg.mode, cfg.preset, gauge, cfg.seed, entries,
+                                orders or {}, stability, timings, _echo(cfg))
+
+
 def _run_roundtrip(cfg: ExperimentConfig, out_dir: Path | None) -> ReconstructionReport:
     preset = PRESETS[cfg.preset]
     entries = []
-    timings = {}
     t_total = time.perf_counter()
     for size in cfg.grids:
         grid = _build_grid(cfg, size, preset.dim)
@@ -536,21 +550,13 @@ def _run_roundtrip(cfg: ExperimentConfig, out_dir: Path | None) -> Reconstructio
             t1 = time.perf_counter()
             rep, patch_map = reconstruct_global(degraded, cfg.engine)
             t_rec = time.perf_counter() - t1
-            errors = triple_errors(rep, truth)
-            entries.append({
-                "shape": list(grid.shape),
-                "h": max(grid.spacing),
-                "delta": delta,
-                "errors": errors,
-                "admissible_patches": int(sum(patch_map.admissible)),
-                "total_patches": len(patch_map.admissible),
-                "timings": {"synthesize": t_syn, "reconstruct": t_rec},
-            })
+            entries.append(_entry(
+                grid, delta=delta, errors=triple_errors(rep, truth),
+                admissible_patches=int(sum(patch_map.admissible)),
+                total_patches=len(patch_map.admissible),
+                timings={"synthesize": t_syn, "reconstruct": t_rec}))
             if out_dir is not None and size == cfg.grids[-1]:
-                tag = f"{size}_d{delta:g}"
-                save_field(rep.a, out_dir / f"rep_a_{tag}.json")
-                save_field(rep.b_plus_diva, out_dir / f"rep_bpda_{tag}.json")
-                save_field(rep.c, out_dir / f"rep_c_{tag}.json")
+                save_representative(rep, out_dir, f"rep_{{}}_{size}_d{delta:g}.json")
     orders = {}
     for delta in cfg.noise:
         ladder = [e for e in entries if e["delta"] == delta]
@@ -559,9 +565,7 @@ def _run_roundtrip(cfg: ExperimentConfig, out_dir: Path | None) -> Reconstructio
                 key: observed_orders(ladder, key)
                 for key in ("a", "b_plus_diva", "c", "triple", "b")
             }
-    timings["total"] = time.perf_counter() - t_total
-    return ReconstructionReport(cfg.mode, cfg.preset, "unit-frobenius", cfg.seed,
-                                entries, orders, None, timings, _echo(cfg))
+    return _report(cfg, "unit-frobenius", entries, t_total, orders=orders)
 
 
 def _run_synthesize(cfg: ExperimentConfig, out_dir: Path | None) -> ReconstructionReport:
@@ -569,8 +573,7 @@ def _run_synthesize(cfg: ExperimentConfig, out_dir: Path | None) -> Reconstructi
     grid = _build_grid(cfg, cfg.grids[0], preset.dim)
     t0 = time.perf_counter()
     coeffs, ill, data = _synthesize_data(cfg, preset, grid)
-    entries = [{"shape": list(grid.shape), "h": max(grid.spacing),
-                "fields": len(data)}]
+    entries = [_entry(grid, fields=len(data))]
     outputs = []
     if out_dir is not None:
         for j, f in enumerate(data):
@@ -579,9 +582,7 @@ def _run_synthesize(cfg: ExperimentConfig, out_dir: Path | None) -> Reconstructi
             outputs.append(str(p))
         save_illumination(ill, out_dir / "illumination.json")
         entries[0]["outputs"] = outputs
-    timings = {"total": time.perf_counter() - t0}
-    return ReconstructionReport(cfg.mode, cfg.preset, "n/a", cfg.seed,
-                                entries, {}, None, timings, _echo(cfg))
+    return _report(cfg, "n/a", entries, t0)
 
 
 def _run_reconstruct(cfg: ExperimentConfig, out_dir: Path | None) -> ReconstructionReport:
@@ -591,21 +592,11 @@ def _run_reconstruct(cfg: ExperimentConfig, out_dir: Path | None) -> Reconstruct
             raise ConfigError("inputs", "reconstruct mode expects scalar field archives")
     t0 = time.perf_counter()
     rep, patch_map = reconstruct_global(data, cfg.engine)
-    timings = {"total": time.perf_counter() - t0}
-    entries = [{
-        "shape": list(rep.grid.shape),
-        "h": max(rep.grid.spacing),
-        "admissible_patches": int(sum(patch_map.admissible)),
-        "total_patches": len(patch_map.admissible),
-        "gauge": rep.gauge,
-    }]
+    entries = [_entry(rep.grid, admissible_patches=int(sum(patch_map.admissible)),
+                      total_patches=len(patch_map.admissible), gauge=rep.gauge)]
     if out_dir is not None:
-        save_field(rep.a, out_dir / "rep_a.json")
-        save_field(rep.b_plus_diva, out_dir / "rep_bpda.json")
-        save_field(rep.c, out_dir / "rep_c.json")
-        save_field(rep.b, out_dir / "rep_b.json")
-    return ReconstructionReport(cfg.mode, cfg.preset, "unit-frobenius", cfg.seed,
-                                entries, {}, None, timings, _echo(cfg))
+        save_representative(rep, out_dir, "rep_{}.json", ("a", "bpda", "c", "b"))
+    return _report(cfg, "unit-frobenius", entries, t0)
 
 
 def _qpat_data(cfg: ExperimentConfig, preset: Preset, grid: Grid) -> tuple[QpatData, dict]:
@@ -621,42 +612,10 @@ def _qpat_data(cfg: ExperimentConfig, preset: Preset, grid: Grid) -> tuple[QpatD
     return data, {"gamma": gamma_set.a, "sigma": sigma}
 
 
-def _run_qpat(cfg: ExperimentConfig, out_dir: Path | None) -> ReconstructionReport:
-    preset = PRESETS[cfg.preset]
-    if preset.kind != "qpat":
-        raise ConfigError("preset", "qpat mode needs a qpat preset")
-    entries = []
-    t_total = time.perf_counter()
-    for size in cfg.grids:
-        grid = _build_grid(cfg, size, preset.dim)
-        data, truth = _qpat_data(cfg, preset, grid)
-        delta = cfg.noise[0]
-        if delta > 0 or cfg.mollify_width > 0:
-            data = QpatData(H=_degrade(data.H, delta, cfg), f1=data.f1,
-                            gamma_boundary=data.gamma_boundary,
-                            sigma_boundary=data.sigma_boundary)
-        t0 = time.perf_counter()
-        gamma, sigma, rep_report = qpat_reconstruct(data, cfg.engine)
-        dt = time.perf_counter() - t0
-        g_scale = float(np.abs(truth["gamma"].values).max())
-        s_scale = float(np.abs(truth["sigma"].values).max())
-        entries.append({
-            "shape": list(grid.shape),
-            "h": max(grid.spacing),
-            "errors": {
-                "gamma": float(np.abs(gamma.values - truth["gamma"].values).max()) / g_scale,
-                "sigma": float(np.abs(sigma.values - truth["sigma"].values).max()) / s_scale,
-                "gauge": "anchored",
-            },
-            "pipeline": rep_report,
-            "timings": {"reconstruct": dt},
-        })
-        if out_dir is not None and size == cfg.grids[-1]:
-            save_field(gamma, out_dir / f"qpat_gamma_{size}.json")
-            save_field(sigma, out_dir / f"qpat_sigma_{size}.json")
-    timings = {"total": time.perf_counter() - t_total}
-    return ReconstructionReport(cfg.mode, cfg.preset, "anchored", cfg.seed,
-                                entries, {}, None, timings, _echo(cfg))
+def _qpat_errors(sigma: ScalarField, truth: dict) -> dict:
+    s_true = truth["sigma"].values
+    return {"sigma": float(np.abs(sigma.values - s_true).max())
+            / float(np.abs(s_true).max())}
 
 
 def _elasto_data(cfg: ExperimentConfig, preset: Preset, grid: Grid
@@ -672,39 +631,49 @@ def _elasto_data(cfg: ExperimentConfig, preset: Preset, grid: Grid
     return data, {"gamma": gamma_set.a, "rho": rho, "omega": omega}
 
 
-def _run_elasto(cfg: ExperimentConfig, out_dir: Path | None) -> ReconstructionReport:
+def _elasto_errors(rho: ScalarField, truth: dict) -> dict:
+    rho_true = complex(truth["rho"])
+    return {"rho": float(np.abs(rho.values - rho_true).max()) / abs(rho_true),
+            "rho_imag": float(np.abs(rho.values.imag - rho_true.imag).max())
+            / max(abs(rho_true.imag), 1e-300)}
+
+
+# mode -> (data builder, pipeline, name of its second output, error figures
+# of that output against the truth)
+_APPS = {
+    "qpat": (_qpat_data, qpat_reconstruct, "sigma", _qpat_errors),
+    "elasto": (_elasto_data, elasto_reconstruct, "rho", _elasto_errors),
+}
+
+
+def _run_app(cfg: ExperimentConfig, out_dir: Path | None) -> ReconstructionReport:
+    """qpat and elasto modes: the front end on every grid of the ladder,
+    with the first noise level (and smoothing) applied to its data."""
     preset = PRESETS[cfg.preset]
-    if preset.kind != "elasto":
-        raise ConfigError("preset", "elasto mode needs an elasto preset")
+    if preset.kind != cfg.mode:
+        raise ConfigError("preset", f"{cfg.mode} mode needs a {cfg.mode} preset")
+    build, pipeline, second, second_errors = _APPS[cfg.mode]
     entries = []
     t_total = time.perf_counter()
     for size in cfg.grids:
         grid = _build_grid(cfg, size, preset.dim)
-        data, truth = _elasto_data(cfg, preset, grid)
+        data, truth = build(cfg, preset, grid)
+        delta = cfg.noise[0]
+        if delta > 0 or cfg.mollify_width > 0:
+            data = replace(data, H=_degrade(data.H, delta, cfg))
         t0 = time.perf_counter()
-        gamma, rho, rep_report = elasto_reconstruct(data, cfg.engine)
+        gamma, other, pipeline_report = pipeline(data, cfg.engine)
         dt = time.perf_counter() - t0
-        g_scale = float(np.abs(truth["gamma"].values).max())
-        rho_true = complex(truth["rho"])
-        entries.append({
-            "shape": list(grid.shape),
-            "h": max(grid.spacing),
-            "errors": {
-                "gamma": float(np.abs(gamma.values - truth["gamma"].values).max()) / g_scale,
-                "rho": float(np.abs(rho.values - rho_true).max()) / abs(rho_true),
-                "rho_imag": float(np.abs(rho.values.imag - rho_true.imag).max())
-                / max(abs(rho_true.imag), 1e-300),
-                "gauge": "anchored",
-            },
-            "pipeline": rep_report,
-            "timings": {"reconstruct": dt},
-        })
+        g_true = truth["gamma"].values
+        errors = {"gamma": float(np.abs(gamma.values - g_true).max())
+                  / float(np.abs(g_true).max()),
+                  **second_errors(other, truth), "gauge": "anchored"}
+        entries.append(_entry(grid, errors=errors, pipeline=pipeline_report,
+                              timings={"reconstruct": dt}))
         if out_dir is not None and size == cfg.grids[-1]:
-            save_field(gamma, out_dir / f"elasto_gamma_{size}.json")
-            save_field(rho, out_dir / f"elasto_rho_{size}.json")
-    timings = {"total": time.perf_counter() - t_total}
-    return ReconstructionReport(cfg.mode, cfg.preset, "anchored", cfg.seed,
-                                entries, {}, None, timings, _echo(cfg))
+            save_field(gamma, out_dir / f"{cfg.mode}_gamma_{size}.json")
+            save_field(other, out_dir / f"{cfg.mode}_{second}_{size}.json")
+    return _report(cfg, "anchored", entries, t_total)
 
 
 def _run_stability(cfg: ExperimentConfig, out_dir: Path | None) -> ReconstructionReport:
@@ -742,9 +711,8 @@ def _run_stability(cfg: ExperimentConfig, out_dir: Path | None) -> Reconstructio
         a_, bp, c = rep.triple_arrays()
         err = max(float(np.abs(a_ - a0_).max()), float(np.abs(bp - bp0).max()),
                   float(np.abs(c - c0).max())) / scale0
-        entries.append({"shape": list(grid.shape), "h": max(grid.spacing),
-                        "delta": delta, "errors": {"vs_reference": err,
-                                                   "gauge": rep.gauge}})
+        entries.append(_entry(grid, delta=delta,
+                              errors={"vs_reference": err, "gauge": rep.gauge}))
     logs = np.log([e["delta"] for e in entries])
     errs = np.log([e["errors"]["vs_reference"] for e in entries])
     slope = float(np.polyfit(logs, errs, 1)[0]) if len(entries) > 1 else float("nan")
@@ -752,9 +720,7 @@ def _run_stability(cfg: ExperimentConfig, out_dir: Path | None) -> Reconstructio
                  "deltas": [e["delta"] for e in entries],
                  "errors": [e["errors"]["vs_reference"] for e in entries],
                  "reference": "delta=0 reconstruction, shared realization"}
-    timings = {"total": time.perf_counter() - t_total}
-    return ReconstructionReport(cfg.mode, cfg.preset, "unit-frobenius", cfg.seed,
-                                entries, {}, stability, timings, _echo(cfg))
+    return _report(cfg, "unit-frobenius", entries, t_total, stability=stability)
 
 
 def _echo(cfg: ExperimentConfig) -> dict:
@@ -772,8 +738,8 @@ _RUNNERS = {
     "synthesize": _run_synthesize,
     "reconstruct": _run_reconstruct,
     "roundtrip": _run_roundtrip,
-    "qpat": _run_qpat,
-    "elasto": _run_elasto,
+    "qpat": _run_app,
+    "elasto": _run_app,
     "stability": _run_stability,
 }
 

@@ -190,16 +190,21 @@ def _poly_trace(grid: Grid, member: PolynomialMember) -> BoundaryTrace:
     return BoundaryTrace(grid, member(grid.boundary_points), label=member.label)
 
 
-def harmonic_family(grid: Grid) -> IlluminationSet:
-    """1, x_j, x_i x_j (i<j), and (x_j^2 - x_{j+1}^2)/2."""
-    n = grid.dim
+def _affine_members(n: int) -> list[PolynomialMember]:
+    """1 and the coordinates x_j, the head of the polynomial families."""
     zero = np.zeros(n)
     zq = np.zeros((n, n), dtype=np.complex128)
     members = [PolynomialMember(zq, zero, 1.0, zero, label="1")]
     for j in range(n):
-        lin = np.zeros(n)
-        lin[j] = 1.0
-        members.append(PolynomialMember(zq, lin, 0.0, zero, label=f"x{j + 1}"))
+        members.append(PolynomialMember(zq, np.eye(n)[j], 0.0, zero, label=f"x{j + 1}"))
+    return members
+
+
+def harmonic_family(grid: Grid) -> IlluminationSet:
+    """1, x_j, x_i x_j (i<j), and (x_j^2 - x_{j+1}^2)/2."""
+    n = grid.dim
+    zero = np.zeros(n)
+    members = _affine_members(n)
     for i in range(n):
         for j in range(i + 1, n):
             Q = np.zeros((n, n), dtype=np.complex128)
@@ -220,12 +225,7 @@ def constant_tensor_family(grid: Grid, a0) -> IlluminationSet:
     """1, x_j, and quadratics (1/2) x.Q_m x with Tr(a0 Q_m) = 0."""
     n = grid.dim
     zero = np.zeros(n)
-    zq = np.zeros((n, n), dtype=np.complex128)
-    members = [PolynomialMember(zq, zero, 1.0, zero, label="1")]
-    for j in range(n):
-        lin = np.zeros(n)
-        lin[j] = 1.0
-        members.append(PolynomialMember(zq, lin, 0.0, zero, label=f"x{j + 1}"))
+    members = _affine_members(n)
     for m, Q in enumerate(complement_basis(a0)):
         members.append(PolynomialMember(Q, zero, 0.0, zero, label=f"quad{m + 1}"))
     traces = [_poly_trace(grid, mm) for mm in members]

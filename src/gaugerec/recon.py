@@ -37,6 +37,7 @@ from .errors import (
     VanishingU1,
 )
 from .fields import (
+    SYM_PAIRS,
     Grid,
     ScalarField,
     SymTensorField,
@@ -44,6 +45,7 @@ from .fields import (
     divergence_tensor,
     grad_values,
     hess_values,
+    unpack_sym,
 )
 from .illum import num_generators, num_solutions
 
@@ -246,21 +248,10 @@ def build_ratios(u: list[ScalarField], floor: float = 0.0) -> RatioBundle:
     v = np.stack([(f.values / u1.values) for f in u[1:]], axis=0)
     grad_v = np.stack([grad_values(vj, sp) for vj in v], axis=0)
     hess_packed = [hess_values(vj, sp) for vj in v]
-    hess_v = np.stack([_unpack_sym(hp, grid.dim) for hp in hess_packed], axis=0)
+    hess_v = np.stack([unpack_sym(hp, grid.dim) for hp in hess_packed], axis=0)
     grad_u1 = grad_values(u1.values, sp)
-    hess_u1 = _unpack_sym(hess_values(u1.values, sp), grid.dim)
+    hess_u1 = unpack_sym(hess_values(u1.values, sp), grid.dim)
     return RatioBundle(grid, u1, v, grad_v, hess_v, grad_u1, hess_u1, float(floor))
-
-
-def _unpack_sym(packed: np.ndarray, n: int) -> np.ndarray:
-    from .fields import SYM_PAIRS
-
-    out = np.zeros(packed.shape[:-1] + (n, n), dtype=np.complex128)
-    for p, (i, j) in enumerate(SYM_PAIRS[n]):
-        out[..., i, j] = packed[..., p]
-        if i != j:
-            out[..., j, i] = packed[..., p]
-    return out
 
 
 def build_frame(rb: RatioBundle, cond_max: float | None = 1e6,
@@ -313,8 +304,7 @@ def build_M(rb: RatioBundle, fr: FrameData, indep_min: float | None = 1e-8,
     grad w = - sum_j theta_j grad v_j is solved through the frame Gram
     inverse; the curvature matrix is M = Hess w + sum_j theta_j Hess v_j.
     M0 is the combination of (Id, M^1, ..) that pairs to delta_{0m},
-    normalized by the principal square root and sign-fixed by continuity
-    plus Re Tr > 0 at the anchor node.
+    normalized by the principal square root and oriented by ``_orientation``.
     """
     grid = rb.grid
     n = grid.dim
@@ -355,15 +345,9 @@ def build_M(rb: RatioBundle, fr: FrameData, indep_min: float | None = 1e-8,
                 nodes=np.argwhere(bad))
 
     M0, scale_field, ok = _pair_M0(stack, pairing)
-    sgn = _continuity_signs(M0)
-    M0 = M0 * sgn[..., None, None]
-    scale_field = scale_field * sgn
-    if anchor is None:
-        anchor = tuple(s // 2 for s in grid.shape)
-    tr = np.trace(M0[anchor])
-    flip = -1.0 if (tr.real < 0 or (tr.real == 0 and tr.imag < 0)) else 1.0
-    M0 = M0 * flip
-    scale_field = scale_field * flip
+    sgn = _orientation(M0, anchor)
+    M0 *= sgn[..., None, None]
+    scale_field *= sgn
     return MBundle(grid, tuple(generators), theta, M, M0, indep, scale_field, ok,
                    worst_lincomb)
 
@@ -371,8 +355,6 @@ def build_M(rb: RatioBundle, fr: FrameData, indep_min: float | None = 1e-8,
 def _vectorize_sym(stack: np.ndarray) -> np.ndarray:
     """Map stacked symmetric matrices to rows with Frobenius-compatible
     weights (off-diagonals scaled by sqrt 2)."""
-    from .fields import SYM_PAIRS
-
     n = stack.shape[-1]
     comps = []
     for i, j in SYM_PAIRS[n]:
@@ -430,27 +412,49 @@ def _pair_M0(stack: np.ndarray, pairing: str) -> tuple[np.ndarray, np.ndarray, n
     return M0, s, ok
 
 
-def _continuity_signs(W: np.ndarray) -> np.ndarray:
-    """Per-node signs in {-1, +1} removing sign flips of a matrix field.
+def _axis_scan(shape: tuple[int, ...], start: float, step,
+               op: np.ufunc) -> tuple[np.ndarray, float]:
+    """Carry a value from the first node along the scan path of a grid.
 
-    Neighbor alignment is measured with the Hermitian overlap
-    Re sum W_prev conj(W_cur); the scan fixes the first node and sweeps
-    axis by axis (line, then plane, then volume).
+    The path runs down axis 0 from the first node, then along axis 1 from
+    every node reached so far, then along axis 2 in 3D.  ``step(cur, prev)``
+    takes the index windows of the two ends of a batch of path edges and
+    returns the change across each; ``op`` (np.multiply or np.add) chains
+    the changes: value = op(value at the start of the line, op.accumulate).
+    Returns the field and the largest |step| on the path.
     """
-    def rel(a, b):
-        ov = np.real(np.einsum("...ij,...ij->...", a, np.conj(b)))
+    out = np.empty(shape)
+    out[(0,) * len(shape)] = start
+    worst = 0.0
+    for k in range(len(shape)):
+        head, tail = (slice(None),) * k, (0,) * (len(shape) - k - 1)
+        cur = head + (slice(1, None),) + tail
+        d = step(cur, head + (slice(None, -1),) + tail)
+        out[cur] = op(out[head + (slice(0, 1),) + tail], op.accumulate(d, axis=k))
+        if d.size:
+            worst = max(worst, float(np.abs(d).max()))
+    return out, worst
+
+
+def _orientation(W: np.ndarray, anchor: tuple[int, ...] | None = None) -> np.ndarray:
+    """Per-node signs in {-1, +1} that orient a field of matrices.
+
+    Neighbors on the scan path are aligned by the sign of the Hermitian
+    overlap Re sum W_cur conj(W_prev); the whole field is then flipped, if
+    needed, so that Re Tr W > 0 at ``anchor`` (Im Tr > 0 when the real part
+    is 0).  The default anchor is the center node.
+    """
+    shape = W.shape[:-2]
+
+    def rel(cur, prev):
+        ov = np.real(np.einsum("...ij,...ij->...", W[cur], np.conj(W[prev])))
         return np.where(ov < 0, -1.0, 1.0)
 
-    shape = W.shape[:-2]
-    sgn = np.ones(shape)
-    if len(shape) == 2:
-        sgn[1:, 0] = np.cumprod(rel(W[1:, 0], W[:-1, 0]))
-        sgn[:, 1:] = sgn[:, :1] * np.cumprod(rel(W[:, 1:], W[:, :-1]), axis=1)
-    else:
-        sgn[1:, 0, 0] = np.cumprod(rel(W[1:, 0, 0], W[:-1, 0, 0]))
-        sgn[:, 1:, 0] = sgn[:, :1, 0] * np.cumprod(rel(W[:, 1:, 0], W[:, :-1, 0]), axis=1)
-        sgn[:, :, 1:] = sgn[:, :, :1] * np.cumprod(rel(W[:, :, 1:], W[:, :, :-1]), axis=2)
-    return sgn
+    sgn, _ = _axis_scan(shape, 1.0, rel, np.multiply)
+    if anchor is None:
+        anchor = tuple(m // 2 for m in shape)
+    tr = np.trace(W[anchor]) * sgn[anchor]
+    return -sgn if (tr.real < 0 or (tr.real == 0 and tr.imag < 0)) else sgn
 
 
 def reconstruct_class(rb: RatioBundle, fr: FrameData, mb: MBundle) -> ClassRepresentative:
@@ -509,24 +513,17 @@ def unit_gauge_triple(a_mat: np.ndarray, bpda: np.ndarray, c: np.ndarray,
     """Rescale a gauge triple so that Tr(a a) = 1 pointwise.
 
     The scale is the principal square root of the bilinear pairing
-    Tr(a a), sign-fixed by neighbor continuity and Re Tr a > 0 at the
-    anchor node.  Because (a, b + div a, c) transforms multiplicatively
-    along the gauge orbit, dividing all three by the same scalar field
-    stays on the orbit.  Returns (a, b + div a, c, scale) with
+    Tr(a a), oriented by ``_orientation`` (neighbor continuity, then
+    Re Tr a > 0 at the anchor node).  Because (a, b + div a, c) transforms
+    multiplicatively along the gauge orbit, dividing all three by the same
+    scalar field stays on the orbit.  Returns (a, b + div a, c, scale) with
     a = scale * a_unit exactly.
     """
-    shape = a_mat.shape[:-2]
     s2 = np.einsum("...ij,...ji->...", a_mat, a_mat)
     if (np.abs(s2) < 1e-28).any():
         raise VanishingGauge("Tr(a a) vanishes; the unit gauge is undefined")
     s = np.sqrt(s2)
-    Mu = a_mat / s[..., None, None]
-    sgn = _continuity_signs(Mu)
-    if anchor is None:
-        anchor = tuple(m // 2 for m in shape)
-    tr = np.trace(Mu[anchor]) * sgn[anchor]
-    flip = -1.0 if (tr.real < 0 or (tr.real == 0 and tr.imag < 0)) else 1.0
-    scale = s * sgn * flip
+    scale = s * _orientation(a_mat / s[..., None, None], anchor)
     return (a_mat / scale[..., None, None], bpda / scale[..., None],
             c / scale, scale)
 
@@ -598,15 +595,6 @@ def _patch_weight(core: tuple[slice, ...], shape: tuple[int, ...], overlap: int)
     return w
 
 
-def _frame_condition(grad_v: np.ndarray, combo: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    G = grad_v[list(combo)]
-    H = np.einsum("i...k,j...k->...ij", G, G)
-    Hinv, ok = _invert_stack(H)
-    normH = np.sqrt(np.sum(np.abs(H) ** 2, axis=(-2, -1)))
-    normHi = np.sqrt(np.sum(np.abs(Hinv) ** 2, axis=(-2, -1)))
-    return np.where(ok, normH * normHi, np.inf), ok
-
-
 def _select_on_patch(crops: list[ScalarField], core_local: tuple[slice, ...],
                      cfg: EngineConfig, gmax: np.ndarray) -> dict | None:
     """Choose (u1, frame, generators) on one patch.
@@ -632,17 +620,13 @@ def _select_on_patch(crops: list[ScalarField], core_local: tuple[slice, ...],
 
         frame_scored = []
         for combo in itertools.combinations(range(len(others)), n):
-            cond, okH = _frame_condition(rb.grad_v, combo)
-            cc = cond[core_local]
-            worst = float(cc.max()) if okH[core_local].all() else np.inf
+            fr = build_frame(rb, cond_max=None, frame=combo)
+            worst = float(fr.cond[core_local].max()) if fr.ok[core_local].all() else np.inf
             frame_scored.append((worst, combo))
         frame_scored.sort(key=lambda t: (t[0], t[1]))
 
-        for worst_cond, combo in frame_scored[:cfg.max_frame_candidates]:
-            try:
-                fr = build_frame(rb, cond_max=None, frame=combo)
-            except FrameDegenerate:
-                continue
+        for _, combo in frame_scored[:cfg.max_frame_candidates]:
+            fr = build_frame(rb, cond_max=None, frame=combo)
             pool = [j for j in range(len(others)) if j not in combo]
             subset_scored = []
             for subset in itertools.combinations(pool, G_needed):

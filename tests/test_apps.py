@@ -5,6 +5,7 @@ import pytest
 
 from gaugerec import (
     ElastoData,
+    GridMismatch,
     NonPositiveH1,
     QpatData,
     ScalarField,
@@ -144,6 +145,21 @@ def test_qpat_rejects_nonpositive_absorption_data():
         qpat_reconstruct(QpatData(H=data.H[:1], f1=data.f1,
                                   gamma_boundary=data.gamma_boundary,
                                   sigma_boundary=data.sigma_boundary))
+
+
+@pytest.mark.parametrize("other", [
+    square_grid(33, extent=((0.0, 1.0), (0.0, 2.0))),  # same shape, other extent
+    square_grid(41),                                     # other shape
+])
+def test_qpat_rejects_functionals_on_another_grid(other):
+    grid, data, _ = qpat_case(33)
+    H = list(data.H)
+    H[2] = ScalarField(other, np.ones(other.shape))
+    with pytest.raises(GridMismatch) as info:
+        qpat_reconstruct(QpatData(H=H, f1=data.f1,
+                                  gamma_boundary=data.gamma_boundary,
+                                  sigma_boundary=data.sigma_boundary))
+    assert info.value.index == 2
 
 
 def test_qpat_is_invariant_under_relabeling_secondary_functionals():

@@ -17,7 +17,6 @@ from gaugerec import (
     gradient,
     harmonic_family,
     integrate_gradient,
-    integrate_gradient_lines,
     reconstruct_global,
     recover_tau_b_zero,
     recover_tau_divfree_b,
@@ -59,6 +58,17 @@ def test_split_det_recovers_a_winding_factor():
     assert np.abs(det_unit - 1.0).max() < 1e-10
     recomposed = gs.tau.values[..., None] * gs.unit.values
     assert np.abs(recomposed - scaled_tensor(grid, tau, base).values).max() < 1e-10
+
+
+def test_split_det_recovers_a_winding_factor_in_3d():
+    grid = square_grid(13, dim=3)
+    x1, x2, x3 = grid.meshes
+    # det = tau^3 winds by 4.5 pi, along every axis of the scan path
+    tau = 1.3 * np.exp(1j * 1.5 * np.pi * (x1 + 0.3 * x2 + 0.5 * x3) / 1.8)
+    base = np.diag([2.0, 0.5, 1.0])  # det = 1
+    gs = split_det(scaled_tensor(grid, tau, base))
+    assert np.abs(gs.tau.values - tau).max() < 1e-10
+    assert np.abs(np.linalg.det(gs.unit.as_matrix()) - 1.0).max() < 1e-10
 
 
 def test_split_pairing_unit_normalization():
@@ -104,17 +114,6 @@ def test_integrate_gradient_inverts_the_discrete_gradient():
     back = integrate_gradient(g)
     shift = phi.values - back.values
     assert np.abs(shift - shift.reshape(-1)[0]).max() < 1e-9
-
-
-def test_line_integration_agrees_with_least_squares():
-    grid = square_grid(33)
-    x1, x2 = grid.meshes
-    phi = ScalarField(grid, (0.5 * x1**2 - x1 * x2).astype(complex))
-    g = gradient(phi)
-    a = integrate_gradient(g).values
-    b = integrate_gradient_lines(g).values
-    diff = a - b
-    assert np.abs(diff - diff.reshape(-1)[0]).max() < 1e-9
 
 
 def test_curl_residual_separates_gradients_from_rotations():

@@ -49,6 +49,17 @@ def test_config_rejects_bad_fields_with_located_messages():
         ExperimentConfig.from_dict({"mode": "reconstruct"})
 
 
+def test_config_rejects_unknown_top_level_keys():
+    # misspelled keys used to fall back silently to grids=[33], noise=[0.0]
+    with pytest.raises(ConfigError, match="^grid: unknown option"):
+        ExperimentConfig.from_dict({"mode": "roundtrip", "preset": "identity-2d",
+                                    "grid": [65], "nosie": [1e-3]})
+    for key in ("nosie", "threads"):
+        with pytest.raises(ConfigError, match=f"^{key}: unknown option"):
+            ExperimentConfig.from_dict({"mode": "roundtrip", "preset": "identity-2d",
+                                        key: 1})
+
+
 def test_stability_mode_requires_positive_noise():
     cfg = ExperimentConfig(mode="stability", preset="identity-2d",
                            grids=[17], noise=[0.0])
@@ -161,6 +172,17 @@ def test_roundtrip_is_second_order_up_to_257():
     orders = run(cfg).orders["delta=0"]
     for key in ("a", "b_plus_diva", "c"):
         assert orders[key][0] >= 1.8, (key, orders[key])
+
+
+@pytest.mark.parametrize("mode", ["qpat", "elasto"])
+def test_app_modes_smooth_their_data(mode):
+    # elasto mode used to ignore noise and mollify_width
+    def gamma_error(width):
+        cfg = ExperimentConfig(mode=mode, preset=f"{mode}-demo", grids=[33],
+                               mollify_width=width)
+        return run(cfg).entries[0]["errors"]["gamma"]
+
+    assert gamma_error(1.0) != gamma_error(0.0)
 
 
 def test_stability_runs_are_deterministic():

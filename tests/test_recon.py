@@ -104,6 +104,28 @@ def test_unit_gauge_triple_normalization():
     assert np.abs(c_u * tau - c).max() < 1e-12
 
 
+def test_unit_gauge_triple_removes_planted_sign_flips_in_3d():
+    grid = square_grid(11, dim=3)
+    x1, x2, x3 = grid.meshes
+    # the phase of tau passes pi/2, so the principal root of Tr(a a) jumps
+    # sign inside the box and only the continuity scan can undo it
+    tau = (1.0 + 0.2 * x1) * np.exp(1j * 1.2 * np.pi * (x1 + x2 + x3) / 3)
+    a0 = np.diag([1.0, 1.5, 2.0]) + 0.1j * np.ones((3, 3))
+    unit0 = a0 / np.sqrt(np.trace(a0 @ a0))
+    a = np.einsum("..., ij -> ...ij", tau, unit0)
+    bpda = np.stack([x2, x3, x1], axis=-1).astype(complex)
+    c = (x1 * x2 * x3).astype(complex)
+    flips = np.random.default_rng(5).choice([-1.0, 1.0], size=grid.shape)
+    assert (flips < 0).sum() > 100
+    for sgn in (np.ones(grid.shape), flips):
+        a_u, b_u, c_u, scale = unit_gauge_triple(
+            a * sgn[..., None, None], bpda * sgn[..., None], c * sgn)
+        assert np.abs(scale - sgn * tau).max() < 1e-12
+        assert np.abs(a_u - unit0).max() < 1e-12
+        assert np.abs(b_u * tau[..., None] - bpda).max() < 1e-12
+        assert np.abs(c_u * tau - c).max() < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # Failure modes
 # ---------------------------------------------------------------------------
