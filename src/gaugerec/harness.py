@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import asdict, dataclass, field as dc_field, replace
 from pathlib import Path
 
 import numpy as np
@@ -691,23 +691,14 @@ def _run_stability(cfg: ExperimentConfig, out_dir: Path | None) -> Reconstructio
     grid = _build_grid(cfg, cfg.grids[-1], preset.dim)
     t_total = time.perf_counter()
     coeffs, ill, data = _synthesize_data(cfg, preset, grid)
-    base = [mollify(f, cfg.mollify_width) if cfg.mollify_width > 0 else f
-            for f in data]
-    rep0, _ = reconstruct_global(base, cfg.engine)
+    rep0, _ = reconstruct_global(_degrade(data, 0.0, cfg), cfg.engine)
     a0_, bp0, c0 = rep0.triple_arrays()
     scale0 = max(float(np.abs(a0_).max()), float(np.abs(bp0).max()),
                  float(np.abs(c0).max()))
-    draws = [noise_realization(f, cfg.seed + j, real=cfg.real_noise)
-             for j, f in enumerate(data)]
-    amps = [float(np.abs(f.values).max()) for f in data]
 
     entries = []
     for delta in sorted(deltas):
-        noisy = [ScalarField(grid, f.values + delta * amp * g)
-                 for f, amp, g in zip(data, amps, draws)]
-        if cfg.mollify_width > 0:
-            noisy = [mollify(f, cfg.mollify_width) for f in noisy]
-        rep, _ = reconstruct_global(noisy, cfg.engine)
+        rep, _ = reconstruct_global(_degrade(data, delta, cfg), cfg.engine)
         a_, bp, c = rep.triple_arrays()
         err = max(float(np.abs(a_ - a0_).max()), float(np.abs(bp - bp0).max()),
                   float(np.abs(c - c0).max())) / scale0
@@ -724,14 +715,7 @@ def _run_stability(cfg: ExperimentConfig, out_dir: Path | None) -> Reconstructio
 
 
 def _echo(cfg: ExperimentConfig) -> dict:
-    eng = {k: getattr(cfg.engine, k) for k in EngineConfig.__dataclass_fields__}
-    return _jsonify({
-        "mode": cfg.mode, "preset": cfg.preset, "grids": cfg.grids,
-        "extent": cfg.extent, "noise": cfg.noise,
-        "mollify_width": cfg.mollify_width, "real_noise": cfg.real_noise,
-        "seed": cfg.seed, "engine": eng, "inputs": cfg.inputs,
-        "illumination": cfg.illumination,
-    })
+    return _jsonify(asdict(cfg))
 
 
 _RUNNERS = {

@@ -14,10 +14,11 @@ representative of the coefficient triple:
 4. ``reconstruct_class``: the representative (a, b + div a, c) in the
    u_1-normalized gauge a = M0 / u_1^2.
 
-``reconstruct_global`` runs the same steps per patch with automatic
-selection of u_1, frame, and generator subsets, then stitches the patches
-in the pointwise unit-Frobenius gauge, which does not depend on which u_1
-each patch picked.
+``reconstruct_global`` differentiates the ratios once per u_1 candidate on
+the whole grid and runs the remaining steps per patch on windows of that
+bundle, with automatic selection of u_1, frame, and generator subsets, then
+stitches the patches in the pointwise unit-Frobenius gauge, which does not
+depend on which u_1 each patch picked.
 """
 
 from __future__ import annotations
@@ -85,12 +86,8 @@ class EngineConfig:
     u1_floor_rel: float = 1e-3
     cond_max: float = 1e6
     indep_min: float = 1e-8
-    pairing: str = "bilinear"
     patch_size: int | None = None
     overlap: int = 8
-    halo: int = 3
-    max_frame_candidates: int = 5
-    max_subset_candidates: int = 30
 
     def validate(self) -> "EngineConfig":
         if self.u1_floor_rel <= 0:
@@ -99,15 +96,11 @@ class EngineConfig:
             raise ConfigError("thresholds.cond_max", "must exceed 1")
         if self.indep_min <= 0:
             raise ConfigError("thresholds.indep_min", "must be positive")
-        if self.pairing not in ("bilinear", "hermitian"):
-            raise ConfigError("thresholds.pairing", f"unknown pairing {self.pairing!r}")
         if self.patch_size is not None:
             if self.patch_size < 9:
                 raise ConfigError("patching.patch_size", "patches need at least 9 nodes per axis")
             if not (0 < self.overlap < self.patch_size):
                 raise ConfigError("patching.overlap", "need 0 < overlap < patch_size")
-        if self.halo < 2:
-            raise ConfigError("patching.halo", "derivative halo needs at least 2 nodes")
         return self
 
 
@@ -132,6 +125,13 @@ class RatioBundle:
     grad_u1: np.ndarray
     hess_u1: np.ndarray
     floor: float
+
+    def window(self, box: tuple[slice, ...]) -> "RatioBundle":
+        """The bundle on an index box of its grid; the arrays are views."""
+        m = (slice(None),) + box
+        return RatioBundle(self.grid.subgrid(box), self.u1.crop(box), self.v[m],
+                           self.grad_v[m], self.hess_v[m], self.grad_u1[box],
+                           self.hess_u1[box], self.floor)
 
 
 @dataclass
@@ -236,14 +236,20 @@ def build_ratios(u: list[ScalarField], floor: float = 0.0) -> RatioBundle:
     if len(u) < 2:
         raise ValueError("need at least two solutions")
     grid = _common_grid(u)
-    u1 = u[0]
-    absu1 = np.abs(u1.values)
+    absu1 = np.abs(u[0].values)
     if floor > 0:
         bad = absu1 < floor
         if bad.any():
             raise VanishingU1(f"|u_1| below floor {floor:g}", nodes=np.argwhere(bad))
     if (absu1 == 0).any():
         raise VanishingU1("u_1 vanishes on the grid", nodes=np.argwhere(absu1 == 0))
+    return _ratios(grid, u, floor)
+
+
+def _ratios(grid: Grid, u: list[ScalarField], floor: float = 0.0) -> RatioBundle:
+    """``build_ratios`` without its checks: where u_1 vanishes, the ratios
+    and the derivatives that reach them are not finite."""
+    u1 = u[0]
     sp = grid.spacing
     v = np.stack([(f.values / u1.values) for f in u[1:]], axis=0)
     grad_v = np.stack([grad_values(vj, sp) for vj in v], axis=0)
@@ -295,7 +301,6 @@ def _invert_stack(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_M(rb: RatioBundle, fr: FrameData, indep_min: float | None = 1e-8,
-            pairing: str = "bilinear",
             generators: tuple[int, ...] | None = None,
             anchor: tuple[int, ...] | None = None) -> MBundle:
     """Curvature matrices of the non-frame ratios and the paired M0.
@@ -344,7 +349,7 @@ def build_M(rb: RatioBundle, fr: FrameData, indep_min: float | None = 1e-8,
                 f"(Id, M^1, ..) fail pointwise independence at {indep_min:g}",
                 nodes=np.argwhere(bad))
 
-    M0, scale_field, ok = _pair_M0(stack, pairing)
+    M0, scale_field, ok = _pair_M0(stack)
     sgn = _orientation(M0, anchor)
     M0 *= sgn[..., None, None]
     scale_field *= sgn
@@ -375,37 +380,26 @@ def _independence(stack: np.ndarray) -> np.ndarray:
     return sv[..., -1]
 
 
-def _pair_M0(stack: np.ndarray, pairing: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pair_M0(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve the pairing conditions Tr(M0 B_m) = delta_0m over the stack
     B = (Id, M^1, ..) and normalize.
 
-    bilinear: P_km = Tr(B_k B_m), y = P^-1 e_0, M0 = sum y_k B_k / sqrt(y_0)
-    (the constraints for m >= 1 hold by construction and the normalization
+    P_km = Tr(B_k B_m), y = P^-1 e_0, M0 = sum y_k B_k / sqrt(y_0) (the
+    constraints for m >= 1 hold by construction and the normalization
     Tr(M0 M0) = 1 follows from y^T P y = y_0).
-    hermitian: same with Tr(B_k^* B_m); the coefficient vector is the
-    conjugate of the solve against P^T.
     """
     K = stack.shape[0]
     shape = stack.shape[1:-2]
-    if pairing == "bilinear":
-        P = np.einsum("k...ij,m...ji->...km", stack, stack)
-    else:
-        P = np.einsum("k...ij,m...ji->...km", np.conj(stack), stack)
+    P = np.einsum("k...ij,m...ji->...km", stack, stack)
     detP = np.linalg.det(P)
     scaleP = np.max(np.abs(P), axis=(-2, -1))
     ok = np.abs(detP) > (1e-14 * np.maximum(scaleP, _TINY)) ** K
     safe = np.where(ok[..., None, None], P, np.eye(K, dtype=np.complex128))
     e0 = np.zeros(shape + (K,), dtype=np.complex128)
     e0[..., 0] = 1.0
-    if pairing == "bilinear":
-        y = np.linalg.solve(safe, e0[..., None])[..., 0]
-    else:
-        y = np.conj(np.linalg.solve(np.swapaxes(safe, -1, -2), e0[..., None])[..., 0])
+    y = np.linalg.solve(safe, e0[..., None])[..., 0]
     raw = np.einsum("...k,k...ij->...ij", y, stack)
-    if pairing == "bilinear":
-        s2 = y[..., 0]
-    else:
-        s2 = np.einsum("...ij,...ji->...", np.conj(raw), raw)
+    s2 = y[..., 0]
     ok = ok & (np.abs(s2) > 1e-28)
     s = np.sqrt(np.where(ok, s2, 1.0))
     M0 = raw / s[..., None, None]
@@ -553,24 +547,6 @@ def _patch_boxes(shape: tuple[int, ...], cfg: EngineConfig) -> list[tuple[slice,
     return [tuple(combo) for combo in itertools.product(*per_axis)]
 
 
-def _expand_box(box: tuple[slice, ...], shape: tuple[int, ...], halo: int) -> tuple[slice, ...]:
-    out = []
-    for sl, m in zip(box, shape):
-        lo = max(sl.start - halo, 0)
-        hi = min(sl.stop + halo, m)
-        width = hi - lo
-        if width < 9:
-            hi = min(lo + 9, m)
-            lo = max(hi - 9, 0)
-        out.append(slice(lo, hi))
-    return tuple(out)
-
-
-def _local_window(core: tuple[slice, ...], halo_box: tuple[slice, ...]) -> tuple[slice, ...]:
-    return tuple(slice(c.start - h.start, c.stop - h.start)
-                 for c, h in zip(core, halo_box))
-
-
 def _ramp(length: int, overlap: int, ramp_lo: bool, ramp_hi: bool) -> np.ndarray:
     w = np.ones(length)
     r = min(overlap, length)
@@ -595,72 +571,85 @@ def _patch_weight(core: tuple[slice, ...], shape: tuple[int, ...], overlap: int)
     return w
 
 
-def _select_on_patch(crops: list[ScalarField], core_local: tuple[slice, ...],
-                     cfg: EngineConfig, gmax: np.ndarray) -> dict | None:
+_MAX_FRAMES = 5    # frames tried per u_1 candidate, best conditioned first
+_MAX_SUBSETS = 30  # generator subsets scored per frame
+
+
+def _select_on_patch(u: list[ScalarField], box: tuple[slice, ...], ratios,
+                     cfg: EngineConfig, gmax: np.ndarray):
     """Choose (u1, frame, generators) on one patch.
 
-    Candidates are ranked by worst-node score over the patch core: the
-    relative u1 margin, times 1/cond of the frame Gram matrix, times the
-    independence margin of the M stack.  The first candidate that clears
-    every threshold wins; otherwise the best-scoring failed attempt is
-    returned with ``admissible = False`` so the caller can report it.
+    ``ratios(i)`` is the full-grid bundle with ``u[i]`` as u_1; the patch
+    reads its window.  Candidates are ranked by worst-node score over the
+    patch: the relative u1 margin, times 1/cond of the frame Gram matrix,
+    times the independence margin of the M stack.  A window that holds a
+    non-finite value is not admissible.  Frame by frame, the best-scoring
+    candidate that clears every threshold wins and is returned as
+    (selection, score, (rb, fr, mb)); otherwise the best-scoring failed
+    attempt is returned as (selection, score, None) so the caller can report
+    it.  None when no u_1 candidate clears the floor.
     """
-    n = crops[0].grid.dim
+    n = u[0].grid.dim
     G_needed = num_generators(n)
-    vals = [f.values for f in crops]
-    margins = np.array([np.abs(vv[core_local]).min() / max(gm, _TINY)
-                        for vv, gm in zip(vals, gmax)])
+    margins = np.array([np.abs(f.values[box]).min() / max(gm, _TINY)
+                        for f, gm in zip(u, gmax)])
     order = [i for i in np.argsort(-margins, kind="stable")
              if margins[i] >= cfg.u1_floor_rel]
     best = None
     for i1 in order:
-        others = [j for j in range(len(crops)) if j != i1]
-        rb = build_ratios([crops[i1]] + [crops[j] for j in others], floor=0.0)
-        margin_node = np.abs(vals[i1][core_local]) / max(gmax[i1], _TINY)
+        rb = ratios(i1).window(box)
+        if not (np.isfinite(rb.grad_v).all() and np.isfinite(rb.hess_v).all()):
+            continue
+        others = [j for j in range(len(u)) if j != i1]
+        margin_node = np.abs(rb.u1.values) / max(gmax[i1], _TINY)
 
         frame_scored = []
         for combo in itertools.combinations(range(len(others)), n):
             fr = build_frame(rb, cond_max=None, frame=combo)
-            worst = float(fr.cond[core_local].max()) if fr.ok[core_local].all() else np.inf
-            frame_scored.append((worst, combo))
-        frame_scored.sort(key=lambda t: (t[0], t[1]))
+            frame_scored.append((float(fr.cond.max()) if fr.ok.all() else np.inf, combo))
+        frame_scored.sort()
 
-        for _, combo in frame_scored[:cfg.max_frame_candidates]:
+        for _, combo in frame_scored[:_MAX_FRAMES]:
             fr = build_frame(rb, cond_max=None, frame=combo)
+            frame_ok = float(fr.cond.max()) <= cfg.cond_max
+            top = top_ok = None
             pool = [j for j in range(len(others)) if j not in combo]
-            subset_scored = []
-            for subset in itertools.combinations(pool, G_needed):
-                try:
-                    mb = build_M(rb, fr, indep_min=None, pairing=cfg.pairing,
-                                 generators=subset)
-                except (ValueError, np.linalg.LinAlgError):
-                    continue
-                core_ok = bool(mb.ok[core_local].all() and fr.ok[core_local].all())
-                indep_core = mb.indep[core_local]
-                score_node = (margin_node
-                              / np.maximum(fr.cond[core_local], 1.0)
-                              * indep_core)
-                score = float(score_node.min()) if core_ok else 0.0
-                admissible = (core_ok
-                              and margins[i1] >= cfg.u1_floor_rel
-                              and float(fr.cond[core_local].max()) <= cfg.cond_max
-                              and float(indep_core.min()) >= cfg.indep_min)
-                subset_scored.append((score, subset, admissible, rb, fr, mb))
-                if len(subset_scored) >= cfg.max_subset_candidates:
-                    break
-            subset_scored.sort(key=lambda t: (-t[0], t[1]))
-            for score, subset, admissible, rb_, fr_, mb_ in subset_scored:
-                cand = {
-                    "u1": int(i1), "frame": tuple(int(others[k]) for k in combo),
-                    "generators": tuple(int(others[k]) for k in subset),
-                    "score": score, "admissible": admissible,
-                    "_bundles": (rb_, fr_, mb_),
-                }
-                if admissible:
-                    return cand
-                if best is None or score > best["score"]:
-                    best = cand
+            for subset in itertools.islice(itertools.combinations(pool, G_needed), _MAX_SUBSETS):
+                mb = build_M(rb, fr, indep_min=None, generators=subset)
+                core_ok = bool(mb.ok.all() and fr.ok.all())
+                score = (float((margin_node / np.maximum(fr.cond, 1.0) * mb.indep).min())
+                         if core_ok else 0.0)
+                if core_ok and frame_ok and float(mb.indep.min()) >= cfg.indep_min:
+                    if top_ok is None or score > top_ok[0]:
+                        top_ok = (score, subset, mb)
+                elif top is None or score > top[0]:
+                    top = (score, subset)
+            if top_ok is not None:
+                score, subset, mb = top_ok
+                return _selection(i1, others, combo, subset), score, (rb, fr, mb)
+            if top is not None and (best is None or top[0] > best[1]):
+                best = (_selection(i1, others, combo, top[1]), top[0], None)
     return best
+
+
+def _selection(i1: int, others: list[int], combo, subset) -> dict:
+    return {"u1": int(i1), "frame": tuple(int(others[k]) for k in combo),
+            "generators": tuple(int(others[k]) for k in subset)}
+
+
+def _patch_record(u: list[ScalarField], box: tuple[slice, ...], ratios,
+                  cfg: EngineConfig, gmax: np.ndarray) -> dict:
+    """Selection on one patch and, when admissible, its unit-gauge triple."""
+    rec = {"box": box, "selection": None, "admissible": False, "score": 0.0,
+           "fields": None}
+    sel = _select_on_patch(u, box, ratios, cfg, gmax)
+    if sel is not None:
+        rec["selection"], rec["score"], bundles = sel
+        if bundles is not None:
+            rep = reconstruct_class(*bundles)
+            rec["admissible"] = True
+            rec["fields"] = unit_gauge_triple(*rep.triple_arrays())[:3]
+    return rec
 
 
 def reconstruct_global(u: list[ScalarField], config: EngineConfig | None = None
@@ -683,26 +672,17 @@ def reconstruct_global(u: list[ScalarField], config: EngineConfig | None = None
         raise ValueError(f"need at least {num_solutions(n)} solutions, got {len(u)}")
 
     gmax = np.array([float(np.abs(f.values).max()) for f in u])
-    boxes = _patch_boxes(grid.shape, cfg)
-    records = []
-    for box in boxes:
-        halo_box = _expand_box(box, grid.shape, cfg.halo)
-        core_local = _local_window(box, halo_box)
-        crops = [f.crop(halo_box) for f in u]
-        sel = _select_on_patch(crops, core_local, cfg, gmax)
-        rec = {"box": box, "halo": halo_box, "core_local": core_local,
-               "selection": None, "admissible": False, "score": 0.0,
-               "fields": None}
-        if sel is not None:
-            rb, fr, mb = sel.pop("_bundles")
-            rep = reconstruct_class(rb, fr, mb)
-            a_m, bpda, c = rep.triple_arrays()
-            a_u, bpda_u, c_u, _ = unit_gauge_triple(a_m, bpda, c)
-            rec["selection"] = {k: sel[k] for k in ("u1", "frame", "generators")}
-            rec["admissible"] = bool(sel["admissible"])
-            rec["score"] = float(sel["score"])
-            rec["fields"] = (a_u[core_local], bpda_u[core_local], c_u[core_local])
-        records.append(rec)
+    ratio_cache: dict[int, RatioBundle] = {}
+
+    def ratios(i1: int) -> RatioBundle:
+        if i1 not in ratio_cache:
+            with np.errstate(all="ignore"):
+                ratio_cache[i1] = _ratios(grid, [u[i1], *u[:i1], *u[i1 + 1:]])
+        return ratio_cache[i1]
+
+    records = [_patch_record(u, box, ratios, cfg, gmax)
+               for box in _patch_boxes(grid.shape, cfg)]
+    ratio_cache.clear()
 
     signs = _align_patch_signs(records)
 

@@ -49,6 +49,13 @@ def test_config_rejects_bad_fields_with_located_messages():
         ExperimentConfig.from_dict({"mode": "reconstruct"})
 
 
+def test_config_rejects_removed_engine_options():
+    for key, value in (("halo", 3), ("pairing", "bilinear")):
+        with pytest.raises(ConfigError, match=f"^engine.{key}: unknown engine option"):
+            ExperimentConfig.from_dict({"mode": "roundtrip", "preset": "identity-2d",
+                                        "engine": {key: value}})
+
+
 def test_config_rejects_unknown_top_level_keys():
     # misspelled keys used to fall back silently to grids=[33], noise=[0.0]
     with pytest.raises(ConfigError, match="^grid: unknown option"):

@@ -78,15 +78,6 @@ def test_constant_class_pieces_are_exact():
     assert np.abs(rep.c.values).max() < 1e-13
 
 
-def test_hermitian_pairing_agrees_on_the_trivial_class():
-    grid = square_grid(33)
-    rb = build_ratios(harmonic_fields(grid))
-    fr = build_frame(rb)
-    mb_b = build_M(rb, fr, pairing="bilinear")
-    mb_h = build_M(rb, fr, pairing="hermitian")
-    assert np.abs(mb_b.M0 - mb_h.M0).max() < 1e-13
-
-
 def test_unit_gauge_triple_normalization():
     grid = square_grid(17)
     x1, x2 = grid.meshes
@@ -183,10 +174,51 @@ def test_fields_on_grids_of_different_extent_are_rejected():
 def test_engine_config_validation_paths():
     with pytest.raises(ConfigError, match="cond_max"):
         EngineConfig(cond_max=0.5).validate()
-    with pytest.raises(ConfigError, match="pairing"):
-        EngineConfig(pairing="sesquilinear").validate()
     with pytest.raises(ConfigError, match="overlap"):
         EngineConfig(patch_size=17, overlap=17).validate()
+
+
+@pytest.mark.parametrize("shape, box", [
+    ((33, 33), (slice(8, 25), slice(12, 29))),
+    ((33, 33), (slice(0, 17), slice(16, 33))),
+    ((17, 17, 17), (slice(4, 13), slice(3, 12), slice(5, 14))),
+    ((17, 17, 17), (slice(0, 9), slice(8, 17), slice(4, 13))),
+])
+def test_ratio_window_equals_ratios_of_the_dilated_crop(shape, box):
+    # a patch needs only its own nodes of the full-grid bundle: interior
+    # stencils reach one node per axis, so a crop dilated by two gives the
+    # same bits (the crop's spacing is recomputed from its extent, which is
+    # exact on these dyadic grids)
+    preset = PRESETS["constant-tensor-3d" if len(shape) == 3 else "smooth-complex-2d"]
+    grid = square_grid(shape[0], len(shape))
+    fields = synthesize(preset.coefficients(grid), preset.illumination(grid))
+    dilated = tuple(slice(max(sl.start - 2, 0), min(sl.stop + 2, m))
+                    for sl, m in zip(box, shape))
+    local = tuple(slice(sl.start - d.start, sl.stop - d.start)
+                  for sl, d in zip(box, dilated))
+    win = build_ratios(fields).window(box)
+    ref = build_ratios([f.crop(dilated) for f in fields]).window(local)
+    assert win.grid == ref.grid
+    for name in ("v", "grad_v", "hess_v", "grad_u1", "hess_u1"):
+        assert np.array_equal(getattr(win, name), getattr(ref, name)), name
+    assert np.array_equal(win.u1.values, ref.u1.values)
+
+
+@pytest.mark.parametrize("m, patch_size, overlap", [(65, 17, 14), (33, 31, 30)])
+def test_a_zero_of_u1_next_to_a_patch_is_a_coverage_failure(m, patch_size, overlap):
+    # x1 vanishes on the grid line x1 = 0, which the strip's patches may try
+    # as u_1.  At 65^2 and 17/14 a patch starts 3 nodes from that line; at
+    # 33^2 and 31/30 one starts next to it, so its window's derivatives are
+    # not finite and the candidate is not admissible.  Either used to raise
+    # VanishingU1 out of reconstruct_global instead of this CoverageFailure.
+    grid = square_grid(m)
+    with pytest.raises(CoverageFailure) as info:
+        reconstruct_global(strip_fields(grid),
+                           EngineConfig(patch_size=patch_size, overlap=overlap))
+    rep, pm = info.value.partial
+    assert rep.grid == grid
+    assert not pm.coverage.all()
+    assert all(sel is not None for sel in pm.selections)
 
 
 def test_generator_override_is_checked():
