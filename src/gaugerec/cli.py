@@ -75,15 +75,14 @@ def main(argv=None) -> int:
         if out_dir is not None:
             out_dir.mkdir(parents=True, exist_ok=True)
             _write_partial(exc, out_dir)
-            write_manifest(out_dir, raw, raw.get("inputs", []), [])
+            write_manifest(out_dir, raw, raw.get("inputs", []))
         return 2
     except ToolkitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
     if out_dir is not None:
-        write_manifest(out_dir, report.config_echo, cfg.inputs,
-                       [str(out_dir / "report.json")])
+        write_manifest(out_dir, report.config_echo, cfg.inputs)
         print(f"report written to {out_dir / 'report.json'}")
     else:
         json.dump(report.to_dict(), sys.stdout, indent=2)

@@ -44,6 +44,15 @@ class ConfigError(ToolkitError):
         self.field = field
         super().__init__(f"{field}: {message}")
 
+    @classmethod
+    def check(cls, field: str, value, types: tuple, what: str):
+        """``value`` when it is an instance of ``types``, else a ConfigError
+        naming ``field``.  A bool passes only when ``types`` names bool, so
+        a JSON true is not taken for a number."""
+        if isinstance(value, types) and (bool in types or not isinstance(value, bool)):
+            return value
+        raise cls(field, f"must be {what}, got {value!r}")
+
 
 class GridMismatch(ToolkitError, ValueError):
     """Fields that must share a grid differ in shape or extent.

@@ -13,6 +13,7 @@ import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass, field as dc_field, replace
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -290,21 +291,7 @@ class ExperimentConfig:
         for k in eng_raw:
             if k not in EngineConfig.__dataclass_fields__:
                 raise ConfigError(f"engine.{k}", "unknown engine option")
-        engine = EngineConfig(**eng_raw)
-        cfg = cls(
-            mode=mode,
-            preset=raw.get("preset"),
-            grids=list(raw.get("grids", [33])),
-            extent=raw.get("extent"),
-            noise=[float(d) for d in raw.get("noise", [0.0])],
-            mollify_width=float(raw.get("mollify_width", 0.0)),
-            real_noise=bool(raw.get("real_noise", False)),
-            seed=int(raw.get("seed", 0)),
-            engine=engine,
-            inputs=list(raw.get("inputs", [])),
-            illumination=dict(raw.get("illumination", {})),
-        )
-        return cfg.validate()
+        return cls(**dict(raw, engine=EngineConfig(**eng_raw))).validate()
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -314,6 +301,24 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         if self.mode not in MODES:
             raise ConfigError("mode", f"must be one of {MODES}")
+        check = ConfigError.check
+        check("preset", self.preset, (str, type(None)), "a preset name")
+        for key, items, kind, what in (("grids", self.grids, Integral, "an integer"),
+                                       ("noise", self.noise, Real, "a number"),
+                                       ("inputs", self.inputs, str, "a path")):
+            check(key, items, (list, tuple), f"a list, each item {what}")
+            for i, x in enumerate(items):
+                check(f"{key}[{i}]", x, (kind,), what)
+        check("mollify_width", self.mollify_width, (Real,), "a number")
+        check("real_noise", self.real_noise, (bool,), "true or false")
+        check("seed", self.seed, (Integral,), "an integer")
+        check("illumination", self.illumination, (dict,), "an object")
+        params = check("illumination.params", self.illumination.get("params", {}),
+                       (dict,), "an object")
+        if "k" in params:
+            check("illumination.params.k", params["k"], (Real, type(None)), "a number")
+        if "eps" in params:
+            check("illumination.params.eps", params["eps"], (Real,), "a number")
         if self.mode == "reconstruct":
             if not self.inputs:
                 raise ConfigError("inputs", "reconstruct mode needs field archives")
@@ -323,7 +328,7 @@ class ExperimentConfig:
         elif self.preset is None:
             raise ConfigError("preset", f"{self.mode} mode needs a preset")
         for i, g in enumerate(self.grids):
-            if int(g) < 9:
+            if g < 9:
                 raise ConfigError(f"grids[{i}]", "grids need at least 9 nodes per axis")
         if self.mode == "roundtrip" and len(self.grids) > 1:
             for a, b in zip(self.grids, self.grids[1:]):
@@ -479,7 +484,7 @@ def _build_grid(cfg: ExperimentConfig, size: int, dim: int) -> Grid:
 
 def _build_illumination(cfg: ExperimentConfig, preset: Preset, grid: Grid) -> IlluminationSet:
     fam = cfg.illumination.get("family")
-    params = dict(cfg.illumination.get("params", {}))
+    params = cfg.illumination.get("params", {})
     if fam is None:
         return preset.illumination(grid)
     if fam == "harmonic":
@@ -749,10 +754,9 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def write_manifest(out_dir, config_echo: dict, inputs: list[str],
-                   outputs: list[str]) -> str:
-    """Record config, package/tool versions, and input hashes next to the
-    outputs of a CLI run."""
+def write_manifest(out_dir, config_echo: dict, inputs: list[str]) -> str:
+    """Record config, package/tool versions, input hashes, and the files
+    found under ``out_dir`` next to the outputs of a CLI run."""
     import scipy
 
     out_dir = Path(out_dir)

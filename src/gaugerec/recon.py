@@ -16,15 +16,18 @@ representative of the coefficient triple:
 
 ``reconstruct_global`` differentiates the ratios once per u_1 candidate on
 the whole grid and runs the remaining steps per patch on windows of that
-bundle, with automatic selection of u_1, frame, and generator subsets, then
-stitches the patches in the pointwise unit-Frobenius gauge, which does not
-depend on which u_1 each patch picked.
+bundle, with automatic selection of u_1, frame, and generator subsets.  In
+the same pass it blends each patch in the pointwise unit-Frobenius gauge,
+which does not depend on which u_1 the patch picked and fixes its class up
+to one sign: the sign that agrees with the blend so far, so the first
+admissible patch seeds +1.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -90,17 +93,22 @@ class EngineConfig:
     overlap: int = 8
 
     def validate(self) -> "EngineConfig":
+        for name in ("u1_floor_rel", "cond_max", "indep_min"):
+            ConfigError.check(f"engine.{name}", getattr(self, name), (Real,), "a number")
+        ConfigError.check("engine.patch_size", self.patch_size, (Integral, type(None)),
+                          "an integer or null")
+        ConfigError.check("engine.overlap", self.overlap, (Integral,), "an integer")
         if self.u1_floor_rel <= 0:
-            raise ConfigError("thresholds.u1_floor_rel", "must be positive")
+            raise ConfigError("engine.u1_floor_rel", "must be positive")
         if self.cond_max <= 1:
-            raise ConfigError("thresholds.cond_max", "must exceed 1")
+            raise ConfigError("engine.cond_max", "must exceed 1")
         if self.indep_min <= 0:
-            raise ConfigError("thresholds.indep_min", "must be positive")
+            raise ConfigError("engine.indep_min", "must be positive")
         if self.patch_size is not None:
             if self.patch_size < 9:
-                raise ConfigError("patching.patch_size", "patches need at least 9 nodes per axis")
+                raise ConfigError("engine.patch_size", "patches need at least 9 nodes per axis")
             if not (0 < self.overlap < self.patch_size):
-                raise ConfigError("patching.overlap", "need 0 < overlap < patch_size")
+                raise ConfigError("engine.overlap", "need 0 < overlap < patch_size")
         return self
 
 
@@ -178,7 +186,9 @@ class ClassRepresentative:
     patch contract a = M0/u_1^2, "unit-frobenius" for the pointwise
     normalization Tr(a a) = 1 used by the stitched reconstruction.
     ``b`` is the drift alone, b_plus_diva minus the discrete divergence of
-    the reconstructed a.
+    the reconstructed a.  ``diagnostics`` holds the per-node maps of a
+    single-patch representative from ``reconstruct_class``; the stitched
+    representative carries none (its coverage is ``PatchMap.coverage``).
     """
 
     grid: Grid
@@ -192,19 +202,16 @@ class ClassRepresentative:
     def triple_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.a.as_matrix(), self.b_plus_diva.values, self.c.values
 
-    def to_unit_gauge(self, anchor: tuple[int, ...] | None = None) -> "ClassRepresentative":
-        if self.gauge == "unit-frobenius":
-            return self
-        a_m, bpda, c = self.triple_arrays()
-        a_u, bpda_u, c_u, scale = unit_gauge_triple(a_m, bpda, c, anchor=anchor)
-        return _assemble_representative(self.grid, a_u, bpda_u, c_u,
-                                        gauge="unit-frobenius",
-                                        diagnostics=dict(self.diagnostics))
-
 
 @dataclass
 class PatchMap:
-    """Where each patch sits and what the selector chose there."""
+    """Where each patch sits and what the selector chose there.
+
+    ``signs`` holds the sign each patch's unit-gauge triple was blended
+    with: -1 when it opposed the blend of the patches before it on their
+    shared nodes, else +1, so the first admissible patch has +1.
+    Inadmissible patches carry +1 and are not blended.
+    """
 
     boxes: list[tuple[tuple[int, int], ...]]
     admissible: list[bool]
@@ -585,9 +592,10 @@ def _select_on_patch(u: list[ScalarField], box: tuple[slice, ...], ratios,
     times the independence margin of the M stack.  A window that holds a
     non-finite value is not admissible.  Frame by frame, the best-scoring
     candidate that clears every threshold wins and is returned as
-    (selection, score, (rb, fr, mb)); otherwise the best-scoring failed
-    attempt is returned as (selection, score, None) so the caller can report
-    it.  None when no u_1 candidate clears the floor.
+    (selection, score, (a, b + div a, c)), its triple in the unit-Frobenius
+    gauge; no window of the ratio bundles outlives the call.  Otherwise the
+    best-scoring failed attempt is returned as (selection, score, None) so
+    the caller can report it.  None when no u_1 candidate clears the floor.
     """
     n = u[0].grid.dim
     G_needed = num_generators(n)
@@ -626,7 +634,9 @@ def _select_on_patch(u: list[ScalarField], box: tuple[slice, ...], ratios,
                     top = (score, subset)
             if top_ok is not None:
                 score, subset, mb = top_ok
-                return _selection(i1, others, combo, subset), score, (rb, fr, mb)
+                rep = reconstruct_class(rb, fr, mb)
+                return (_selection(i1, others, combo, subset), score,
+                        unit_gauge_triple(*rep.triple_arrays())[:3])
             if top is not None and (best is None or top[0] > best[1]):
                 best = (_selection(i1, others, combo, top[1]), top[0], None)
     return best
@@ -637,31 +647,18 @@ def _selection(i1: int, others: list[int], combo, subset) -> dict:
             "generators": tuple(int(others[k]) for k in subset)}
 
 
-def _patch_record(u: list[ScalarField], box: tuple[slice, ...], ratios,
-                  cfg: EngineConfig, gmax: np.ndarray) -> dict:
-    """Selection on one patch and, when admissible, its unit-gauge triple."""
-    rec = {"box": box, "selection": None, "admissible": False, "score": 0.0,
-           "fields": None}
-    sel = _select_on_patch(u, box, ratios, cfg, gmax)
-    if sel is not None:
-        rec["selection"], rec["score"], bundles = sel
-        if bundles is not None:
-            rep = reconstruct_class(*bundles)
-            rec["admissible"] = True
-            rec["fields"] = unit_gauge_triple(*rep.triple_arrays())[:3]
-    return rec
-
-
 def reconstruct_global(u: list[ScalarField], config: EngineConfig | None = None
                        ) -> tuple[ClassRepresentative, PatchMap]:
     """Patch-wise reconstruction with automatic member selection.
 
-    Every patch picks its own u_1, frame, and generator subset; patch
-    representatives are normalized to the pointwise unit-Frobenius gauge
-    (independent of the u_1 choice), sign-aligned across overlaps, and
-    blended with a smooth partition of unity.  Raises CoverageFailure,
-    carrying the partial result, when some node is covered by no
-    admissible patch.
+    One pass over the patches: every patch picks its own u_1, frame, and
+    generator subset, and its representative, normalized to the pointwise
+    unit-Frobenius gauge (independent of the u_1 choice), is blended with a
+    smooth partition of unity as soon as it is selected.  The unit gauge
+    fixes the class up to a sign per patch; that sign aligns the patch with
+    the blend accumulated so far, so the first admissible patch seeds +1.
+    Raises CoverageFailure, carrying the partial result, when some node is
+    covered by no admissible patch.
     """
     cfg = (config or EngineConfig()).validate()
     if not u:
@@ -680,37 +677,33 @@ def reconstruct_global(u: list[ScalarField], config: EngineConfig | None = None
                 ratio_cache[i1] = _ratios(grid, [u[i1], *u[:i1], *u[i1 + 1:]])
         return ratio_cache[i1]
 
-    records = [_patch_record(u, box, ratios, cfg, gmax)
-               for box in _patch_boxes(grid.shape, cfg)]
-    ratio_cache.clear()
-
-    signs = _align_patch_signs(records)
-
     wsum = np.zeros(grid.shape)
     acc_a = np.zeros(grid.shape + (n, n), dtype=np.complex128)
     acc_b = np.zeros(grid.shape + (n,), dtype=np.complex128)
     acc_c = np.zeros(grid.shape, dtype=np.complex128)
-    for rec, sign in zip(records, signs):
-        if not rec["admissible"]:
-            continue
-        w = _patch_weight(rec["box"], grid.shape, cfg.overlap)
-        a_u, bpda_u, c_u = rec["fields"]
-        box = rec["box"]
-        wsum[box] += w
-        acc_a[box] += (sign * w)[..., None, None] * a_u
-        acc_b[box] += (sign * w)[..., None] * bpda_u
-        acc_c[box] += (sign * w) * c_u
+    patch_map = PatchMap([], [], [], [], [], coverage=None)  # set after the pass
+    for box in _patch_boxes(grid.shape, cfg):
+        selection, score, triple = (_select_on_patch(u, box, ratios, cfg, gmax)
+                                    or (None, 0.0, None))
+        sign = 1
+        if triple is not None:
+            a_u, bpda_u, c_u = triple
+            if np.real(np.sum(acc_a[box] * np.conj(a_u))) < 0:
+                sign = -1
+            w = _patch_weight(box, grid.shape, cfg.overlap)
+            wsum[box] += w
+            sw = sign * w
+            acc_a[box] += sw[..., None, None] * a_u
+            acc_b[box] += sw[..., None] * bpda_u
+            acc_c[box] += sw * c_u
+        patch_map.boxes.append(tuple((sl.start, sl.stop) for sl in box))
+        patch_map.admissible.append(triple is not None)
+        patch_map.selections.append(selection)
+        patch_map.scores.append(score)
+        patch_map.signs.append(sign)
+    ratio_cache.clear()
 
-    covered = wsum > 0
-    patch_map = PatchMap(
-        boxes=[tuple((sl.start, sl.stop) for sl in rec["box"]) for rec in records],
-        admissible=[rec["admissible"] for rec in records],
-        selections=[rec["selection"] for rec in records],
-        scores=[rec["score"] for rec in records],
-        signs=[int(s) for s in signs],
-        coverage=covered,
-    )
-
+    covered = patch_map.coverage = wsum > 0
     ws = np.where(covered, wsum, 1.0)
     a_blend = acc_a / ws[..., None, None]
     b_blend = acc_b / ws[..., None]
@@ -719,60 +712,8 @@ def reconstruct_global(u: list[ScalarField], config: EngineConfig | None = None
         a_fin, b_fin, c_fin, _ = unit_gauge_triple(a_blend, b_blend, c_blend)
     else:
         a_fin, b_fin, c_fin = a_blend, b_blend, c_blend
-
-    diagnostics = {
-        "coverage": covered,
-        "patch_scores": patch_map.scores,
-        "admissible_patches": int(sum(patch_map.admissible)),
-        "total_patches": len(records),
-    }
     rep = _assemble_representative(grid, a_fin, b_fin, c_fin,
-                                   gauge="unit-frobenius", diagnostics=diagnostics)
+                                   gauge="unit-frobenius", diagnostics={})
     if not covered.all():
         raise CoverageFailure(np.argwhere(~covered), partial=(rep, patch_map))
     return rep, patch_map
-
-
-def _align_patch_signs(records: list[dict]) -> list[float]:
-    """Breadth-first sign propagation over the patch overlap graph.
-
-    Edge alignment compares the unit-gauge leading tensors on the shared
-    core nodes with the Hermitian overlap; the best-scoring patch seeds
-    with +1.
-    """
-    k = len(records)
-    signs = [1.0] * k
-    admissible = [i for i in range(k) if records[i]["admissible"]]
-    if not admissible:
-        return signs
-
-    def boxes_overlap(b1, b2):
-        return all(s1.start < s2.stop and s2.start < s1.stop for s1, s2 in zip(b1, b2))
-
-    def shared(b1, b2):
-        return tuple(slice(max(s1.start, s2.start), min(s1.stop, s2.stop))
-                     for s1, s2 in zip(b1, b2))
-
-    seen = set()
-    start = max(admissible, key=lambda i: records[i]["score"])
-    queue = [start]
-    seen.add(start)
-    while queue:
-        p = queue.pop(0)
-        bp = records[p]["box"]
-        for q in admissible:
-            if q in seen or not boxes_overlap(bp, records[q]["box"]):
-                continue
-            bq = records[q]["box"]
-            ov = shared(bp, bq)
-            loc_p = tuple(slice(s.start - c.start, s.stop - c.start)
-                          for s, c in zip(ov, bp))
-            loc_q = tuple(slice(s.start - c.start, s.stop - c.start)
-                          for s, c in zip(ov, bq))
-            ap = records[p]["fields"][0][loc_p]
-            aq = records[q]["fields"][0][loc_q]
-            inner = np.real(np.sum(ap * np.conj(aq)))
-            signs[q] = signs[p] * (1.0 if inner >= 0 else -1.0)
-            seen.add(q)
-            queue.append(q)
-    return signs

@@ -1,6 +1,7 @@
 """Experiment harness: configs, noise, reports, manifests, CLI."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,17 +224,18 @@ def test_manifest_hashes_inputs(tmp_path):
     f1.write_text('{"x": 1}')
     out = tmp_path / "res.json"
     out.write_text("{}")
-    path = write_manifest(tmp_path, {"mode": "synthesize"}, [str(f1)], [str(out)])
-    doc = json.loads(open(path).read())
+    path = write_manifest(tmp_path, {"mode": "synthesize"}, [str(f1)])
+    doc = json.loads(Path(path).read_text())
     assert doc["config"]["mode"] == "synthesize"
     assert doc["package_version"]
     assert doc["numpy_version"]
     first = doc["inputs"][str(f1)]
     assert len(first) == 64  # sha256 hex digest
     f1.write_text('{"x": 2}')
-    path = write_manifest(tmp_path, {"mode": "synthesize"}, [str(f1)], [str(out)])
-    doc2 = json.loads(open(path).read())
+    path = write_manifest(tmp_path, {"mode": "synthesize"}, [str(f1)])
+    doc2 = json.loads(Path(path).read_text())
     assert doc2["inputs"][str(f1)] != first
+    assert "res.json" in doc2["outputs"]
     assert doc2["outputs"] == sorted(doc2["outputs"])
 
 
@@ -277,6 +279,26 @@ def test_cli_reports_config_errors(tmp_path, capsys):
     assert cli_main(["roundtrip", "--config", bad]) == 1
     err = capsys.readouterr().err
     assert "preset" in err
+
+
+@pytest.mark.parametrize("override, field", [
+    ({"grids": 33}, "grids"),
+    ({"grids": [33.5]}, "grids[0]"),
+    ({"seed": "x"}, "seed"),
+    ({"noise": "0.1"}, "noise"),
+    ({"real_noise": "false"}, "real_noise"),
+    ({"engine": {"cond_max": "big"}}, "engine.cond_max"),
+    ({"engine": {"patch_size": 16.5, "overlap": 8}}, "engine.patch_size"),
+    ({"engine": {"u1_floor_rel": 0}}, "engine.u1_floor_rel"),
+    ({"illumination": {"family": "cgo", "params": {"k": "a"}}},
+     "illumination.params.k"),
+])
+def test_cli_names_the_field_of_a_mistyped_config_value(tmp_path, capsys,
+                                                         override, field):
+    doc = {"mode": "roundtrip", "preset": "identity-2d", "grids": [17], **override}
+    path = write_config(tmp_path, "bad.json", doc)
+    assert cli_main(["roundtrip", "--config", path]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
 
 def test_cli_coverage_failure_writes_partials(tmp_path):

@@ -1,5 +1,8 @@
 """The pointwise class engine: identities, failure modes, patching."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -273,6 +276,32 @@ def test_patch_stitching_matches_the_global_answer():
     # stitching may not degrade the answer beyond the global error scale
     assert err_p < 3 * err_g + 1e-12
     assert np.abs(rep_g.a.values - rep_p.a.values).max() < 10 * err_g
+
+
+def test_ratio_bundles_are_released_before_the_blend(monkeypatch):
+    from gaugerec import recon
+    refs, live = [], []
+
+    def ratios(*args):
+        rb = real_ratios(*args)
+        refs.append(weakref.ref(rb.hess_v))
+        return rb
+
+    def assemble(*args, **kwargs):
+        gc.collect()
+        live.append(sum(r() is not None for r in refs))
+        return real_assemble(*args, **kwargs)
+
+    real_ratios, real_assemble = recon._ratios, recon._assemble_representative
+    monkeypatch.setattr(recon, "_ratios", ratios)
+    monkeypatch.setattr(recon, "_assemble_representative", assemble)
+    grid = square_grid(33)
+    data = synthesize(PRESETS["smooth-complex-2d"].coefficients(grid),
+                      harmonic_family(grid))
+    _, pm = reconstruct_global(data, EngineConfig(patch_size=17, overlap=8))
+    assert len(pm.boxes) > 1 and refs
+    # the last representative assembled is the stitched one
+    assert live[-1] == 0
 
 
 def test_three_dimensional_constant_class():
