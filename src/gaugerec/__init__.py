@@ -40,7 +40,6 @@ from .fields import (
     VectorField,
     divergence,
     divergence_tensor,
-    export_csv,
     gradient,
     hessian,
     grad_values,

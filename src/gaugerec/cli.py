@@ -59,9 +59,10 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return 1
-    raw["mode"] = args.mode
-    if args.seed is not None:
-        raw["seed"] = args.seed
+    if isinstance(raw, dict):  # anything else is refused by from_dict below
+        raw["mode"] = args.mode
+        if args.seed is not None:
+            raw["seed"] = args.seed
 
     out_dir = Path(args.out) if args.out else None
     try:

@@ -22,7 +22,6 @@ Conventions
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -47,7 +46,6 @@ __all__ = [
     "mollify",
     "save_field",
     "load_field",
-    "export_csv",
 ]
 
 # Packed index pairs for symmetric tensor components, per dimension.
@@ -425,31 +423,3 @@ def load_field(path) -> _Field:
     flat = pairs[:, 0] + 1j * pairs[:, 1]
     shape = grid.shape + cls._component_shape(grid.dim)
     return cls(grid, flat.reshape(shape))
-
-
-def _component_names(f: _Field) -> list[str]:
-    n = f.grid.dim
-    if isinstance(f, ScalarField):
-        return ["f"]
-    if isinstance(f, VectorField):
-        return [f"f{k + 1}" for k in range(n)]
-    return [f"f{i + 1}{j + 1}" for i, j in SYM_PAIRS[n]]
-
-
-def export_csv(f: _Field, path) -> None:
-    """Node table: coordinates then re/im columns per component, row-major."""
-    names = _component_names(f)
-    n = f.grid.dim
-    header = [f"x{k + 1}" for k in range(n)]
-    for nm in names:
-        header += [f"re_{nm}", f"im_{nm}"]
-    pts = f.grid.points.reshape(-1, n)
-    vals = f.values.reshape(len(pts), -1)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row_pt, row_val in zip(pts, vals):
-            row = [repr(float(x)) for x in row_pt]
-            for z in row_val:
-                row += [repr(float(z.real)), repr(float(z.imag))]
-            w.writerow(row)

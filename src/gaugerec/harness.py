@@ -293,11 +293,6 @@ class ExperimentConfig:
                 raise ConfigError(f"engine.{k}", "unknown engine option")
         return cls(**dict(raw, engine=EngineConfig(**eng_raw))).validate()
 
-    @classmethod
-    def from_json(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
     def validate(self) -> "ExperimentConfig":
         if self.mode not in MODES:
             raise ConfigError("mode", f"must be one of {MODES}")
@@ -318,7 +313,8 @@ class ExperimentConfig:
         if "k" in params:
             check("illumination.params.k", params["k"], (Real, type(None)), "a number")
         if "eps" in params:
-            check("illumination.params.eps", params["eps"], (Real,), "a number")
+            if check("illumination.params.eps", params["eps"], (Real,), "a number") <= 0:
+                raise ConfigError("illumination.params.eps", "must be positive")
         if self.mode == "reconstruct":
             if not self.inputs:
                 raise ConfigError("inputs", "reconstruct mode needs field archives")

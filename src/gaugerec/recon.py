@@ -14,17 +14,18 @@ representative of the coefficient triple:
 4. ``reconstruct_class``: the representative (a, b + div a, c) in the
    u_1-normalized gauge a = M0 / u_1^2.
 
-``reconstruct_global`` differentiates the ratios once per u_1 candidate on
-the whole grid and runs the remaining steps per patch on windows of that
-bundle, with automatic selection of u_1, frame, and generator subsets.  In
-the same pass it blends each patch in the pointwise unit-Frobenius gauge,
-which does not depend on which u_1 the patch picked and fixes its class up
-to one sign: the sign that agrees with the blend so far, so the first
-admissible patch seeds +1.
+``reconstruct_global`` selects u_1, frame, and generators per patch.  The
+engine is pointwise, so each candidate is evaluated once on the whole grid,
+in row slabs, and a patch only reduces windows of its fields.  In the same
+pass it blends each patch in the pointwise unit-Frobenius gauge, which does
+not depend on which u_1 the patch picked and fixes its class up to one
+sign: the sign that agrees with the blend so far, so the first admissible
+patch seeds +1.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field as dc_field
 from numbers import Integral, Real
@@ -379,12 +380,13 @@ def _independence(stack: np.ndarray) -> np.ndarray:
     """Smallest singular value of the vectorized matrix stack, per node.
 
     ``stack`` is (K, *shape, n, n); rows are moved last so the SVD runs over
-    (K, p) blocks with p = n(n+1)/2.
+    (K, p) blocks with p = n(n+1)/2.  Nodes with a non-finite entry get NaN
+    (the batched SVD would raise on them).
     """
-    rows = _vectorize_sym(stack)
-    rows = np.moveaxis(rows, 0, -2)
-    sv = np.linalg.svd(rows, compute_uv=False)
-    return sv[..., -1]
+    rows = np.moveaxis(_vectorize_sym(stack), 0, -2)
+    finite = np.isfinite(rows).all(axis=(-2, -1))
+    sv = np.linalg.svd(np.where(finite[..., None, None], rows, 0.0), compute_uv=False)
+    return np.where(finite, sv[..., -1], np.nan)
 
 
 def _pair_M0(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -459,16 +461,26 @@ def _orientation(W: np.ndarray, anchor: tuple[int, ...] | None = None) -> np.nda
 
 
 def reconstruct_class(rb: RatioBundle, fr: FrameData, mb: MBundle) -> ClassRepresentative:
-    """Representative of the coefficient class in the u_1-normalized gauge.
+    """The u_1-normalized representative of ``_class_triple``, with diagnostics."""
+    a_arr, bpda, c, beta = _class_triple(rb, fr, mb.M0)
+    resid = np.einsum("...ij,m...ij->m...", mb.M0, rb.hess_v) \
+        + np.einsum("...k,m...k->m...", beta, rb.grad_v)
+    scale = np.abs(np.einsum("...ij,m...ij->m...", mb.M0, rb.hess_v)).max(axis=0) \
+        + np.abs(beta).max(axis=-1) * np.abs(rb.grad_v).max(axis=(0, -1)) + _TINY
+    diagnostics = {"eq_residual": np.abs(resid).max(axis=0) / scale, "frame_cond": fr.cond,
+                   "pairing_indep": mb.indep, "lincomb_residual": mb.lincomb_residual}
+    return _assemble_representative(rb.grid, a_arr, bpda, c,
+                                    gauge="u1-normalized", diagnostics=diagnostics)
 
-    a = M0/u_1^2; b + div a follows from the first-order data
-    beta = -H^{ij} Tr(M0 Hess v_j) grad v_i via
-    (beta - a grad u_1^2)/u_1^2; c closes the system through the equation
-    satisfied by u_1 itself.
+
+def _class_triple(rb: RatioBundle, fr: FrameData, alpha: np.ndarray):
+    """The u_1-normalized triple and beta, pointwise: (a, b + div a, c, beta).
+
+    a = alpha/u_1^2 for the paired matrix alpha = M0; b + div a is
+    (beta - a grad u_1^2)/u_1^2 with beta = -H^{ij} Tr(alpha Hess v_j) grad v_i;
+    c closes the equation of u_1 itself.  Not finite where u_1 vanishes.
     """
-    grid = rb.grid
     u1 = rb.u1.values
-    alpha = mb.M0
     Gf = rb.grad_v[list(fr.frame)]
     Hf = rb.hess_v[list(fr.frame)]
     cvec = np.einsum("...ik,j...ki->...j", alpha, Hf)
@@ -481,21 +493,7 @@ def reconstruct_class(rb: RatioBundle, fr: FrameData, mb: MBundle) -> ClassRepre
     bpda = (beta - np.einsum("...ij,...j->...i", a_arr, grad_u1sq)) / u1sq[..., None]
     c = -(np.einsum("...i,...i->...", bpda, rb.grad_u1)
           + np.einsum("...ij,...ij->...", a_arr, rb.hess_u1)) / u1
-
-    resid = np.einsum("...ij,m...ij->m...", alpha, rb.hess_v) \
-        + np.einsum("...k,m...k->m...", beta, rb.grad_v)
-    scale = np.abs(np.einsum("...ij,m...ij->m...", alpha, rb.hess_v)).max(axis=0) \
-        + np.abs(beta).max(axis=-1) * np.abs(rb.grad_v).max(axis=(0, -1)) + _TINY
-    eq_residual = np.abs(resid).max(axis=0) / scale
-
-    diagnostics = {
-        "eq_residual": eq_residual,
-        "frame_cond": fr.cond,
-        "pairing_indep": mb.indep,
-        "lincomb_residual": mb.lincomb_residual,
-    }
-    return _assemble_representative(grid, a_arr, bpda, c,
-                                    gauge="u1-normalized", diagnostics=diagnostics)
+    return a_arr, bpda, c, beta
 
 
 def _assemble_representative(grid: Grid, a_mat: np.ndarray, bpda: np.ndarray,
@@ -582,23 +580,46 @@ _MAX_FRAMES = 5    # frames tried per u_1 candidate, best conditioned first
 _MAX_SUBSETS = 30  # generator subsets scored per frame
 
 
-def _select_on_patch(u: list[ScalarField], box: tuple[slice, ...], ratios,
-                     cfg: EngineConfig, gmax: np.ndarray):
+def _slabwise(rb: RatioBundle, size: int | None, kernel) -> tuple[np.ndarray, ...]:
+    """The pointwise ``kernel`` on slabs of ``size`` rows (all rows when None;
+    the last slab takes any shorter remainder), outputs joined along axis 0.
+    Slabs bound the temporaries; where u_1 vanishes the outputs are not finite."""
+    m = rb.grid.shape[0]
+    step = min(size or m, m)
+    edges = [*range(0, m - step + 1, step), m]
+    rest = (slice(None),) * (rb.grid.dim - 1)
+    with np.errstate(all="ignore"):
+        parts = [kernel(rb.window((slice(lo, hi),) + rest)) for lo, hi in zip(edges, edges[1:])]
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def _candidate(rb: RatioBundle, frame, subset, u1_max: float) -> tuple[np.ndarray, ...]:
+    """Pointwise (score, indep, ok, a, b + div a, c) of a frame and generator
+    subset: the score is |u_1|/``u1_max`` / cond(H) * indep, ``ok`` flags a
+    solvable frame and pairing, and the triple is u_1-normalized."""
+    fr = build_frame(rb, cond_max=None, frame=frame)
+    mb = build_M(rb, fr, indep_min=None, generators=subset)
+    margin = np.abs(rb.u1.values) / max(u1_max, _TINY)
+    return (margin / np.maximum(fr.cond, 1.0) * mb.indep, mb.indep, mb.ok & fr.ok,
+            *_class_triple(rb, fr, mb.M0)[:3])
+
+
+def _select_on_patch(u: list[ScalarField], box: tuple[slice, ...], ratios, conds,
+                     candidate, cfg: EngineConfig, gmax: np.ndarray):
     """Choose (u1, frame, generators) on one patch.
 
-    ``ratios(i)`` is the full-grid bundle with ``u[i]`` as u_1; the patch
-    reads its window.  Candidates are ranked by worst-node score over the
-    patch: the relative u1 margin, times 1/cond of the frame Gram matrix,
-    times the independence margin of the M stack.  A window that holds a
-    non-finite value is not admissible.  Frame by frame, the best-scoring
-    candidate that clears every threshold wins and is returned as
-    (selection, score, (a, b + div a, c)), its triple in the unit-Frobenius
-    gauge; no window of the ratio bundles outlives the call.  Otherwise the
-    best-scoring failed attempt is returned as (selection, score, None) so
-    the caller can report it.  None when no u_1 candidate clears the floor.
+    ``ratios(i)`` (the bundle with ``u[i]`` as u_1), ``conds(i)`` (frame ->
+    condition field) and ``candidate(i, frame, generators)`` (the fields of
+    ``_candidate``) are full-grid; the patch reduces windows of them.  Frames
+    go best conditioned first, candidates are ranked by worst-node score, and
+    a window that holds a non-finite value is not admissible.  Frame by
+    frame, the best-scoring candidate that clears every threshold wins and is
+    returned as (selection, score, (a, b + div a, c)), its triple in the
+    unit-Frobenius gauge.  Otherwise the best-scoring failed attempt is
+    returned as (selection, score, None) so the caller can report it.  None
+    when no u_1 candidate clears the floor.
     """
-    n = u[0].grid.dim
-    G_needed = num_generators(n)
+    G_needed = num_generators(u[0].grid.dim)
     margins = np.array([np.abs(f.values[box]).min() / max(gm, _TINY)
                         for f, gm in zip(u, gmax)])
     order = [i for i in np.argsort(-margins, kind="stable")
@@ -609,34 +630,26 @@ def _select_on_patch(u: list[ScalarField], box: tuple[slice, ...], ratios,
         if not (np.isfinite(rb.grad_v).all() and np.isfinite(rb.hess_v).all()):
             continue
         others = [j for j in range(len(u)) if j != i1]
-        margin_node = np.abs(rb.u1.values) / max(gmax[i1], _TINY)
-
-        frame_scored = []
-        for combo in itertools.combinations(range(len(others)), n):
-            fr = build_frame(rb, cond_max=None, frame=combo)
-            frame_scored.append((float(fr.cond.max()) if fr.ok.all() else np.inf, combo))
-        frame_scored.sort()
-
-        for _, combo in frame_scored[:_MAX_FRAMES]:
-            fr = build_frame(rb, cond_max=None, frame=combo)
-            frame_ok = float(fr.cond.max()) <= cfg.cond_max
+        frame_scored = sorted((float(cond[box].max()), combo)
+                              for combo, cond in conds(i1).items())
+        for worst_cond, combo in frame_scored[:_MAX_FRAMES]:
+            frame_ok = worst_cond <= cfg.cond_max
             top = top_ok = None
             pool = [j for j in range(len(others)) if j not in combo]
             for subset in itertools.islice(itertools.combinations(pool, G_needed), _MAX_SUBSETS):
-                mb = build_M(rb, fr, indep_min=None, generators=subset)
-                core_ok = bool(mb.ok.all() and fr.ok.all())
-                score = (float((margin_node / np.maximum(fr.cond, 1.0) * mb.indep).min())
-                         if core_ok else 0.0)
-                if core_ok and frame_ok and float(mb.indep.min()) >= cfg.indep_min:
+                score_f, indep, ok = candidate(i1, combo, subset)[:3]
+                core_ok = bool(ok[box].all())
+                score = float(score_f[box].min()) if core_ok else 0.0
+                if core_ok and frame_ok and float(indep[box].min()) >= cfg.indep_min:
                     if top_ok is None or score > top_ok[0]:
-                        top_ok = (score, subset, mb)
+                        top_ok = (score, subset)
                 elif top is None or score > top[0]:
                     top = (score, subset)
             if top_ok is not None:
-                score, subset, mb = top_ok
-                rep = reconstruct_class(rb, fr, mb)
-                return (_selection(i1, others, combo, subset), score,
-                        unit_gauge_triple(*rep.triple_arrays())[:3])
+                score, subset = top_ok
+                # copied: on a strided view its einsum may round differently
+                return (_selection(i1, others, combo, subset), score, unit_gauge_triple(
+                    *(x[box].copy() for x in candidate(i1, combo, subset)[3:]))[:3])
             if top is not None and (best is None or top[0] > best[1]):
                 best = (_selection(i1, others, combo, top[1]), top[0], None)
     return best
@@ -654,11 +667,12 @@ def reconstruct_global(u: list[ScalarField], config: EngineConfig | None = None
     One pass over the patches: every patch picks its own u_1, frame, and
     generator subset, and its representative, normalized to the pointwise
     unit-Frobenius gauge (independent of the u_1 choice), is blended with a
-    smooth partition of unity as soon as it is selected.  The unit gauge
-    fixes the class up to a sign per patch; that sign aligns the patch with
-    the blend accumulated so far, so the first admissible patch seeds +1.
-    Raises CoverageFailure, carrying the partial result, when some node is
-    covered by no admissible patch.
+    smooth partition of unity as soon as it is selected.  A candidate is
+    evaluated on the whole grid, in slabs of ``patch_size`` rows, when a
+    patch first asks for it.  The unit gauge fixes the class up to a sign
+    per patch; that sign aligns the patch with the blend accumulated so far,
+    so the first admissible patch seeds +1.  Raises CoverageFailure, carrying
+    the partial result, when some node is covered by no admissible patch.
     """
     cfg = (config or EngineConfig()).validate()
     if not u:
@@ -669,13 +683,22 @@ def reconstruct_global(u: list[ScalarField], config: EngineConfig | None = None
         raise ValueError(f"need at least {num_solutions(n)} solutions, got {len(u)}")
 
     gmax = np.array([float(np.abs(f.values).max()) for f in u])
-    ratio_cache: dict[int, RatioBundle] = {}
+    combos = list(itertools.combinations(range(len(u) - 1), n))
 
+    @functools.cache
     def ratios(i1: int) -> RatioBundle:
-        if i1 not in ratio_cache:
-            with np.errstate(all="ignore"):
-                ratio_cache[i1] = _ratios(grid, [u[i1], *u[:i1], *u[i1 + 1:]])
-        return ratio_cache[i1]
+        with np.errstate(all="ignore"):
+            return _ratios(grid, [u[i1], *u[:i1], *u[i1 + 1:]])
+
+    @functools.cache
+    def conds(i1: int) -> dict:
+        return dict(zip(combos, _slabwise(ratios(i1), cfg.patch_size, lambda rb: tuple(
+            build_frame(rb, cond_max=None, frame=combo).cond for combo in combos))))
+
+    @functools.cache
+    def candidate(i1: int, frame, subset) -> tuple[np.ndarray, ...]:
+        return _slabwise(ratios(i1), cfg.patch_size,
+                         lambda rb: _candidate(rb, frame, subset, gmax[i1]))
 
     wsum = np.zeros(grid.shape)
     acc_a = np.zeros(grid.shape + (n, n), dtype=np.complex128)
@@ -683,7 +706,8 @@ def reconstruct_global(u: list[ScalarField], config: EngineConfig | None = None
     acc_c = np.zeros(grid.shape, dtype=np.complex128)
     patch_map = PatchMap([], [], [], [], [], coverage=None)  # set after the pass
     for box in _patch_boxes(grid.shape, cfg):
-        selection, score, triple = (_select_on_patch(u, box, ratios, cfg, gmax)
+        selection, score, triple = (_select_on_patch(u, box, ratios, conds, candidate,
+                                                     cfg, gmax)
                                     or (None, 0.0, None))
         sign = 1
         if triple is not None:
@@ -701,19 +725,15 @@ def reconstruct_global(u: list[ScalarField], config: EngineConfig | None = None
         patch_map.selections.append(selection)
         patch_map.scores.append(score)
         patch_map.signs.append(sign)
-    ratio_cache.clear()
+    for cache in (ratios, conds, candidate):
+        cache.cache_clear()
 
     covered = patch_map.coverage = wsum > 0
     ws = np.where(covered, wsum, 1.0)
-    a_blend = acc_a / ws[..., None, None]
-    b_blend = acc_b / ws[..., None]
-    c_blend = acc_c / ws
+    blend = (acc_a / ws[..., None, None], acc_b / ws[..., None], acc_c / ws)
     if covered.all():
-        a_fin, b_fin, c_fin, _ = unit_gauge_triple(a_blend, b_blend, c_blend)
-    else:
-        a_fin, b_fin, c_fin = a_blend, b_blend, c_blend
-    rep = _assemble_representative(grid, a_fin, b_fin, c_fin,
-                                   gauge="unit-frobenius", diagnostics={})
+        blend = unit_gauge_triple(*blend)[:3]
+    rep = _assemble_representative(grid, *blend, gauge="unit-frobenius", diagnostics={})
     if not covered.all():
         raise CoverageFailure(np.argwhere(~covered), partial=(rep, patch_map))
     return rep, patch_map

@@ -14,7 +14,6 @@ from gaugerec import (
     VectorField,
     divergence,
     divergence_tensor,
-    export_csv,
     gradient,
     hessian,
     load_field,
@@ -212,19 +211,6 @@ def test_load_rejects_tampered_kind(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError):
         load_field(path)
-
-
-def test_export_csv_shape(tmp_path):
-    g = grid2(9)
-    f = VectorField(g, np.stack(g.meshes, axis=-1).astype(complex))
-    path = tmp_path / "v.csv"
-    export_csv(f, path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == g.num_nodes + 1  # header + one row per node
-    header = lines[0].split(",")
-    # coordinates plus re/im for each of the two components
-    assert len(header) == 2 + 4
-    assert len(lines[1].split(",")) == len(header)
 
 
 def test_field_arithmetic():

@@ -292,6 +292,8 @@ def test_cli_reports_config_errors(tmp_path, capsys):
     ({"engine": {"u1_floor_rel": 0}}, "engine.u1_floor_rel"),
     ({"illumination": {"family": "cgo", "params": {"k": "a"}}},
      "illumination.params.k"),
+    ({"illumination": {"family": "cgo", "params": {"eps": 0}}},
+     "illumination.params.eps"),
 ])
 def test_cli_names_the_field_of_a_mistyped_config_value(tmp_path, capsys,
                                                          override, field):
@@ -299,6 +301,12 @@ def test_cli_names_the_field_of_a_mistyped_config_value(tmp_path, capsys,
     path = write_config(tmp_path, "bad.json", doc)
     assert cli_main(["roundtrip", "--config", path]) == 1
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
+def test_cli_rejects_a_config_that_is_not_an_object(tmp_path, capsys):
+    path = write_config(tmp_path, "list.json", [1])
+    assert cli_main(["roundtrip", "--config", path, "--seed", "3"]) == 1
+    assert capsys.readouterr().err.startswith("error: <root>: ")
 
 
 def test_cli_coverage_failure_writes_partials(tmp_path):

@@ -1,6 +1,7 @@
 """The pointwise class engine: identities, failure modes, patching."""
 
 import gc
+import itertools
 import weakref
 
 import numpy as np
@@ -27,6 +28,7 @@ from gaugerec import (
     square_grid,
     unit_gauge_triple,
 )
+from gaugerec import recon
 from gaugerec.errors import ConfigError
 from gaugerec.harness import PRESETS, triple_errors, unit_truth
 from gaugerec.forward import synthesize
@@ -224,6 +226,92 @@ def test_a_zero_of_u1_next_to_a_patch_is_a_coverage_failure(m, patch_size, overl
     assert all(sel is not None for sel in pm.selections)
 
 
+@pytest.mark.parametrize("shape, box", [
+    ((33, 33), (slice(5, 14), slice(10, 19))),
+    ((33, 33), (slice(0, 9), slice(24, 33))),
+    ((17, 17, 17), (slice(5, 14), slice(5, 14), slice(5, 14))),
+    ((17, 17, 17), (slice(0, 9), slice(8, 17), slice(5, 14))),
+])
+def test_candidate_windows_equal_the_engine_on_the_window(monkeypatch, shape, box):
+    # the selector's full-grid fields, filled in slabs of 9 rows (33 rows
+    # give three, and the first box crosses two of them), hold on a patch
+    # the bits the engine computes on that patch alone, and so does the
+    # unit-gauge triple the patch is blended with
+    preset = PRESETS["constant-tensor-3d" if len(shape) == 3 else "smooth-complex-2d"]
+    grid = square_grid(shape[0], len(shape))
+    fields = synthesize(preset.coefficients(grid), preset.illumination(grid))
+    caches, picked = {}, {}
+
+    def select(u, b, ratios, conds, candidate, cfg, gmax):
+        caches.update(conds=conds, candidate=candidate)  # callable after the run
+        key = tuple((sl.start, sl.stop) for sl in b)
+        picked[key] = real_select(u, b, ratios, conds, candidate, cfg, gmax)
+        return picked[key]
+
+    real_select = recon._select_on_patch
+    monkeypatch.setattr(recon, "_select_on_patch", select)
+    reconstruct_global(fields, EngineConfig(patch_size=9, overlap=4))
+    sel, _, triple = picked[tuple((sl.start, sl.stop) for sl in box)]
+    i1 = sel["u1"]
+    others = [j for j in range(len(fields)) if j != i1]
+    win = build_ratios([fields[i1]] + [fields[j] for j in others]).window(box)
+    conds = caches["conds"](i1)
+    for frame in itertools.combinations(range(len(others)), grid.dim):
+        assert np.array_equal(conds[frame][box],
+                              build_frame(win, cond_max=None, frame=frame).cond), frame
+    frame = tuple(others.index(j) for j in sel["frame"])
+    subset = tuple(others.index(j) for j in sel["generators"])
+    score, indep, ok = caches["candidate"](i1, frame, subset)[:3]
+    fr = build_frame(win, cond_max=None, frame=frame)
+    mb = build_M(win, fr, indep_min=None, generators=subset)
+    margin = np.abs(win.u1.values) / np.abs(fields[i1].values).max()
+    assert np.array_equal(indep[box], mb.indep)
+    assert np.array_equal(ok[box], mb.ok & fr.ok)
+    assert np.array_equal(score[box], margin / np.maximum(fr.cond, 1.0) * mb.indep)
+    ref = unit_gauge_triple(*reconstruct_class(win, fr, mb).triple_arrays())
+    for got, want in zip(triple, ref):
+        assert np.array_equal(got, want)
+
+
+def test_a_winner_may_vanish_outside_its_patch():
+    # identity class, no constant member; u[0] = x1 - 1/4 is exactly 0 on
+    # grid row 8, which the patches starting at row 16 do not hold.  There
+    # it has the best margin and wins, so its full-grid fields, which are
+    # not finite on row 8, must not be assembled into fields or fed to the
+    # batched SVD whole
+    grid = square_grid(33)
+    x1, x2 = grid.meshes
+    s = 1.1 - x1
+    vals = [x1 - 0.25, s, s + x2 / 2, s * (1 + x2), s**2 - x2**2 + 1.1]
+    assert (vals[0][8] == 0).all()
+    rep, pm = reconstruct_global([ScalarField(grid, v.astype(complex)) for v in vals],
+                                 EngineConfig(patch_size=17, overlap=8))
+    assert pm.coverage.all()
+    picked = [box for box, sel in zip(pm.boxes, pm.selections) if sel["u1"] == 0]
+    assert picked and all(box[0][0] > 8 for box in picked)
+    assert np.abs(rep.a.as_matrix() - np.eye(2) / np.sqrt(2)).max() < 1e-2
+
+
+def test_each_candidate_is_evaluated_once(monkeypatch):
+    # 33 rows in slabs of 17 make one slab, so build_M runs once per
+    # distinct candidate instead of once per patch
+    calls = []
+
+    def build_M(*args, **kwargs):
+        calls.append(1)
+        return real_build_M(*args, **kwargs)
+
+    real_build_M = recon.build_M
+    monkeypatch.setattr(recon, "build_M", build_M)
+    grid = square_grid(33)
+    data = synthesize(PRESETS["smooth-complex-2d"].coefficients(grid),
+                      harmonic_family(grid))
+    _, pm = reconstruct_global(data, EngineConfig(patch_size=17, overlap=8))
+    distinct = {(sel["u1"], sel["frame"], sel["generators"]) for sel in pm.selections}
+    assert all(pm.admissible) and len(pm.boxes) == 9
+    assert len(calls) <= len(distinct) * 1 < len(pm.boxes)
+
+
 def test_generator_override_is_checked():
     grid = square_grid(17)
     rb = build_ratios(harmonic_fields(grid))
@@ -279,13 +367,19 @@ def test_patch_stitching_matches_the_global_answer():
 
 
 def test_ratio_bundles_are_released_before_the_blend(monkeypatch):
-    from gaugerec import recon
-    refs, live = [], []
+    # and so are the conds and candidate fields of the selector
+    refs, live, filled = [], [], []
 
     def ratios(*args):
         rb = real_ratios(*args)
         refs.append(weakref.ref(rb.hess_v))
         return rb
+
+    def slabwise(*args):
+        out = real_slabwise(*args)
+        filled.append(len(out))
+        refs.extend(weakref.ref(x) for x in out)
+        return out
 
     def assemble(*args, **kwargs):
         gc.collect()
@@ -293,13 +387,15 @@ def test_ratio_bundles_are_released_before_the_blend(monkeypatch):
         return real_assemble(*args, **kwargs)
 
     real_ratios, real_assemble = recon._ratios, recon._assemble_representative
+    real_slabwise = recon._slabwise
     monkeypatch.setattr(recon, "_ratios", ratios)
+    monkeypatch.setattr(recon, "_slabwise", slabwise)
     monkeypatch.setattr(recon, "_assemble_representative", assemble)
     grid = square_grid(33)
     data = synthesize(PRESETS["smooth-complex-2d"].coefficients(grid),
                       harmonic_family(grid))
     _, pm = reconstruct_global(data, EngineConfig(patch_size=17, overlap=8))
-    assert len(pm.boxes) > 1 and refs
+    assert len(pm.boxes) > 1 and refs and filled
     # the last representative assembled is the stitched one
     assert live[-1] == 0
 
