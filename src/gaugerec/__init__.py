@@ -48,7 +48,6 @@ from .fields import (
     mollify,
     save_field,
     second_derivative_values,
-    sup_norm,
 )
 from .forward import (
     BoundaryTrace,
@@ -66,12 +65,10 @@ from .illum import (
     complement_basis,
     constant_tensor_family,
     harmonic_family,
-    load_illumination,
     local_polynomial_family,
     num_generators,
     num_solutions,
     plane_wave_family,
-    save_illumination,
 )
 from .recon import (
     ClassRepresentative,

@@ -44,48 +44,32 @@ class QpatData:
 
     ``H`` are the interior functionals (H_1 first; it must be positive),
     ``f1`` the Dirichlet trace of the first illumination, and the boundary
-    restrictions of the stiffness tensor and absorption close the scale.
-    ``gamma_boundary``/``sigma_boundary`` accept full fields (only their
-    boundary nodes are read) or flat boundary arrays.
+    values of the stiffness tensor and absorption close the scale.
+    ``gamma_boundary``/``sigma_boundary`` are fields on the grid of ``H``;
+    only their boundary nodes are read.
     """
 
     H: list[ScalarField]
     f1: BoundaryTrace
-    gamma_boundary: object
-    sigma_boundary: object
+    gamma_boundary: SymTensorField
+    sigma_boundary: ScalarField
 
 
 @dataclass
 class ElastoData:
     """Observed interior amplitudes, the working frequency, and the
-    boundary restriction of the stiffness tensor."""
+    stiffness tensor, of which only the boundary nodes are read."""
 
     H: list[ScalarField]
     omega: float
-    gamma_boundary: object
+    gamma_boundary: SymTensorField
 
 
-def _boundary_tensor(grid: Grid, obj) -> np.ndarray:
-    """Packed (k, n(n+1)/2) boundary samples of a symmetric tensor."""
-    if isinstance(obj, SymTensorField):
-        return obj.values.reshape(grid.num_nodes, -1)[grid.boundary_flat]
-    arr = np.asarray(obj, dtype=np.complex128)
-    k = grid.boundary_flat.size
-    npack = grid.dim * (grid.dim + 1) // 2
-    if arr.shape != (k, npack):
-        raise ValueError(f"expected boundary tensor of shape {(k, npack)}, got {arr.shape}")
-    return arr
-
-
-def _boundary_scalar(grid: Grid, obj) -> np.ndarray:
-    if isinstance(obj, ScalarField):
-        return obj.values.reshape(-1)[grid.boundary_flat]
-    if isinstance(obj, BoundaryTrace):
-        return obj.values
-    arr = np.asarray(obj, dtype=np.complex128).reshape(-1)
-    if arr.size != grid.boundary_flat.size:
-        raise ValueError("boundary scalar has the wrong number of samples")
-    return arr
+def _on_boundary(grid: Grid, f) -> np.ndarray:
+    """Values of the field ``f`` at the boundary nodes of ``grid``: one row
+    per node, any components on the trailing axis."""
+    flat = f.values.reshape((grid.num_nodes,) + f.values.shape[grid.dim:])
+    return flat[grid.boundary_flat]
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +168,8 @@ def _anchored_scale(rep, gamma_boundary, weight=1.0) -> tuple[ScalarField, dict]
     route's diagnostics.
     """
     grid = rep.grid
-    gb = _boundary_tensor(grid, gamma_boundary)
-    ab = rep.a.values.reshape(grid.num_nodes, -1)[grid.boundary_flat]
+    gb = _on_boundary(grid, gamma_boundary)
+    ab = _on_boundary(grid, rep.a)
     weights = np.array([1.0 if i == j else 2.0 for i, j in SYM_PAIRS[grid.dim]])
     num = np.sum(weights * np.conj(ab) * gb, axis=1) * weight
     den = np.sum(weights * np.abs(ab) ** 2, axis=1)
@@ -231,8 +215,8 @@ def qpat_reconstruct(data: QpatData, config: EngineConfig | None = None
     tau, diag = _anchored_scale(rep, data.gamma_boundary, data.f1.values ** 2)
     D = SymTensorField(grid, rep.a.values * tau.values[..., None])
 
-    sb = _boundary_scalar(grid, data.sigma_boundary)
-    lam = np.mean(H1.values.reshape(-1)[grid.boundary_flat] / (sb * data.f1.values))
+    sb = _on_boundary(grid, data.sigma_boundary)
+    lam = np.mean(_on_boundary(grid, H1) / (sb * data.f1.values))
     w = _flux_solve(D, H1.values / lam, 1.0 / data.f1.values)
 
     gamma = SymTensorField(grid, D.values * (w * w)[..., None])

@@ -42,7 +42,6 @@ __all__ = [
     "hessian",
     "divergence",
     "divergence_tensor",
-    "sup_norm",
     "mollify",
     "save_field",
     "load_field",
@@ -199,26 +198,6 @@ class ScalarField(_Field):
     def _component_shape(dim):
         return ()
 
-    def _binop(self, other, op):
-        if isinstance(other, ScalarField):
-            other = other.values
-        return ScalarField(self.grid, op(self.values, other))
-
-    def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
-
-    def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
-
-    def __mul__(self, other):
-        return self._binop(other, lambda a, b: a * b)
-
-    def __truediv__(self, other):
-        return self._binop(other, lambda a, b: a / b)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
 
 class VectorField(_Field):
     kind = "vector"
@@ -330,37 +309,6 @@ def divergence_tensor(a: SymTensorField) -> VectorField:
         for j in range(n):
             out[..., i] += np.gradient(mat[..., i, j], sp[j], axis=j, edge_order=2)
     return VectorField(a.grid, out)
-
-
-def sup_norm(f: _Field, order: int = 0) -> float:
-    """Discrete surrogate for the C^m sup norm.
-
-    Takes the max over nodes and components of the field itself together
-    with all discrete partial derivatives up to ``order``.  Orders 0 and 1
-    use the gradient stencil, order 2 adds the packed second-derivative
-    stencils, order 3 adds first derivatives of those.
-    """
-    if order not in (0, 1, 2, 3):
-        raise ValueError("order must be 0..3")
-    grid = f.grid
-    comp = f.values
-    if comp.ndim == grid.dim:
-        comps = [comp]
-    else:
-        comps = [comp[..., k] for k in range(comp.shape[-1])]
-    best = max(float(np.max(np.abs(c))) for c in comps)
-    if order >= 1:
-        for c in comps:
-            best = max(best, float(np.max(np.abs(grad_values(c, grid.spacing)))))
-    if order >= 2:
-        hesses = [hess_values(c, grid.spacing) for c in comps]
-        for hm in hesses:
-            best = max(best, float(np.max(np.abs(hm))))
-        if order >= 3:
-            for hm in hesses:
-                for p in range(hm.shape[-1]):
-                    best = max(best, float(np.max(np.abs(grad_values(hm[..., p], grid.spacing)))))
-    return best
 
 
 def mollify(f: ScalarField, width: float) -> ScalarField:

@@ -19,7 +19,9 @@ each separator plane after the two halves it splits), and SuperLU factors the
 interior block in that order, without a column permutation of its own.  The
 factorization is done once per coefficient set, so synthesizing many
 illuminations reuses it.  The conservative flux solve of the photoacoustic
-front end goes through the same factor and solve (``_InteriorLU``).
+front end goes through the same factor and solve (``_InteriorLU``).  Every
+solve is checked against the relative residual ``_RTOL``; above it the solve
+raises SingularSystem.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ __all__ = [
     "gauge_transform",
     "synthesize",
 ]
+
+_RTOL = 1e-10  # largest relative residual a direct solve may leave
 
 
 @dataclass
@@ -106,17 +110,10 @@ class CoefficientSet:
         lo, hi = self.real_part_eigenvalues()
         return float(lo.min()), float(hi.max())
 
-    def validate(self, alpha0: float | None = None) -> None:
-        """Raise EllipticityViolation where Re(a) leaves the admissible cone.
-
-        With ``alpha0`` given, enforce alpha0 <= eig(Re a) <= 1/alpha0 at
-        every node; otherwise only strict positivity.
-        """
-        lo, hi = self.real_part_eigenvalues()
-        if alpha0 is None:
-            bad = lo <= 0.0
-        else:
-            bad = (lo < alpha0) | (hi > 1.0 / alpha0)
+    def validate(self) -> None:
+        """Raise EllipticityViolation where Re(a) is not positive definite."""
+        lo, _ = self.real_part_eigenvalues()
+        bad = lo <= 0.0
         if bad.any():
             raise EllipticityViolation(
                 "Re(a) violates the ellipticity bounds", nodes=np.argwhere(bad))
@@ -237,9 +234,8 @@ class _InteriorLU:
     sets u_B = f.
     """
 
-    def __init__(self, grid: Grid, stencil_at, rtol: float = 1e-10):
+    def __init__(self, grid: Grid, stencil_at):
         self.grid = grid
-        self.rtol = rtol
         self.order = order = _nested_dissection(grid.shape)
         n_int = order.size
         columns = np.empty(grid.num_nodes, dtype=np.intp)
@@ -274,7 +270,7 @@ class _InteriorLU:
         scale = max(float((self._absA @ np.abs(x)).max()),
                     float(np.abs(f).max()), float(np.abs(s).max()), 1e-300)
         rel = float(np.abs(resid).max()) / scale
-        if rel > self.rtol:
+        if rel > _RTOL:
             raise SingularSystem("direct solve residual above tolerance",
                                  residual=rel, trace_index=trace_index)
         u = np.empty_like(x)
@@ -290,12 +286,11 @@ class DirichletSystem:
     amortize the factorization over an illumination family.
     """
 
-    def __init__(self, coeffs: CoefficientSet, rtol: float = 1e-10):
+    def __init__(self, coeffs: CoefficientSet):
         coeffs.validate()
         self.coeffs = coeffs
         self.grid = coeffs.grid
-        self.rtol = rtol
-        self._lu = _InteriorLU(self.grid, self._assemble, rtol)
+        self._lu = _InteriorLU(self.grid, self._assemble)
 
     def _assemble(self, nodes: np.ndarray) -> dict:
         """Stencil of the non-divergence operator at the interior ``nodes``."""
@@ -336,23 +331,22 @@ class DirichletSystem:
 
 
 def solve_dirichlet(coeffs: CoefficientSet, f: BoundaryTrace,
-                    source: ScalarField | None = None,
-                    rtol: float = 1e-10) -> ScalarField:
+                    source: ScalarField | None = None) -> ScalarField:
     """One-shot Dirichlet solve; see :class:`DirichletSystem`."""
-    return DirichletSystem(coeffs, rtol=rtol).solve(f, source=source)
+    return DirichletSystem(coeffs).solve(f, source=source)
 
 
-def gauge_transform(coeffs: CoefficientSet, tau: ScalarField,
-                    floor: float = 1e-10) -> CoefficientSet:
+def gauge_transform(coeffs: CoefficientSet, tau: ScalarField) -> CoefficientSet:
     """Push a coefficient set along the gauge orbit.
 
     (a, b, c) goes to (tau a, tau b - a grad tau, tau c); div(tau a) is
     recomputed with the discrete stencil rather than expanded analytically.
+    |tau| below 1e-10 anywhere raises VanishingGauge.
     """
     grid = coeffs.grid
     t = tau.values
-    if float(np.abs(t).min()) < floor:
-        raise VanishingGauge(f"|tau| dips below the floor {floor:g}")
+    if float(np.abs(t).min()) < 1e-10:
+        raise VanishingGauge("|tau| dips below the floor 1e-10")
     a_new = SymTensorField(grid, coeffs.a.values * t[..., None])
     gt = grad_values(t, grid.spacing)
     b_new = VectorField(
@@ -364,13 +358,13 @@ def gauge_transform(coeffs: CoefficientSet, tau: ScalarField,
     return CoefficientSet(a_new, b_new, c_new, divergence_tensor(a_new))
 
 
-def synthesize(coeffs: CoefficientSet, traces, rtol: float = 1e-10) -> list[ScalarField]:
+def synthesize(coeffs: CoefficientSet, traces) -> list[ScalarField]:
     """Solve the Dirichlet problem for every trace in an illumination set.
 
     ``traces`` is an iterable of BoundaryTrace (an IlluminationSet works).
     On failure the raised SingularSystem carries the failing trace index.
     """
-    system = DirichletSystem(coeffs, rtol=rtol)
+    system = DirichletSystem(coeffs)
     out = []
     for j, tr in enumerate(traces):
         out.append(system.solve(tr, trace_index=j))

@@ -66,10 +66,10 @@ class GaugeSplit:
     convention: str
 
 
-def split_det(a: SymTensorField, floor: float = 1e-12) -> GaugeSplit:
+def split_det(a: SymTensorField) -> GaugeSplit:
     """tau = det(a)^(1/n) with branch continuity, unit = a / tau.
 
-    ``floor`` is relative to the largest |det| on the grid; nodes below it
+    Nodes where |det| falls below 1e-12 times its largest value on the grid
     raise VanishingDeterminant.  A neighbor phase jump above pi/2 raises
     BranchAmbiguity since continuation can no longer be trusted.
     """
@@ -80,7 +80,7 @@ def split_det(a: SymTensorField, floor: float = 1e-12) -> GaugeSplit:
     ref = float(absd.max())
     if ref <= 0:
         raise VanishingDeterminant("det(a) vanishes identically")
-    bad = absd < floor * ref
+    bad = absd < 1e-12 * ref
     if bad.any():
         raise VanishingDeterminant("det(a) below the relative floor",
                                    nodes=np.argwhere(bad))
@@ -183,30 +183,6 @@ def _transport_target(rep: ClassRepresentative) -> VectorField:
     return VectorField(rep.grid, g)
 
 
-def _calibrate(tau_raw: np.ndarray, grid: Grid, anchor) -> np.ndarray:
-    """Match the free multiplicative constant to the anchor.
-
-    A BoundaryTrace anchor is fit in the least-squares sense over all
-    boundary nodes; a bare complex value pins the corner node.
-    """
-    if isinstance(anchor, BoundaryTrace):
-        tb = tau_raw.reshape(-1)[grid.boundary_flat]
-        denom = np.sum(np.abs(tb) ** 2)
-        if denom <= 0:
-            raise VanishingGauge("recovered tau vanishes on the boundary")
-        s = np.sum(anchor.values * np.conj(tb)) / denom
-    else:
-        corner = tau_raw.reshape(-1)[0]
-        if corner == 0:
-            raise VanishingGauge("recovered tau vanishes at the anchor node")
-        s = complex(anchor) / corner
-    return tau_raw * s
-
-
-def _effective_collar(grid: Grid, collar: int) -> int:
-    return max(0, min(collar, (min(grid.shape) - 9) // 2))
-
-
 def _interior_curl(g: VectorField, collar: int) -> float:
     """Curl residual away from the boundary collar.
 
@@ -235,13 +211,12 @@ def _exp_poisson(grid: Grid, source: np.ndarray,
 
 
 def recover_tau_b_zero(rep: ClassRepresentative, anchor,
-                       curl_tol: float = 0.1, collar: int = 3,
                        diagnostics: dict | None = None) -> ScalarField:
     """Recover tau for a class whose true drift vanishes.
 
     With b = 0 in the class, the representative satisfies
-    a^-1 b = grad(ln tau).  A relative curl residual above ``curl_tol``
-    (measured beyond the stencil collar, see ``_interior_curl``) raises
+    a^-1 b = grad(ln tau).  A relative curl residual above 0.1, measured
+    beyond a collar of up to 3 nodes (see ``_interior_curl``), raises
     NonIntegrableField.
 
     With a BoundaryTrace anchor, ln(tau) is solved from the Poisson problem
@@ -253,11 +228,11 @@ def recover_tau_b_zero(rep: ClassRepresentative, anchor,
     """
     grid = rep.grid
     g = _transport_target(rep)
-    c = _effective_collar(grid, collar)
+    c = max(0, min(3, (min(grid.shape) - 9) // 2))
     res = _interior_curl(g, c)
     if diagnostics is not None:
         diagnostics["curl_residual"] = res
-    if res > curl_tol:
+    if res > 0.1:
         raise NonIntegrableField("a^-1 b is not a discrete gradient", residual=res)
     if isinstance(anchor, BoundaryTrace):
         r = divergence(g).values
@@ -266,8 +241,11 @@ def recover_tau_b_zero(rep: ClassRepresentative, anchor,
             r = np.pad(r[window], c, mode="edge")
         tau = _exp_poisson(grid, r, anchor)
     else:
-        phi = integrate_gradient(g)
-        tau = _calibrate(np.exp(phi.values), grid, anchor)
+        tau = np.exp(integrate_gradient(g).values)
+        corner = tau.reshape(-1)[0]
+        if corner == 0:
+            raise VanishingGauge("recovered tau vanishes at the anchor node")
+        tau = tau * (complex(anchor) / corner)
     if diagnostics is not None and isinstance(anchor, BoundaryTrace):
         tb = tau.reshape(-1)[grid.boundary_flat]
         diagnostics["anchor_mismatch"] = float(
@@ -298,21 +276,20 @@ def recover_tau_known_phi(rep: ClassRepresentative, phi: ScalarField,
 
 
 def recover_tau_divfree_b(rep: ClassRepresentative,
-                          boundary_tau: BoundaryTrace,
-                          imag_tol: float = 1e-10) -> ScalarField:
+                          boundary_tau: BoundaryTrace) -> ScalarField:
     """Recover tau for real coefficient classes with divergence-free drift.
 
     tau solves the adjoint-type equation div(a grad tau) - div(tau b) = 0
     with Dirichlet data; in non-divergence form that is the coefficient set
-    (a, -b, -div b).  Complex input beyond ``imag_tol`` (relative) raises
-    ComplexCoefficients.
+    (a, -b, -div b).  An imaginary part above 1e-10 of the largest
+    coefficient raises ComplexCoefficients.
     """
     grid = rep.grid
     amat = rep.a.values
     bvec = rep.b.values
     scale = max(float(np.abs(amat).max()), float(np.abs(bvec).max()), 1e-300)
     worst = max(float(np.abs(amat.imag).max()), float(np.abs(bvec.imag).max()))
-    if worst > imag_tol * scale:
+    if worst > 1e-10 * scale:
         raise ComplexCoefficients(
             f"divergence-free drift route needs real coefficients "
             f"(relative imaginary part {worst / scale:.2e})")

@@ -38,7 +38,6 @@ from .illum import (
     constant_tensor_family,
     harmonic_family,
     plane_wave_family,
-    save_illumination,
 )
 from .recon import EngineConfig, reconstruct_global, unit_gauge_triple
 
@@ -266,7 +265,6 @@ class ExperimentConfig:
     mode: str
     preset: str | None = None
     grids: list[int] = dc_field(default_factory=lambda: [33])
-    extent: list | None = None
     noise: list[float] = dc_field(default_factory=lambda: [0.0])
     mollify_width: float = 0.0
     real_noise: bool = False
@@ -323,6 +321,16 @@ class ExperimentConfig:
                                         f"(known: {sorted(PRESETS)})")
         elif self.preset is None:
             raise ConfigError("preset", f"{self.mode} mode needs a preset")
+        if "a0" in params and self.preset in PRESETS:
+            d = PRESETS[self.preset].dim
+            try:
+                a0 = np.asarray(params["a0"])
+                ok = a0.shape == (d, d) and a0.dtype.kind in "iufc"
+            except ValueError:  # ragged nesting
+                ok = False
+            if not ok:
+                raise ConfigError("illumination.params.a0",
+                                  f"must be a {d}x{d} matrix of numbers, got {params['a0']!r}")
         for i, g in enumerate(self.grids):
             if g < 9:
                 raise ConfigError(f"grids[{i}]", "grids need at least 9 nodes per axis")
@@ -474,10 +482,6 @@ def observed_orders(entries: list[dict], key: str = "triple") -> list[float]:
 # Mode pipelines
 # ---------------------------------------------------------------------------
 
-def _build_grid(cfg: ExperimentConfig, size: int, dim: int) -> Grid:
-    return square_grid(int(size), dim, cfg.extent)
-
-
 def _build_illumination(cfg: ExperimentConfig, preset: Preset, grid: Grid) -> IlluminationSet:
     fam = cfg.illumination.get("family")
     params = cfg.illumination.get("params", {})
@@ -496,11 +500,9 @@ def _build_illumination(cfg: ExperimentConfig, preset: Preset, grid: Grid) -> Il
 
 
 def _synthesize_data(cfg: ExperimentConfig, preset: Preset, grid: Grid
-                     ) -> tuple[CoefficientSet, IlluminationSet, list[ScalarField]]:
+                     ) -> tuple[CoefficientSet, list[ScalarField]]:
     coeffs = preset.coefficients(grid)
-    ill = _build_illumination(cfg, preset, grid)
-    data = synthesize(coeffs, ill)
-    return coeffs, ill, data
+    return coeffs, synthesize(coeffs, _build_illumination(cfg, preset, grid))
 
 
 def _degrade(data: list[ScalarField], delta: float, cfg: ExperimentConfig
@@ -541,9 +543,9 @@ def _run_roundtrip(cfg: ExperimentConfig, out_dir: Path | None) -> Reconstructio
     entries = []
     t_total = time.perf_counter()
     for size in cfg.grids:
-        grid = _build_grid(cfg, size, preset.dim)
+        grid = square_grid(size, preset.dim)
         t0 = time.perf_counter()
-        coeffs, ill, data = _synthesize_data(cfg, preset, grid)
+        coeffs, data = _synthesize_data(cfg, preset, grid)
         t_syn = time.perf_counter() - t0
         truth = unit_truth(coeffs)
         for delta in cfg.noise:
@@ -571,9 +573,9 @@ def _run_roundtrip(cfg: ExperimentConfig, out_dir: Path | None) -> Reconstructio
 
 def _run_synthesize(cfg: ExperimentConfig, out_dir: Path | None) -> ReconstructionReport:
     preset = PRESETS[cfg.preset]
-    grid = _build_grid(cfg, cfg.grids[0], preset.dim)
+    grid = square_grid(cfg.grids[0], preset.dim)
     t0 = time.perf_counter()
-    coeffs, ill, data = _synthesize_data(cfg, preset, grid)
+    _, data = _synthesize_data(cfg, preset, grid)
     entries = [_entry(grid, fields=len(data))]
     outputs = []
     if out_dir is not None:
@@ -581,16 +583,21 @@ def _run_synthesize(cfg: ExperimentConfig, out_dir: Path | None) -> Reconstructi
             p = out_dir / f"solution_{j}.json"
             save_field(f, p)
             outputs.append(str(p))
-        save_illumination(ill, out_dir / "illumination.json")
         entries[0]["outputs"] = outputs
     return _report(cfg, "n/a", entries, t0)
 
 
 def _run_reconstruct(cfg: ExperimentConfig, out_dir: Path | None) -> ReconstructionReport:
-    data = [load_field(p) for p in cfg.inputs]
-    for f in data:
+    data = []
+    for i, path in enumerate(cfg.inputs):
+        try:
+            f = load_field(path)
+        except (OSError, ValueError, KeyError, TypeError, IndexError) as exc:
+            raise ConfigError(f"inputs[{i}]", f"cannot read the field archive {path!r}: "
+                                              f"{type(exc).__name__}: {exc}") from exc
         if not isinstance(f, ScalarField):
-            raise ConfigError("inputs", "reconstruct mode expects scalar field archives")
+            raise ConfigError(f"inputs[{i}]", "reconstruct mode expects scalar field archives")
+        data.append(f)
     t0 = time.perf_counter()
     rep, patch_map = reconstruct_global(data, cfg.engine)
     entries = [_entry(rep.grid, admissible_patches=int(sum(patch_map.admissible)),
@@ -657,7 +664,7 @@ def _run_app(cfg: ExperimentConfig, out_dir: Path | None) -> ReconstructionRepor
     entries = []
     t_total = time.perf_counter()
     for size in cfg.grids:
-        grid = _build_grid(cfg, size, preset.dim)
+        grid = square_grid(size, preset.dim)
         data, truth = build(cfg, preset, grid)
         delta = cfg.noise[0]
         if delta > 0 or cfg.mollify_width > 0:
@@ -689,9 +696,9 @@ def _run_stability(cfg: ExperimentConfig, out_dir: Path | None) -> Reconstructio
     deltas = [d for d in cfg.noise if d > 0]
     if not deltas:
         raise ConfigError("noise", "stability mode needs positive noise levels")
-    grid = _build_grid(cfg, cfg.grids[-1], preset.dim)
+    grid = square_grid(cfg.grids[-1], preset.dim)
     t_total = time.perf_counter()
-    coeffs, ill, data = _synthesize_data(cfg, preset, grid)
+    _, data = _synthesize_data(cfg, preset, grid)
     rep0, _ = reconstruct_global(_degrade(data, 0.0, cfg), cfg.engine)
     a0_, bp0, c0 = rep0.triple_arrays()
     scale0 = max(float(np.abs(a0_).max()), float(np.abs(bp0).max()),

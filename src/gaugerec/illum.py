@@ -24,7 +24,6 @@ complex exponential
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,8 +44,6 @@ __all__ = [
     "local_polynomial_family",
     "cgo_family",
     "plane_wave_family",
-    "save_illumination",
-    "load_illumination",
 ]
 
 
@@ -117,7 +114,9 @@ class PolynomialMember:
     center: np.ndarray
     label: str = ""
 
-    def __call__(self, pts) -> np.ndarray:
+    def __call__(self, pts, nodes=None) -> np.ndarray:
+        """The jet at the coordinates ``pts``; ``nodes``, their flat grid
+        indices, is not needed."""
         y = np.asarray(pts, dtype=np.float64) - self.center
         q = 0.5 * np.einsum("...i,ij,...j->...", y, self.quad, y)
         return q + y @ self.lin + self.const
@@ -131,24 +130,21 @@ class PolynomialMember:
 
 @dataclass(frozen=True)
 class ExponentialMember:
-    """Wave gamma^(-1/2) exp(rho.x); gamma may be a constant or a field."""
+    """Wave gamma^(-1/2) exp(rho.x); gamma is a constant or a ScalarField."""
 
     rho: np.ndarray
     gamma: object = 1.0
     label: str = ""
 
-    def amplitude(self, pts, gamma_values=None) -> np.ndarray:
-        if gamma_values is not None:
-            g = np.asarray(gamma_values, dtype=np.complex128)
-        elif isinstance(self.gamma, ScalarField):
-            raise ValueError("field-valued gamma needs explicit samples at pts")
-        else:
-            g = np.full(np.asarray(pts).shape[:-1], complex(self.gamma))
-        return 1.0 / np.sqrt(g)
-
-    def __call__(self, pts, gamma_values=None) -> np.ndarray:
+    def __call__(self, pts, nodes=slice(None)) -> np.ndarray:
+        """The wave at ``pts``, the coordinates of the grid nodes with flat
+        indices ``nodes``, where a field-valued gamma is sampled."""
         pts = np.asarray(pts, dtype=np.float64)
-        return self.amplitude(pts, gamma_values) * np.exp(pts @ self.rho)
+        if isinstance(self.gamma, ScalarField):
+            g = self.gamma.values.reshape(-1)[nodes].reshape(pts.shape[:-1])
+        else:
+            g = np.full(pts.shape[:-1], complex(self.gamma))
+        return 1.0 / np.sqrt(g) * np.exp(pts @ self.rho)
 
 
 @dataclass
@@ -158,7 +154,7 @@ class IlluminationSet:
     family: str
     grid: Grid
     traces: list[BoundaryTrace]
-    members: list = field(default_factory=list)
+    members: list
     params: dict = field(default_factory=dict)
 
     def __iter__(self):
@@ -167,27 +163,15 @@ class IlluminationSet:
     def __len__(self):
         return len(self.traces)
 
-    def fields(self, grid: Grid | None = None) -> list[ScalarField]:
-        """Evaluate the members on the full grid.
-
-        Only available when the set still carries its members (sets loaded
-        from disk keep traces only).
-        """
-        grid = grid or self.grid
-        if not self.members:
-            raise ValueError("this illumination set has no evaluable members")
-        pts = grid.points
-        out = []
-        for m in self.members:
-            if isinstance(m, ExponentialMember) and isinstance(m.gamma, ScalarField):
-                out.append(ScalarField(grid, m(pts, gamma_values=m.gamma.values)))
-            else:
-                out.append(ScalarField(grid, m(pts)))
-        return out
+    def fields(self) -> list[ScalarField]:
+        """The members evaluated at every node of the grid."""
+        return [ScalarField(self.grid, m(self.grid.points)) for m in self.members]
 
 
-def _poly_trace(grid: Grid, member: PolynomialMember) -> BoundaryTrace:
-    return BoundaryTrace(grid, member(grid.boundary_points), label=member.label)
+def _traces(grid: Grid, members: list) -> list[BoundaryTrace]:
+    """Each member evaluated at the boundary nodes of ``grid``."""
+    return [BoundaryTrace(grid, m(grid.boundary_points, grid.boundary_flat), label=m.label)
+            for m in members]
 
 
 def _affine_members(n: int) -> list[PolynomialMember]:
@@ -217,8 +201,7 @@ def harmonic_family(grid: Grid) -> IlluminationSet:
         Q[j + 1, j + 1] = -1.0
         members.append(PolynomialMember(Q, zero, 0.0, zero,
                                         label=f"(x{j + 1}^2-x{j + 2}^2)/2"))
-    traces = [_poly_trace(grid, m) for m in members]
-    return IlluminationSet("harmonic", grid, traces, members)
+    return IlluminationSet("harmonic", grid, _traces(grid, members), members)
 
 
 def constant_tensor_family(grid: Grid, a0) -> IlluminationSet:
@@ -228,9 +211,8 @@ def constant_tensor_family(grid: Grid, a0) -> IlluminationSet:
     members = _affine_members(n)
     for m, Q in enumerate(complement_basis(a0)):
         members.append(PolynomialMember(Q, zero, 0.0, zero, label=f"quad{m + 1}"))
-    traces = [_poly_trace(grid, mm) for mm in members]
     a0 = np.asarray(a0, dtype=np.complex128)
-    return IlluminationSet("constant-tensor", grid, traces, members,
+    return IlluminationSet("constant-tensor", grid, _traces(grid, members), members,
                            params={"a0": a0.tolist()})
 
 
@@ -300,8 +282,7 @@ def local_polynomial_family(grid: Grid, a0, b0, c0, center) -> IlluminationSet:
         r = mm.jet_residual(a0, b0, c0)
         if abs(r) > 1e-10 * max(1.0, abs(c0), float(np.abs(b0).max(initial=0.0))):
             raise DegenerateTensor(f"member {mm.label} violates the jet constraint ({r:.2e})")
-    traces = [_poly_trace(grid, mm) for mm in members]
-    return IlluminationSet("local-polynomial", grid, traces, members,
+    return IlluminationSet("local-polynomial", grid, _traces(grid, members), members,
                            params={"a0": a0.tolist(), "b0": b0.tolist(),
                                    "c0": [c0.real, c0.imag],
                                    "center": center.tolist()})
@@ -339,16 +320,7 @@ def cgo_family(grid: Grid, gamma=1.0, k: float | None = None,
         specs.append((np.conj(rho(j, j + 1)), f"rho{j + 1}{j + 2}c"))
 
     members = [ExponentialMember(r, gamma, label=lab) for r, lab in specs]
-    if isinstance(gamma, ScalarField):
-        gb = gamma.values.reshape(-1)[grid.boundary_flat]
-    else:
-        gb = np.full(grid.boundary_flat.size, complex(gamma))
-    amp = 1.0 / np.sqrt(gb)
-    traces = [
-        BoundaryTrace(grid, amp * np.exp(grid.boundary_points @ m.rho), label=m.label)
-        for m in members
-    ]
-    return IlluminationSet("cgo", grid, traces, members,
+    return IlluminationSet("cgo", grid, _traces(grid, members), members,
                            params={"k": float(k), "eps": float(eps)})
 
 
@@ -365,8 +337,7 @@ def _spread_directions(n: int, count: int) -> np.ndarray:
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
 
 
-def plane_wave_family(grid: Grid, kappa_sq=1.0,
-                      count: int | None = None) -> IlluminationSet:
+def plane_wave_family(grid: Grid, kappa_sq=1.0) -> IlluminationSet:
     """Plane-wave traces exp(lam d_j . x) with lam^2 = kappa_sq.
 
     Every member satisfies lap(f) = kappa_sq f exactly, so the traces are
@@ -374,47 +345,11 @@ def plane_wave_family(grid: Grid, kappa_sq=1.0,
     c = -kappa_sq near the boundary; positive real kappa_sq gives strictly
     positive traces.
     """
-    n = grid.dim
-    if count is None:
-        count = num_solutions(n)
+    count = num_solutions(grid.dim)
     lam = np.sqrt(complex(kappa_sq))
-    dirs = _spread_directions(n, count)
+    dirs = _spread_directions(grid.dim, count)
     members = [ExponentialMember(lam * d, 1.0, label=f"pw{j + 1}")
                for j, d in enumerate(dirs)]
-    traces = [
-        BoundaryTrace(grid, np.exp(grid.boundary_points @ m.rho), label=m.label)
-        for m in members
-    ]
-    return IlluminationSet("plane-wave", grid, traces, members,
+    return IlluminationSet("plane-wave", grid, _traces(grid, members), members,
                            params={"kappa_sq": complex(kappa_sq), "count": count})
 
-
-def save_illumination(ill: IlluminationSet, path) -> None:
-    """Persist family name, parameters, and traces (members are not kept)."""
-    payload = {
-        "family": ill.family,
-        "params": {k: v for k, v in ill.params.items() if not isinstance(v, ScalarField)},
-        "grid": {"shape": list(ill.grid.shape),
-                 "extent": [list(e) for e in ill.grid.extent]},
-        "traces": [
-            {"label": tr.label,
-             "values": [[float(z.real), float(z.imag)] for z in tr.values]}
-            for tr in ill.traces
-        ],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-
-
-def load_illumination(path) -> IlluminationSet:
-    with open(path) as fh:
-        payload = json.load(fh)
-    grid = Grid(tuple(payload["grid"]["shape"]),
-                tuple(tuple(e) for e in payload["grid"]["extent"]))
-    traces = []
-    for tr in payload["traces"]:
-        pairs = np.asarray(tr["values"], dtype=np.float64)
-        traces.append(BoundaryTrace(grid, pairs[:, 0] + 1j * pairs[:, 1],
-                                    label=tr.get("label", "")))
-    return IlluminationSet(payload["family"], grid, traces, members=[],
-                           params=payload.get("params", {}))

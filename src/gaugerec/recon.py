@@ -133,14 +133,13 @@ class RatioBundle:
     hess_v: np.ndarray
     grad_u1: np.ndarray
     hess_u1: np.ndarray
-    floor: float
 
     def window(self, box: tuple[slice, ...]) -> "RatioBundle":
         """The bundle on an index box of its grid; the arrays are views."""
         m = (slice(None),) + box
         return RatioBundle(self.grid.subgrid(box), self.u1.crop(box), self.v[m],
                            self.grad_v[m], self.hess_v[m], self.grad_u1[box],
-                           self.hess_u1[box], self.floor)
+                           self.hess_u1[box])
 
 
 @dataclass
@@ -251,10 +250,10 @@ def build_ratios(u: list[ScalarField], floor: float = 0.0) -> RatioBundle:
             raise VanishingU1(f"|u_1| below floor {floor:g}", nodes=np.argwhere(bad))
     if (absu1 == 0).any():
         raise VanishingU1("u_1 vanishes on the grid", nodes=np.argwhere(absu1 == 0))
-    return _ratios(grid, u, floor)
+    return _ratios(grid, u)
 
 
-def _ratios(grid: Grid, u: list[ScalarField], floor: float = 0.0) -> RatioBundle:
+def _ratios(grid: Grid, u: list[ScalarField]) -> RatioBundle:
     """``build_ratios`` without its checks: where u_1 vanishes, the ratios
     and the derivatives that reach them are not finite."""
     u1 = u[0]
@@ -265,7 +264,7 @@ def _ratios(grid: Grid, u: list[ScalarField], floor: float = 0.0) -> RatioBundle
     hess_v = np.stack([unpack_sym(hp, grid.dim) for hp in hess_packed], axis=0)
     grad_u1 = grad_values(u1.values, sp)
     hess_u1 = unpack_sym(hess_values(u1.values, sp), grid.dim)
-    return RatioBundle(grid, u1, v, grad_v, hess_v, grad_u1, hess_u1, float(floor))
+    return RatioBundle(grid, u1, v, grad_v, hess_v, grad_u1, hess_u1)
 
 
 def build_frame(rb: RatioBundle, cond_max: float | None = 1e6,
@@ -309,8 +308,7 @@ def _invert_stack(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_M(rb: RatioBundle, fr: FrameData, indep_min: float | None = 1e-8,
-            generators: tuple[int, ...] | None = None,
-            anchor: tuple[int, ...] | None = None) -> MBundle:
+            generators: tuple[int, ...] | None = None) -> MBundle:
     """Curvature matrices of the non-frame ratios and the paired M0.
 
     For each generator ratio w the gradient relation
@@ -358,7 +356,7 @@ def build_M(rb: RatioBundle, fr: FrameData, indep_min: float | None = 1e-8,
                 nodes=np.argwhere(bad))
 
     M0, scale_field, ok = _pair_M0(stack)
-    sgn = _orientation(M0, anchor)
+    sgn = _orientation(M0)
     M0 *= sgn[..., None, None]
     scale_field *= sgn
     return MBundle(grid, tuple(generators), theta, M, M0, indep, scale_field, ok,
@@ -439,13 +437,13 @@ def _axis_scan(shape: tuple[int, ...], start: float, step,
     return out, worst
 
 
-def _orientation(W: np.ndarray, anchor: tuple[int, ...] | None = None) -> np.ndarray:
+def _orientation(W: np.ndarray) -> np.ndarray:
     """Per-node signs in {-1, +1} that orient a field of matrices.
 
     Neighbors on the scan path are aligned by the sign of the Hermitian
     overlap Re sum W_cur conj(W_prev); the whole field is then flipped, if
-    needed, so that Re Tr W > 0 at ``anchor`` (Im Tr > 0 when the real part
-    is 0).  The default anchor is the center node.
+    needed, so that Re Tr W > 0 at the center node (Im Tr > 0 when the real
+    part is 0).
     """
     shape = W.shape[:-2]
 
@@ -454,9 +452,8 @@ def _orientation(W: np.ndarray, anchor: tuple[int, ...] | None = None) -> np.nda
         return np.where(ov < 0, -1.0, 1.0)
 
     sgn, _ = _axis_scan(shape, 1.0, rel, np.multiply)
-    if anchor is None:
-        anchor = tuple(m // 2 for m in shape)
-    tr = np.trace(W[anchor]) * sgn[anchor]
+    center = tuple(m // 2 for m in shape)
+    tr = np.trace(W[center]) * sgn[center]
     return -sgn if (tr.real < 0 or (tr.real == 0 and tr.imag < 0)) else sgn
 
 
@@ -507,13 +504,12 @@ def _assemble_representative(grid: Grid, a_mat: np.ndarray, bpda: np.ndarray,
                                gauge=gauge, diagnostics=diagnostics)
 
 
-def unit_gauge_triple(a_mat: np.ndarray, bpda: np.ndarray, c: np.ndarray,
-                      anchor: tuple[int, ...] | None = None):
+def unit_gauge_triple(a_mat: np.ndarray, bpda: np.ndarray, c: np.ndarray):
     """Rescale a gauge triple so that Tr(a a) = 1 pointwise.
 
     The scale is the principal square root of the bilinear pairing
     Tr(a a), oriented by ``_orientation`` (neighbor continuity, then
-    Re Tr a > 0 at the anchor node).  Because (a, b + div a, c) transforms
+    Re Tr a > 0 at the center node).  Because (a, b + div a, c) transforms
     multiplicatively along the gauge orbit, dividing all three by the same
     scalar field stays on the orbit.  Returns (a, b + div a, c, scale) with
     a = scale * a_unit exactly.
@@ -522,7 +518,7 @@ def unit_gauge_triple(a_mat: np.ndarray, bpda: np.ndarray, c: np.ndarray,
     if (np.abs(s2) < 1e-28).any():
         raise VanishingGauge("Tr(a a) vanishes; the unit gauge is undefined")
     s = np.sqrt(s2)
-    scale = s * _orientation(a_mat / s[..., None, None], anchor)
+    scale = s * _orientation(a_mat / s[..., None, None])
     return (a_mat / scale[..., None, None], bpda / scale[..., None],
             c / scale, scale)
 

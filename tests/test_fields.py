@@ -20,7 +20,6 @@ from gaugerec import (
     mollify,
     save_field,
     square_grid,
-    sup_norm,
 )
 
 
@@ -120,17 +119,6 @@ def test_divergence_tensor_matches_columnwise():
     assert np.abs(da[..., 1] - (x2 + 1)).max() < 1e-12
 
 
-def test_sup_norm_orders():
-    g = grid2(33)
-    x1, x2 = g.meshes
-    f = ScalarField(g, 0.5 * x1**2)
-    assert sup_norm(f, 0) == pytest.approx(0.5)
-    assert sup_norm(f, 1) == pytest.approx(1.0)  # max |f|, |f_x| = x1
-    assert sup_norm(f, 2) == pytest.approx(1.0)  # f_xx = 1 does not raise it
-    vals = [sup_norm(f, m) for m in range(4)]
-    assert vals == sorted(vals)
-
-
 # ---------------------------------------------------------------------------
 # Mollifier
 # ---------------------------------------------------------------------------
@@ -211,14 +199,3 @@ def test_load_rejects_tampered_kind(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError):
         load_field(path)
-
-
-def test_field_arithmetic():
-    g = grid2(9)
-    x1, _ = g.meshes
-    f = ScalarField(g, x1 + 0j)
-    h = ScalarField(g, np.ones(g.shape) + 0j)
-    assert np.allclose((f + h).values, x1 + 1)
-    assert np.allclose((f - h).values, x1 - 1)
-    assert np.allclose((f * h).values, x1)
-    assert np.allclose((f / h).values, x1)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import gaugerec.forward
 from gaugerec import (
     gradient,
     BoundaryTrace,
@@ -129,17 +130,18 @@ def test_discrete_maximum_principle(seed):
     assert u.min() >= f.values.real.min() - 1e-10
 
 
-def test_residual_tolerance_is_enforced():
+def test_residual_tolerance_is_enforced(monkeypatch):
     grid = square_grid(9)
     cs = const_coeffs(grid, np.eye(2), [0, 0], 0.0)
     f = BoundaryTrace.from_function(grid, lambda p: p[:, 0] ** 2)
+    # no solve meets a zero residual bound, so the gate must trip
+    monkeypatch.setattr(gaugerec.forward, "_RTOL", 0.0)
     with pytest.raises(SingularSystem):
-        DirichletSystem(cs, rtol=0.0).solve(f)
+        DirichletSystem(cs).solve(f)
     # the failing trace index is carried through batch synthesis
-    try:
-        synthesize(cs, [f, f], rtol=0.0)
-    except SingularSystem as exc:
-        assert exc.trace_index == 0
+    with pytest.raises(SingularSystem) as info:
+        synthesize(cs, [f, f])
+    assert info.value.trace_index == 0
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,37 @@ def test_roundtrip_is_second_order_up_to_257():
         assert orders[key][0] >= 1.8, (key, orders[key])
 
 
+def override_roundtrip(preset, grids, illumination):
+    """Errors and orders of a roundtrip whose illumination comes from the
+    config, parsed as the CLI parses it."""
+    report = run(ExperimentConfig.from_dict({
+        "mode": "roundtrip", "preset": preset, "grids": grids,
+        "illumination": illumination}))
+    return [e["errors"]["triple"] for e in report.entries], report.orders
+
+
+# Pins sit about 25% above the measured errors, noted beside each.
+def test_cgo_override_converges_at_second_order():
+    errors, orders = override_roundtrip(
+        "smooth-complex-2d", [33, 65],
+        {"family": "cgo", "params": {"k": 4.0, "eps": 0.5}})
+    assert errors[0] < 0.14      # 0.112
+    assert errors[1] < 0.035     # 0.0278
+    assert orders["delta=0"]["triple"][0] >= 1.8  # 2.01
+
+
+def test_harmonic_override_on_the_isotropic_class():
+    errors, _ = override_roundtrip("isotropic-c", [33], {"family": "harmonic"})
+    assert errors[0] < 7.1e-3    # 5.62e-3
+
+
+def test_constant_tensor_override_with_a_config_a0_is_exact():
+    errors, _ = override_roundtrip(
+        "identity-2d", [33],
+        {"family": "constant-tensor", "params": {"a0": [[1, 0], [0, 1]]}})
+    assert errors[0] < 1e-10     # 4.1e-12: roundoff of an exact class
+
+
 @pytest.mark.parametrize("mode", ["qpat", "elasto"])
 def test_app_modes_smooth_their_data(mode):
     # elasto mode used to ignore noise and mollify_width
@@ -300,6 +331,40 @@ def test_cli_names_the_field_of_a_mistyped_config_value(tmp_path, capsys,
     doc = {"mode": "roundtrip", "preset": "identity-2d", "grids": [17], **override}
     path = write_config(tmp_path, "bad.json", doc)
     assert cli_main(["roundtrip", "--config", path]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
+def archive_without_extent(tmp_path):
+    from gaugerec import save_field
+    path = tmp_path / "u.json"
+    save_field(ScalarField(square_grid(9), np.ones((9, 9), dtype=complex)), path)
+    doc = json.loads(path.read_text())
+    del doc["grid"]["extent"]
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def constant_tensor_a0(a0):
+    return {"preset": "identity-2d", "grids": [17],
+            "illumination": {"family": "constant-tensor", "params": {"a0": a0}}}
+
+
+@pytest.mark.parametrize("mode, make_doc, field", [
+    ("reconstruct", lambda tmp: {"inputs": [str(tmp / "missing.json")]}, "inputs[0]"),
+    ("reconstruct", lambda tmp: {"inputs": [archive_without_extent(tmp)]}, "inputs[0]"),
+    ("roundtrip", lambda tmp: constant_tensor_a0([[1, 0, 0], [0, 1, 0]]),
+     "illumination.params.a0"),
+    ("roundtrip", lambda tmp: constant_tensor_a0("abc"), "illumination.params.a0"),
+    ("roundtrip", lambda tmp: {"preset": "identity-2d", "grids": [17], "extent": "x"},
+     "extent"),
+], ids=["missing-archive", "archive-without-extent", "a0-not-square", "a0-not-numbers",
+        "extent-option"])
+def test_cli_names_the_field_of_an_unusable_input(tmp_path, capsys, mode, make_doc,
+                                                  field):
+    # a missing or malformed archive, a malformed a0 and a removed option are
+    # user input: exit 1 naming the field, not a traceback
+    path = write_config(tmp_path, "bad.json", make_doc(tmp_path))
+    assert cli_main([mode, "--config", path]) == 1
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
 

@@ -1,4 +1,4 @@
-"""Illumination families: counts, jet identities, and persistence."""
+"""Illumination families: counts, jet identities, and traces."""
 
 import numpy as np
 import pytest
@@ -10,12 +10,10 @@ from gaugerec import (
     complement_basis,
     constant_tensor_family,
     harmonic_family,
-    load_illumination,
     local_polynomial_family,
     num_generators,
     num_solutions,
     plane_wave_family,
-    save_illumination,
     square_grid,
 )
 
@@ -138,19 +136,3 @@ def test_three_dimensional_counts():
     assert len(pw.traces) == num_solutions(3)
     for m in pw.members:
         assert abs(np.dot(m.rho, m.rho) - 1.0) < 1e-12
-
-
-def test_illumination_roundtrip(tmp_path):
-    grid = square_grid(17)
-    fam = cgo_family(grid, gamma=1.0, k=6.0)
-    path = tmp_path / "ill.json"
-    save_illumination(fam, path)
-    back = load_illumination(path)
-    assert back.family == fam.family
-    assert back.params["k"] == 6.0
-    assert len(back.traces) == len(fam.traces)
-    for a, b in zip(fam.traces, back.traces):
-        assert np.array_equal(a.values, b.values)
-    # traces persist, evaluable members do not
-    with pytest.raises(ValueError):
-        back.fields()
