@@ -22,10 +22,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import NonPositiveH1
-from .fields import SYM_PAIRS, Grid, ScalarField, SymTensorField
+from .fields import SYM_PAIRS, ScalarField, SymTensorField, common_grid
 from .forward import BoundaryTrace, _flat_strides, _InteriorLU, _stencil_rows
 from .gauge import recover_tau_b_zero
-from .recon import EngineConfig, _common_grid, reconstruct_global
+from .recon import EngineConfig, reconstruct_global
 
 __all__ = [
     "QpatData",
@@ -45,8 +45,8 @@ class QpatData:
     ``H`` are the interior functionals (H_1 first; it must be positive),
     ``f1`` the Dirichlet trace of the first illumination, and the boundary
     values of the stiffness tensor and absorption close the scale.
-    ``gamma_boundary``/``sigma_boundary`` are fields on the grid of ``H``;
-    only their boundary nodes are read.
+    ``f1``, ``gamma_boundary`` and ``sigma_boundary`` lie on the grid of
+    ``H``; only the boundary nodes of the two fields are read.
     """
 
     H: list[ScalarField]
@@ -58,18 +58,12 @@ class QpatData:
 @dataclass
 class ElastoData:
     """Observed interior amplitudes, the working frequency, and the
-    stiffness tensor, of which only the boundary nodes are read."""
+    stiffness tensor on the grid of ``H``, of which only the boundary nodes
+    are read."""
 
     H: list[ScalarField]
     omega: float
     gamma_boundary: SymTensorField
-
-
-def _on_boundary(grid: Grid, f) -> np.ndarray:
-    """Values of the field ``f`` at the boundary nodes of ``grid``: one row
-    per node, any components on the trailing axis."""
-    flat = f.values.reshape((grid.num_nodes,) + f.values.shape[grid.dim:])
-    return flat[grid.boundary_flat]
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +162,8 @@ def _anchored_scale(rep, gamma_boundary, weight=1.0) -> tuple[ScalarField, dict]
     route's diagnostics.
     """
     grid = rep.grid
-    gb = _on_boundary(grid, gamma_boundary)
-    ab = _on_boundary(grid, rep.a)
+    gb = grid.on_boundary(gamma_boundary.values)
+    ab = grid.on_boundary(rep.a.values)
     weights = np.array([1.0 if i == j else 2.0 for i, j in SYM_PAIRS[grid.dim]])
     num = np.sum(weights * np.conj(ab) * gb, axis=1) * weight
     den = np.sum(weights * np.abs(ab) ** 2, axis=1)
@@ -198,11 +192,12 @@ def qpat_reconstruct(data: QpatData, config: EngineConfig | None = None
     recovery of the scale, anchored by gamma f_1^2 on the boundary; one
     conservative flux solve for w = 1/u_1 with the source calibrated by the
     boundary consistency factor mean(H_1 / (sigma f_1)); then
-    gamma = D w^2 and sigma = H_1 w.
+    gamma = D w^2 and sigma = H_1 w.  Data on more than one grid raise
+    GridMismatch.
     """
     if len(data.H) < 2:
         raise ValueError("need at least two interior functionals")
-    grid = _common_grid(data.H)
+    grid = common_grid([*data.H, data.f1, data.gamma_boundary, data.sigma_boundary])
     H1 = data.H[0]
     bad = H1.values.real <= 0.0
     if bad.any():
@@ -215,8 +210,8 @@ def qpat_reconstruct(data: QpatData, config: EngineConfig | None = None
     tau, diag = _anchored_scale(rep, data.gamma_boundary, data.f1.values ** 2)
     D = SymTensorField(grid, rep.a.values * tau.values[..., None])
 
-    sb = _on_boundary(grid, data.sigma_boundary)
-    lam = np.mean(_on_boundary(grid, H1) / (sb * data.f1.values))
+    sb = grid.on_boundary(data.sigma_boundary.values)
+    lam = np.mean(grid.on_boundary(H1.values) / (sb * data.f1.values))
     w = _flux_solve(D, H1.values / lam, 1.0 / data.f1.values)
 
     gamma = SymTensorField(grid, D.values * (w * w)[..., None])
@@ -231,10 +226,12 @@ def elasto_reconstruct(data: ElastoData, config: EngineConfig | None = None
 
     The amplitudes solve div(gamma grad u) + omega^2 rho u = 0, so the class
     engine applies verbatim; the boundary stiffness pins the scale and the
-    zeroth-order coefficient divided by omega^2 is the density.
+    zeroth-order coefficient divided by omega^2 is the density.  Data on more
+    than one grid raise GridMismatch.
     """
     if data.omega <= 0:
         raise ValueError("omega must be positive")
+    common_grid([*data.H, data.gamma_boundary])
     rep, patch_map = reconstruct_global(list(data.H), config)
     tau, diag = _anchored_scale(rep, data.gamma_boundary)
     gamma = SymTensorField(rep.grid, rep.a.values * tau.values[..., None])

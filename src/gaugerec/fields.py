@@ -28,9 +28,12 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import GridMismatch
+
 __all__ = [
     "SYM_PAIRS",
     "Grid",
+    "common_grid",
     "ScalarField",
     "VectorField",
     "SymTensorField",
@@ -138,6 +141,15 @@ class Grid:
         out.setflags(write=False)
         return out
 
+    def on_boundary(self, values) -> np.ndarray:
+        """A node array (any component axes trailing) at the boundary nodes,
+        one row per node in ``boundary_flat`` order; ValueError when its
+        leading axes are not the grid's shape."""
+        values = np.asarray(values)
+        if values.shape[:self.dim] != self.shape:
+            raise ValueError(f"node values of shape {values.shape} on a {self.shape} grid")
+        return values.reshape((self.num_nodes,) + values.shape[self.dim:])[self.boundary_flat]
+
     @property
     def num_nodes(self) -> int:
         return int(np.prod(self.shape))
@@ -160,6 +172,16 @@ class Grid:
             shape.append(stop - start)
             extent.append((float(ax[start]), float(ax[stop - 1])))
         return Grid(tuple(shape), tuple(extent))
+
+
+def common_grid(objs) -> Grid:
+    """The grid of ``objs[0]``; GridMismatch at the first other object (a
+    field, a trace, or anything else with a ``grid``) whose grid differs."""
+    grid = objs[0].grid
+    for j, f in enumerate(objs[1:], start=1):
+        if f.grid != grid:
+            raise GridMismatch(j, grid, f.grid)
+    return grid
 
 
 class _Field:

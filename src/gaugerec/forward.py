@@ -38,6 +38,7 @@ from .fields import (
     ScalarField,
     SymTensorField,
     VectorField,
+    common_grid,
     divergence_tensor,
     grad_values,
 )
@@ -68,10 +69,7 @@ class CoefficientSet:
     diva: VectorField
 
     def __post_init__(self):
-        g = self.a.grid
-        for f in (self.b, self.c, self.diva):
-            if f.grid.shape != g.shape or f.grid.extent != g.extent:
-                raise ValueError("coefficient fields live on different grids")
+        common_grid([self.a, self.b, self.c, self.diva])
 
     @classmethod
     def from_fields(cls, a: SymTensorField, b: VectorField, c: ScalarField,
@@ -92,28 +90,21 @@ class CoefficientSet:
     def grid(self) -> Grid:
         return self.a.grid
 
-    def real_part_eigenvalues(self) -> tuple[np.ndarray, np.ndarray]:
-        """Pointwise (min, max) eigenvalues of Re(a)."""
-        n = self.grid.dim
-        mat = self.a.as_matrix().real
-        if n == 2:
-            p = mat[..., 0, 0]
-            q = mat[..., 1, 1]
-            r = mat[..., 0, 1]
-            mid = 0.5 * (p + q)
-            rad = np.sqrt((0.5 * (p - q)) ** 2 + r ** 2)
-            return mid - rad, mid + rad
-        w = np.linalg.eigvalsh(mat)
-        return w[..., 0], w[..., -1]
-
-    def ellipticity_bounds(self) -> tuple[float, float]:
-        lo, hi = self.real_part_eigenvalues()
-        return float(lo.min()), float(hi.max())
-
     def validate(self) -> None:
-        """Raise EllipticityViolation where Re(a) is not positive definite."""
-        lo, _ = self.real_part_eigenvalues()
-        bad = lo <= 0.0
+        """Raise EllipticityViolation where Re(a) is not positive definite.
+
+        Re(a) is eliminated without pivoting at every node, in 2D and 3D
+        alike; it is positive definite exactly where every pivot is positive
+        (Sylvester's criterion).  A node is flagged at its first pivot that
+        is not, and its later pivots are not read.
+        """
+        m = self.a.as_matrix().real
+        bad = np.zeros(self.grid.shape, dtype=bool)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite pivot is flagged
+            while m.shape[-1]:
+                bad |= ~(m[..., 0, 0] > 0.0)
+                pivot = np.where(bad, 1.0, m[..., 0, 0])[..., None, None]
+                m = m[..., 1:, 1:] - m[..., 1:, :1] * m[..., :1, 1:] / pivot
         if bad.any():
             raise EllipticityViolation(
                 "Re(a) violates the ellipticity bounds", nodes=np.argwhere(bad))
@@ -149,13 +140,7 @@ class BoundaryTrace:
         """Restrict a full node array (or ScalarField) to the boundary."""
         if isinstance(full, ScalarField):
             full = full.values
-        flat = np.asarray(full, dtype=np.complex128).reshape(-1)
-        return cls(grid, flat[grid.boundary_flat], label)
-
-    def to_full(self, fill: complex = 0.0) -> np.ndarray:
-        out = np.full(self.grid.num_nodes, fill, dtype=np.complex128)
-        out[self.grid.boundary_flat] = self.values
-        return out.reshape(self.grid.shape)
+        return cls(grid, grid.on_boundary(full), label)
 
 
 def _flat_strides(shape: tuple[int, ...]) -> np.ndarray:
@@ -323,6 +308,9 @@ class DirichletSystem:
 
     def solve(self, f: BoundaryTrace, source: ScalarField | None = None,
               trace_index: int | None = None) -> ScalarField:
+        """The solution for trace ``f`` and interior ``source``; both must
+        lie on the system's grid (GridMismatch otherwise)."""
+        common_grid([self, f] if source is None else [self, f, source])
         s = None
         if source is not None:
             s = source.values.reshape(-1)[self._lu.order]
@@ -341,9 +329,10 @@ def gauge_transform(coeffs: CoefficientSet, tau: ScalarField) -> CoefficientSet:
 
     (a, b, c) goes to (tau a, tau b - a grad tau, tau c); div(tau a) is
     recomputed with the discrete stencil rather than expanded analytically.
-    |tau| below 1e-10 anywhere raises VanishingGauge.
+    |tau| below 1e-10 anywhere raises VanishingGauge; a ``tau`` on another
+    grid raises GridMismatch.
     """
-    grid = coeffs.grid
+    grid = common_grid([coeffs, tau])
     t = tau.values
     if float(np.abs(t).min()) < 1e-10:
         raise VanishingGauge("|tau| dips below the floor 1e-10")

@@ -31,6 +31,7 @@ from .fields import (
     ScalarField,
     SymTensorField,
     VectorField,
+    common_grid,
     divergence,
     grad_values,
     second_derivative_values,
@@ -184,17 +185,14 @@ def _transport_target(rep: ClassRepresentative) -> VectorField:
 
 
 def _interior_curl(g: VectorField, collar: int) -> float:
-    """Curl residual away from the boundary collar.
+    """Curl residual away from a boundary collar of ``collar`` >= 0 nodes.
 
     Differentiating a reconstructed tensor mixes one-sided and central
     stencils in a thin collar, which inflates the pointwise curl there by
     1/h without signalling genuine non-integrability, so the check crops it.
+    A collar of 0 keeps the whole grid.
     """
-    if collar <= 0:
-        return curl_residual(g)
-    grid = g.grid
-    window = tuple(slice(collar, s - collar) for s in grid.shape)
-    return curl_residual(VectorField(grid.subgrid(window), g.values[window]))
+    return curl_residual(g.crop(tuple(slice(collar, s - collar) for s in g.grid.shape)))
 
 
 def _exp_poisson(grid: Grid, source: np.ndarray,
@@ -224,9 +222,11 @@ def recover_tau_b_zero(rep: ClassRepresentative, anchor,
     collar is filled from the nearest interior nodes, since that band of g
     carries the stencil-transition artifact rather than usable data.  With
     a bare complex anchor the potential comes from least squares over the
-    whole grid and the constant is pinned at the corner node.
+    whole grid and the constant is pinned at the corner node.  A trace
+    anchor on another grid raises GridMismatch.
     """
-    grid = rep.grid
+    anchored = isinstance(anchor, BoundaryTrace)
+    grid = common_grid([rep, anchor] if anchored else [rep])
     g = _transport_target(rep)
     c = max(0, min(3, (min(grid.shape) - 9) // 2))
     res = _interior_curl(g, c)
@@ -234,20 +234,18 @@ def recover_tau_b_zero(rep: ClassRepresentative, anchor,
         diagnostics["curl_residual"] = res
     if res > 0.1:
         raise NonIntegrableField("a^-1 b is not a discrete gradient", residual=res)
-    if isinstance(anchor, BoundaryTrace):
-        r = divergence(g).values
-        if c > 0:
-            window = tuple(slice(c, s - c) for s in grid.shape)
-            r = np.pad(r[window], c, mode="edge")
-        tau = _exp_poisson(grid, r, anchor)
+    if anchored:
+        window = tuple(slice(c, s - c) for s in grid.shape)
+        tau = _exp_poisson(grid, np.pad(divergence(g).values[window], c, mode="edge"),
+                           anchor)
     else:
         tau = np.exp(integrate_gradient(g).values)
         corner = tau.reshape(-1)[0]
         if corner == 0:
             raise VanishingGauge("recovered tau vanishes at the anchor node")
         tau = tau * (complex(anchor) / corner)
-    if diagnostics is not None and isinstance(anchor, BoundaryTrace):
-        tb = tau.reshape(-1)[grid.boundary_flat]
+    if diagnostics is not None and anchored:
+        tb = grid.on_boundary(tau)
         diagnostics["anchor_mismatch"] = float(
             np.abs(tb - anchor.values).max() / max(np.abs(anchor.values).max(), 1e-300))
     return ScalarField(grid, tau)
@@ -268,8 +266,9 @@ def recover_tau_known_phi(rep: ClassRepresentative, phi: ScalarField,
     ln(tau) solves a Poisson problem with source div(g) - lap(phi) and
     Dirichlet data log(boundary_tau).  The boundary values use the
     principal logarithm; keep them away from the negative real axis.
+    ``phi`` and ``boundary_tau`` on another grid raise GridMismatch.
     """
-    grid = rep.grid
+    grid = common_grid([rep, phi, boundary_tau])
     g = _transport_target(rep)
     rhs = divergence(g).values - _laplacian_values(phi.values, grid.spacing)
     return ScalarField(grid, _exp_poisson(grid, rhs, boundary_tau))
@@ -282,9 +281,10 @@ def recover_tau_divfree_b(rep: ClassRepresentative,
     tau solves the adjoint-type equation div(a grad tau) - div(tau b) = 0
     with Dirichlet data; in non-divergence form that is the coefficient set
     (a, -b, -div b).  An imaginary part above 1e-10 of the largest
-    coefficient raises ComplexCoefficients.
+    coefficient raises ComplexCoefficients, and ``boundary_tau`` on another
+    grid raises GridMismatch.
     """
-    grid = rep.grid
+    grid = common_grid([rep, boundary_tau])
     amat = rep.a.values
     bvec = rep.b.values
     scale = max(float(np.abs(amat).max()), float(np.abs(bvec).max()), 1e-300)

@@ -36,7 +36,6 @@ from .errors import (
     ConfigError,
     CoverageFailure,
     FrameDegenerate,
-    GridMismatch,
     MDependent,
     VanishingGauge,
     VanishingU1,
@@ -47,6 +46,7 @@ from .fields import (
     ScalarField,
     SymTensorField,
     VectorField,
+    common_grid,
     divergence_tensor,
     grad_values,
     hess_values,
@@ -122,12 +122,13 @@ class RatioBundle:
     """Ratios v_j = u_{j+1}/u_1 with first and second derivatives.
 
     Arrays are stacked with the member index first: ``v`` is (m, *shape),
-    ``grad_v`` is (m, *shape, n), ``hess_v`` is (m, *shape, n, n).  The u_1
-    derivatives ride along for the final coefficient recovery.
+    ``grad_v`` is (m, *shape, n), ``hess_v`` is (m, *shape, n, n).  The
+    values of u_1 and its derivatives ride along for the final coefficient
+    recovery.
     """
 
     grid: Grid
-    u1: ScalarField
+    u1: np.ndarray
     v: np.ndarray
     grad_v: np.ndarray
     hess_v: np.ndarray
@@ -137,17 +138,17 @@ class RatioBundle:
     def window(self, box: tuple[slice, ...]) -> "RatioBundle":
         """The bundle on an index box of its grid; the arrays are views."""
         m = (slice(None),) + box
-        return RatioBundle(self.grid.subgrid(box), self.u1.crop(box), self.v[m],
+        return RatioBundle(self.grid.subgrid(box), self.u1[box], self.v[m],
                            self.grad_v[m], self.hess_v[m], self.grad_u1[box],
                            self.hess_u1[box])
 
 
 @dataclass
 class FrameData:
-    """Gram data of the frame ratios: H, its inverse, and the pointwise
-    Frobenius condition number ||H|| ||H^-1||."""
+    """Gram data of the frame ratios (indices ``frame``): H, its inverse, the
+    pointwise Frobenius condition number ||H|| ||H^-1||, and ``ok`` where H
+    is regular."""
 
-    grid: Grid
     frame: tuple[int, ...]
     H: np.ndarray
     Hinv: np.ndarray
@@ -162,18 +163,14 @@ class MBundle:
     ``theta`` holds, per generator, the full coefficient vector over all
     ratios (frame entries carry the solved coefficients, the generator slot
     carries 1, everything else 0).  ``indep`` is the smallest singular value
-    of the vectorized (Id, M^1, ..) stack, ``scale`` the complex square root
-    used to normalize M0, and ``ok`` flags nodes where the pairing system
-    was solvable.
+    of the vectorized (Id, M^1, ..) stack, and ``ok`` flags nodes where the
+    pairing system was solvable.
     """
 
-    grid: Grid
-    generators: tuple[int, ...]
     theta: np.ndarray
     M: np.ndarray
     M0: np.ndarray
     indep: np.ndarray
-    scale: np.ndarray
     ok: np.ndarray
     lincomb_residual: float
 
@@ -225,15 +222,6 @@ class PatchMap:
 # Stage implementations
 # ---------------------------------------------------------------------------
 
-def _common_grid(u: list[ScalarField]) -> Grid:
-    """The grid of ``u[0]``; GridMismatch when any other field's differs."""
-    grid = u[0].grid
-    for j, f in enumerate(u[1:], start=1):
-        if f.grid != grid:
-            raise GridMismatch(j, grid, f.grid)
-    return grid
-
-
 def build_ratios(u: list[ScalarField], floor: float = 0.0) -> RatioBundle:
     """Form v_j = u_{j+1}/u_1 and differentiate.
 
@@ -242,7 +230,7 @@ def build_ratios(u: list[ScalarField], floor: float = 0.0) -> RatioBundle:
     """
     if len(u) < 2:
         raise ValueError("need at least two solutions")
-    grid = _common_grid(u)
+    grid = common_grid(u)
     absu1 = np.abs(u[0].values)
     if floor > 0:
         bad = absu1 < floor
@@ -256,14 +244,14 @@ def build_ratios(u: list[ScalarField], floor: float = 0.0) -> RatioBundle:
 def _ratios(grid: Grid, u: list[ScalarField]) -> RatioBundle:
     """``build_ratios`` without its checks: where u_1 vanishes, the ratios
     and the derivatives that reach them are not finite."""
-    u1 = u[0]
+    u1 = u[0].values
     sp = grid.spacing
-    v = np.stack([(f.values / u1.values) for f in u[1:]], axis=0)
+    v = np.stack([(f.values / u1) for f in u[1:]], axis=0)
     grad_v = np.stack([grad_values(vj, sp) for vj in v], axis=0)
     hess_packed = [hess_values(vj, sp) for vj in v]
     hess_v = np.stack([unpack_sym(hp, grid.dim) for hp in hess_packed], axis=0)
-    grad_u1 = grad_values(u1.values, sp)
-    hess_u1 = unpack_sym(hess_values(u1.values, sp), grid.dim)
+    grad_u1 = grad_values(u1, sp)
+    hess_u1 = unpack_sym(hess_values(u1, sp), grid.dim)
     return RatioBundle(grid, u1, v, grad_v, hess_v, grad_u1, hess_u1)
 
 
@@ -293,17 +281,24 @@ def build_frame(rb: RatioBundle, cond_max: float | None = 1e6,
             raise FrameDegenerate(
                 f"frame Gram matrix condition exceeds {cond_max:g}",
                 nodes=np.argwhere(bad))
-    return FrameData(grid, tuple(frame), H, Hinv, cond, det_ok)
+    return FrameData(tuple(frame), H, Hinv, cond, det_ok)
+
+
+def _regular(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked small matrices with the identity in place of every singular
+    node, where |det| <= (1e-14 max|A|)^n, and the flag of the regular nodes.
+    The one singular-node rule of the frame inverse and the pairing solve."""
+    n = A.shape[-1]
+    det = np.linalg.det(A)
+    scale = np.max(np.abs(A), axis=(-2, -1))
+    ok = np.abs(det) > (1e-14 * np.maximum(scale, _TINY)) ** n
+    return np.where(ok[..., None, None], A, np.eye(n, dtype=np.complex128)), ok
 
 
 def _invert_stack(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise inverse of stacked small matrices, flagging singular nodes
     instead of raising."""
-    n = H.shape[-1]
-    det = np.linalg.det(H)
-    scale = np.max(np.abs(H), axis=(-2, -1))
-    ok = np.abs(det) > (1e-14 * np.maximum(scale, _TINY)) ** n
-    safe = np.where(ok[..., None, None], H, np.eye(n, dtype=np.complex128))
+    safe, ok = _regular(H)
     return np.linalg.inv(safe), ok
 
 
@@ -355,12 +350,9 @@ def build_M(rb: RatioBundle, fr: FrameData, indep_min: float | None = 1e-8,
                 f"(Id, M^1, ..) fail pointwise independence at {indep_min:g}",
                 nodes=np.argwhere(bad))
 
-    M0, scale_field, ok = _pair_M0(stack)
-    sgn = _orientation(M0)
-    M0 *= sgn[..., None, None]
-    scale_field *= sgn
-    return MBundle(grid, tuple(generators), theta, M, M0, indep, scale_field, ok,
-                   worst_lincomb)
+    M0, ok = _pair_M0(stack)
+    M0 *= _orientation(M0)[..., None, None]
+    return MBundle(theta, M, M0, indep, ok, worst_lincomb)
 
 
 def _vectorize_sym(stack: np.ndarray) -> np.ndarray:
@@ -387,21 +379,19 @@ def _independence(stack: np.ndarray) -> np.ndarray:
     return np.where(finite, sv[..., -1], np.nan)
 
 
-def _pair_M0(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pair_M0(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve the pairing conditions Tr(M0 B_m) = delta_0m over the stack
     B = (Id, M^1, ..) and normalize.
 
     P_km = Tr(B_k B_m), y = P^-1 e_0, M0 = sum y_k B_k / sqrt(y_0) (the
     constraints for m >= 1 hold by construction and the normalization
-    Tr(M0 M0) = 1 follows from y^T P y = y_0).
+    Tr(M0 M0) = 1 follows from y^T P y = y_0).  Returns M0 and the flag of
+    the nodes where P is regular and y_0 does not vanish.
     """
     K = stack.shape[0]
     shape = stack.shape[1:-2]
     P = np.einsum("k...ij,m...ji->...km", stack, stack)
-    detP = np.linalg.det(P)
-    scaleP = np.max(np.abs(P), axis=(-2, -1))
-    ok = np.abs(detP) > (1e-14 * np.maximum(scaleP, _TINY)) ** K
-    safe = np.where(ok[..., None, None], P, np.eye(K, dtype=np.complex128))
+    safe, ok = _regular(P)
     e0 = np.zeros(shape + (K,), dtype=np.complex128)
     e0[..., 0] = 1.0
     y = np.linalg.solve(safe, e0[..., None])[..., 0]
@@ -409,8 +399,7 @@ def _pair_M0(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     s2 = y[..., 0]
     ok = ok & (np.abs(s2) > 1e-28)
     s = np.sqrt(np.where(ok, s2, 1.0))
-    M0 = raw / s[..., None, None]
-    return M0, s, ok
+    return raw / s[..., None, None], ok
 
 
 def _axis_scan(shape: tuple[int, ...], start: float, step,
@@ -477,7 +466,7 @@ def _class_triple(rb: RatioBundle, fr: FrameData, alpha: np.ndarray):
     (beta - a grad u_1^2)/u_1^2 with beta = -H^{ij} Tr(alpha Hess v_j) grad v_i;
     c closes the equation of u_1 itself.  Not finite where u_1 vanishes.
     """
-    u1 = rb.u1.values
+    u1 = rb.u1
     Gf = rb.grad_v[list(fr.frame)]
     Hf = rb.hess_v[list(fr.frame)]
     cvec = np.einsum("...ik,j...ki->...j", alpha, Hf)
@@ -595,7 +584,7 @@ def _candidate(rb: RatioBundle, frame, subset, u1_max: float) -> tuple[np.ndarra
     solvable frame and pairing, and the triple is u_1-normalized."""
     fr = build_frame(rb, cond_max=None, frame=frame)
     mb = build_M(rb, fr, indep_min=None, generators=subset)
-    margin = np.abs(rb.u1.values) / max(u1_max, _TINY)
+    margin = np.abs(rb.u1) / max(u1_max, _TINY)
     return (margin / np.maximum(fr.cond, 1.0) * mb.indep, mb.indep, mb.ok & fr.ok,
             *_class_triple(rb, fr, mb.M0)[:3])
 
@@ -673,7 +662,7 @@ def reconstruct_global(u: list[ScalarField], config: EngineConfig | None = None
     cfg = (config or EngineConfig()).validate()
     if not u:
         raise ValueError("no solutions supplied")
-    grid = _common_grid(u)
+    grid = common_grid(u)
     n = grid.dim
     if len(u) < num_solutions(n):
         raise ValueError(f"need at least {num_solutions(n)} solutions, got {len(u)}")

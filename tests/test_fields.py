@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaugerec import (
+    BoundaryTrace,
     Grid,
     ScalarField,
     SymTensorField,
@@ -53,6 +54,21 @@ def test_grid_validation():
         Grid((17, 17), ((1.0, 0.0), (0.0, 1.0)))
     with pytest.raises(ValueError):
         ScalarField(grid2(), np.zeros((32, 33)))
+
+
+def test_on_boundary_gathers_boundary_nodes_and_keeps_component_axes():
+    g = Grid((17, 33), ((0.0, 1.0), (-1.0, 1.0)))
+    x1, x2 = g.meshes
+    f = (x1 + 2.0 * x2 * x1).astype(complex)
+    assert np.array_equal(g.on_boundary(f), BoundaryTrace.from_node_values(g, f).values)
+    packed = SymTensorField.from_matrix(
+        g, np.einsum("...,ij->...ij", 1.0 + x1 * x2, [[1.0, 0.5], [0.5, 2.0]]))
+    got = g.on_boundary(packed.values)
+    assert got.shape == (g.boundary_flat.size, 3)
+    for p in range(3):
+        assert np.array_equal(got[:, p], g.on_boundary(packed.values[..., p]))
+    with pytest.raises(ValueError):
+        g.on_boundary(f.T)
 
 
 def test_subgrid_window():

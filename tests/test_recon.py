@@ -206,7 +206,7 @@ def test_ratio_window_equals_ratios_of_the_dilated_crop(shape, box):
     assert win.grid == ref.grid
     for name in ("v", "grad_v", "hess_v", "grad_u1", "hess_u1"):
         assert np.array_equal(getattr(win, name), getattr(ref, name)), name
-    assert np.array_equal(win.u1.values, ref.u1.values)
+    assert np.array_equal(win.u1, ref.u1)
 
 
 @pytest.mark.parametrize("m, patch_size, overlap", [(65, 17, 14), (33, 31, 30)])
@@ -264,7 +264,7 @@ def test_candidate_windows_equal_the_engine_on_the_window(monkeypatch, shape, bo
     score, indep, ok = caches["candidate"](i1, frame, subset)[:3]
     fr = build_frame(win, cond_max=None, frame=frame)
     mb = build_M(win, fr, indep_min=None, generators=subset)
-    margin = np.abs(win.u1.values) / np.abs(fields[i1].values).max()
+    margin = np.abs(win.u1) / np.abs(fields[i1].values).max()
     assert np.array_equal(indep[box], mb.indep)
     assert np.array_equal(ok[box], mb.ok & fr.ok)
     assert np.array_equal(score[box], margin / np.maximum(fr.cond, 1.0) * mb.indep)
