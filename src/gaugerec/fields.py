@@ -371,10 +371,11 @@ def save_field(f: _Field, path) -> None:
             "extent": [list(e) for e in f.grid.extent],
         },
         "kind": f.kind,
-        "values": [[float(z.real), float(z.imag)] for z in flat],
+        "values": np.stack([flat.real, flat.imag], axis=-1).tolist(),
     }
+    # json.dumps encodes in C; json.dump streams through the Python encoder.
     with open(path, "w") as fh:
-        json.dump(payload, fh)
+        fh.write(json.dumps(payload))
 
 
 def load_field(path) -> _Field:

@@ -17,6 +17,7 @@ known boundary values move to the right-hand side.  The interior nodes are
 numbered by nested dissection of the box (George 1973: recursive bisection,
 each separator plane after the two halves it splits), and SuperLU factors the
 interior block in that order, without a column permutation of its own.  The
+order depends only on the grid shape and is computed once per shape.  The
 factorization is done once per coefficient set, so synthesizing many
 illuminations reuses it.  The conservative flux solve of the photoacoustic
 front end goes through the same factor and solve (``_InteriorLU``).  Every
@@ -26,6 +27,7 @@ raises SingularSystem.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,9 +152,13 @@ def _flat_strides(shape: tuple[int, ...]) -> np.ndarray:
     return strides
 
 
+@functools.cache
 def _nested_dissection(shape: tuple[int, ...]) -> np.ndarray:
     """Flat indices of the interior nodes of a box grid, in nested-dissection
     order (George 1973).
+
+    The order depends on the shape alone, so it is computed once per shape
+    and cached; the returned array is read-only because every caller shares it.
 
     The interior box is cut along its longest axis by a plane one node thick;
     each half is ordered the same way and the plane goes after both.  No
@@ -162,7 +168,9 @@ def _nested_dissection(shape: tuple[int, ...]) -> np.ndarray:
     nodes = np.arange(int(np.prod(shape))).reshape(shape)
     parts = []
     _dissect(nodes[(slice(1, -1),) * len(shape)], parts)
-    return np.concatenate(parts)
+    order = np.concatenate(parts)
+    order.flags.writeable = False
+    return order
 
 
 def _dissect(block: np.ndarray, parts: list) -> None:

@@ -284,22 +284,39 @@ def build_frame(rb: RatioBundle, cond_max: float | None = 1e6,
     return FrameData(tuple(frame), H, Hinv, cond, det_ok)
 
 
-def _regular(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked small matrices with the identity in place of every singular
-    node, where |det| <= (1e-14 max|A|)^n, and the flag of the regular nodes.
-    The one singular-node rule of the frame inverse and the pairing solve."""
+def _regular(A: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """Flag of the regular nodes of stacked small matrices ``A`` whose
+    determinants ``det`` the caller computed: a node is singular where
+    |det| <= (1e-14 max|A|)^n, or where ``det`` or an entry of A is NaN or
+    A holds an infinity.  The one singular-node rule of the frame inverse
+    and the pairing solve."""
     n = A.shape[-1]
-    det = np.linalg.det(A)
     scale = np.max(np.abs(A), axis=(-2, -1))
-    ok = np.abs(det) > (1e-14 * np.maximum(scale, _TINY)) ** n
-    return np.where(ok[..., None, None], A, np.eye(n, dtype=np.complex128)), ok
+    return np.abs(det) > (1e-14 * np.maximum(scale, _TINY)) ** n
+
+
+def _det_adj(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Determinant and adjugate of stacked 2 x 2 or 3 x 3 matrices, in
+    closed form.  In 3D the rows of the adjugate are the cross products of
+    the columns c1 x c2, c2 x c0 and c0 x c1, and det = c0 . (c1 x c2)."""
+    if A.shape[-1] == 2:
+        a, b, c, d = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
+        adj = np.stack([np.stack([d, -b], axis=-1), np.stack([-c, a], axis=-1)], axis=-2)
+        return a * d - b * c, adj
+    c0, c1, c2 = A[..., :, 0], A[..., :, 1], A[..., :, 2]
+    adj = np.stack([np.cross(c1, c2), np.cross(c2, c0), np.cross(c0, c1)], axis=-2)
+    return np.einsum("...i,...i->...", adj[..., 0, :], c0), adj
 
 
 def _invert_stack(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise inverse of stacked small matrices, flagging singular nodes
-    instead of raising."""
-    safe, ok = _regular(H)
-    return np.linalg.inv(safe), ok
+    """Pointwise inverse adj(H)/det(H) of stacked 2 x 2 or 3 x 3 matrices
+    (closed form, :func:`_det_adj`), with the identity in place of every
+    node that :func:`_regular` calls singular, and the flag of the regular
+    nodes.  Singular nodes are flagged instead of raising."""
+    det, adj = _det_adj(H)
+    ok = _regular(H, det)
+    inv = adj / np.where(ok, det, 1.0)[..., None, None]
+    return np.where(ok[..., None, None], inv, np.eye(H.shape[-1], dtype=np.complex128)), ok
 
 
 def build_M(rb: RatioBundle, fr: FrameData, indep_min: float | None = 1e-8,
@@ -391,7 +408,8 @@ def _pair_M0(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     K = stack.shape[0]
     shape = stack.shape[1:-2]
     P = np.einsum("k...ij,m...ji->...km", stack, stack)
-    safe, ok = _regular(P)
+    ok = _regular(P, np.linalg.det(P))
+    safe = np.where(ok[..., None, None], P, np.eye(K, dtype=np.complex128))
     e0 = np.zeros(shape + (K,), dtype=np.complex128)
     e0[..., 0] = 1.0
     y = np.linalg.solve(safe, e0[..., None])[..., 0]

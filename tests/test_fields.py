@@ -206,6 +206,27 @@ def test_save_preserves_full_precision(tmp_path):
     assert load_field(path).values[0, 0] == f.values[0, 0]
 
 
+def test_save_writes_the_documented_payload_byte_for_byte(tmp_path):
+    """The archive is json.dumps of the documented payload, the values built
+    one [re, im] pair of Python floats per entry; signed zeros, subnormals
+    and very large and very small magnitudes included."""
+    g = Grid((10, 9), ((0.0, 1.0), (-1.0, 2.5)))
+    rng = np.random.default_rng(3)
+    vals = rng.standard_normal(g.shape + (2, 2)) + 1j * rng.standard_normal(g.shape + (2, 2))
+    vals = (vals + np.swapaxes(vals, -1, -2)).reshape(-1)
+    vals[:5] = [-0.0 + 0j, 5e-324 - 0.0j, -1e-310 + 1j, 1e300 - 1e-300j, 0.1 + 0.2j]
+    for f in (ScalarField(g, vals[:90].reshape(g.shape)),
+              SymTensorField.from_matrix(g, vals.reshape(g.shape + (2, 2)))):
+        path = tmp_path / f"{f.kind}.json"
+        save_field(f, path)
+        payload = {
+            "grid": {"shape": [10, 9], "extent": [[0.0, 1.0], [-1.0, 2.5]]},
+            "kind": f.kind,
+            "values": [[float(z.real), float(z.imag)] for z in f.values.ravel()],
+        }
+        assert path.read_bytes() == json.dumps(payload).encode()
+
+
 def test_load_rejects_tampered_kind(tmp_path):
     g = grid2(9)
     path = tmp_path / "f.json"

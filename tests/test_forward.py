@@ -250,6 +250,30 @@ def test_nested_dissection_orders_every_interior_node_once(shape):
     assert np.array_equal(np.sort(order), interior)
 
 
+def test_nested_dissection_is_cached_per_shape_and_read_only():
+    order = _nested_dissection((12, 10))  # a shape no other test solves on
+    assert _nested_dissection((12, 10)) is order
+    with pytest.raises(ValueError):
+        order[0] = 0
+
+
+def test_systems_sharing_a_cached_order_solve_as_fresh_ones():
+    """Grids of one shape and different extents share the cached order; each
+    system solves exactly as one built with an empty cache."""
+    grids = [Grid((13, 11), ((0.0, 1.0), (0.0, 1.0))),
+             Grid((13, 11), ((-1.0, 2.0), (0.5, 1.0)))]
+
+    def solve(grid):
+        xs = grid.meshes
+        f = BoundaryTrace.from_node_values(grid, np.exp(xs[0] - 0.5j * xs[1]))
+        return DirichletSystem(variable_coeffs(grid)).solve(f).values
+
+    shared = [solve(grid) for grid in grids]
+    for grid, u in zip(grids, shared):
+        _nested_dissection.cache_clear()
+        assert np.array_equal(solve(grid), u)
+
+
 @pytest.mark.parametrize("shape", [(17, 13), (11, 12, 10)])
 def test_nested_dissection_separators_decouple_their_halves(shape):
     """Walk the bisection tree: at every split, no entry of the interior

@@ -135,6 +135,49 @@ def test_vanishing_first_field_is_rejected():
         build_ratios([u1, u2], floor=1e-8)
 
 
+def _lapack_regular(H):
+    """The singular-node rule written with LAPACK's determinant."""
+    scale = np.maximum(np.abs(H).max(axis=(-2, -1)), recon._TINY)
+    return np.abs(np.linalg.det(H)) > (1e-14 * scale) ** H.shape[-1]
+
+
+@pytest.mark.parametrize("shape, n", [((17, 17), 2), ((9, 9, 9), 3)])
+def test_closed_form_inverse_matches_lapack(shape, n):
+    rng = np.random.default_rng(11)
+    B = rng.standard_normal(shape + (n, n)) + 1j * rng.standard_normal(shape + (n, n))
+    H = n * np.eye(n) + 0.2 * (B + np.swapaxes(B, -1, -2))
+    Hinv, ok = recon._invert_stack(H)
+    assert ok.all() and np.array_equal(ok, _lapack_regular(H))
+    ref = np.linalg.inv(H)
+    err = np.abs(Hinv - ref).max(axis=(-2, -1)) / np.abs(ref).max(axis=(-2, -1))
+    assert err.max() <= 1e-13
+    assert np.abs(H @ Hinv - np.eye(n)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_closed_form_inverse_flags_singular_nodes(n):
+    """Rank-one H from parallel gradients, a zero matrix and non-finite
+    nodes get the identity and ``ok == False``, as under the LAPACK rule.
+    A complex rank-one H has det exactly 0 in closed form too; LAPACK's
+    pivoted elimination of it can leave a roundoff det (2.5e-16 in 2D)."""
+    def rank_one(g):
+        G = np.stack([np.asarray(g[:n]) * 2.0 ** k for k in range(n)])
+        return G @ G.T
+    H = np.stack([np.eye(n), rank_one([0.3, -0.7, 0.2]), np.zeros((n, n))]
+                 + [np.eye(n)] * 3).astype(complex)
+    H[3, 0, 0] = np.nan
+    H[4, n - 1, 0] = np.inf
+    H[5, :, :] = -np.inf
+    with np.errstate(all="ignore"):  # as inside the engine's slabs
+        Hinv, ok = recon._invert_stack(H)
+        lapack_ok = _lapack_regular(H)
+    assert ok.tolist() == [True] + [False] * 5
+    assert np.array_equal(ok, lapack_ok)
+    assert np.array_equal(Hinv[1:], np.broadcast_to(np.eye(n), (5, n, n)))
+    Hinv, ok = recon._invert_stack(rank_one([0.3 + 0.1j, -0.7, 0.2j])[None])
+    assert not ok[0] and np.array_equal(Hinv[0], np.eye(n))
+
+
 def test_degenerate_frame_is_rejected():
     grid = square_grid(17)
     x1, x2 = grid.meshes

@@ -1,0 +1,47 @@
+"""The output comparison of ``tools/same_outputs.py``, bitwise and with rtol."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "same_outputs.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("same_outputs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_first_difference_with_and_without_rtol():
+    tool = load_tool()
+    a = np.array([1.0, np.nan, -np.inf, 4.0])
+    z = np.array([1.0 + 1j, -2j])
+    out = {"x": [a, 0.5, (3, "box")], "ok": np.array([True, False]), "z": z}
+
+    def moved(**change):
+        b = {"x": [a * (1 + 1e-14), 0.5 * (1 + 1e-14), (3, "box")],
+             "ok": np.array([True, False]), "z": z * (1 - 1e-14)}
+        for key, value in change.items():
+            b[key] = value
+        return b
+
+    assert tool.first_difference(out, out) is None
+    assert tool.first_difference(out, moved()) == "item.x[0]: values"
+    assert tool.first_difference(out, moved(), rtol=1e-13) is None
+    assert tool.first_difference(out, moved(), rtol=1e-15).startswith(
+        "item.x[0]: relative difference")
+    assert 1e-15 < tool.largest_relative_difference(out, moved()) < 2e-14
+
+    # non-finite entries must match in place and value
+    b = moved()
+    b["x"][0] = a.copy()
+    b["x"][0][1] = np.inf
+    assert tool.first_difference(out, b, rtol=1.0) == \
+        "item.x[0]: relative difference inf above 1"
+    # every other leaf stays exact
+    for key, value in (("x", [a, 0.5, (4, "box")]), ("ok", np.array([True, True]))):
+        assert tool.first_difference(out, moved(**{key: value}), rtol=1.0)
+    assert tool.first_difference({"x": 1}, {"y": 1}) == "item.x: only in A"

@@ -1,14 +1,22 @@
-"""Check that two source trees of gaugerec compute the same outputs, bit for bit.
+"""Check that two source trees of gaugerec compute the same outputs, bit for
+bit or to a relative tolerance.
 
-    python tools/same_outputs.py A_SRC B_SRC
+    python tools/same_outputs.py A_SRC B_SRC [--rtol R]
 
 A_SRC and B_SRC are ``src`` directories (each holding a ``gaugerec``
 package).  The item list below runs once per tree, each tree in its own
 process with one BLAS thread; the outputs are pickled and compared item by
 item: arrays with NaN-aware ``np.array_equal`` (shape and dtype included),
 dicts and sequences element-wise, everything else with ``==``.  Every item
-that differs is printed with the path of its first difference; the exit
-status is 1 if any item differs, else 0.
+that differs is printed with the path of its first difference and the
+largest relative difference of its float and complex leaves; the exit status
+is 1 if any item differs, else 0.
+
+With ``--rtol R`` a float or complex leaf passes when its non-finite entries
+sit at the same positions with the same values and max|a - b| <= R max|a|
+over the rest; every other leaf (selections, boxes, signs, coverage, flags,
+raised exceptions, archive bytes) must still be equal.  An item that passes
+only within R is printed as ``WITHIN`` with its largest relative difference.
 
 An item that raises records the exception's type and message, so an error
 compares like any other output.  Report timings are dropped; each run's
@@ -18,6 +26,7 @@ alone.
 
 from __future__ import annotations
 
+import argparse
 import os
 import pickle
 import subprocess
@@ -102,6 +111,7 @@ def collect() -> dict:
             lambda: _global(g, data, patched))
 
     items.update(_gauge_items(g))
+    items["archive bytes"] = _archives(g)
 
     grid = g.square_grid(9)
     x1 = grid.meshes[0]
@@ -117,6 +127,19 @@ def collect() -> dict:
     except g.EllipticityViolation as exc:
         items["EllipticityViolation 9^2"] = (str(exc), exc.nodes)
     return items
+
+
+def _archives(g) -> list[bytes]:
+    """The files ``save_field`` writes for a tensor, vector and scalar field."""
+    coeffs = g.PRESETS["smooth-complex-2d"].coefficients(g.square_grid(33))
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for f in (coeffs.a, coeffs.b, coeffs.c):
+            path = os.path.join(tmp, f"{f.kind}.json")
+            g.save_field(f, path)
+            with open(path, "rb") as fh:
+                out.append(fh.read())
+    return out
 
 
 def _stages(g, data) -> dict:
@@ -187,33 +210,91 @@ def _split(s) -> tuple:
     return s.tau.values, s.unit.values, s.convention
 
 
-def first_difference(a, b, path: str = "item") -> str | None:
-    """The path of the first place where ``a`` and ``b`` differ, else None."""
+_MISSING = object()
+
+
+def _leaves(a, b, path: str):
+    """(path, a, b) for each pair of leaves of two outputs, in order; where
+    their structure differs, (path, message, _MISSING) instead."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        yield path, a, b
+    elif isinstance(a, dict) and isinstance(b, dict):
+        for k in sorted(set(a) | set(b), key=str):
+            if k not in a or k not in b:
+                yield f"{path}.{k}", f"only in {'B' if k in b else 'A'}", _MISSING
+            else:
+                yield from _leaves(a[k], b[k], f"{path}.{k}")
+    elif isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
+        if type(a) is not type(b) or len(a) != len(b):
+            yield path, f"{type(a).__name__}[{len(a)}] vs {type(b).__name__}[{len(b)}]", _MISSING
+        else:
+            for i, (x, y) in enumerate(zip(a, b)):
+                yield from _leaves(x, y, f"{path}[{i}]")
+    else:
+        yield path, a, b
+
+
+def _inexact(a, b) -> tuple[np.ndarray, np.ndarray] | None:
+    """Both leaves as arrays when they are float or complex of one type and
+    shape, else None."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        a, b = np.asarray(a), np.asarray(b)
+        ok = a.shape == b.shape and a.dtype == b.dtype and a.dtype.kind in "fc"
+        return (a, b) if ok else None
+    if isinstance(a, (float, complex)) and type(a) is type(b):
+        return np.asarray(a), np.asarray(b)
+    return None
+
+
+def _relative_difference(a: np.ndarray, b: np.ndarray) -> float:
+    """max|a - b| / max|a| over the finite entries; inf where the non-finite
+    entries differ in position or value."""
+    fin = np.isfinite(a)
+    if not (np.array_equal(fin, np.isfinite(b))
+            and np.array_equal(a[~fin], b[~fin], equal_nan=True)):
+        return np.inf
+    diff = float(np.abs(a[fin] - b[fin]).max(initial=0.0))
+    scale = float(np.abs(a[fin]).max(initial=0.0))
+    return diff / scale if scale > 0.0 else (np.inf if diff > 0.0 else 0.0)
+
+
+def _leaf_difference(a, b, rtol: float | None) -> str | None:
+    pair = _inexact(a, b) if rtol is not None else None
+    if pair is not None:
+        rel = _relative_difference(*pair)
+        return None if rel <= rtol else f"relative difference {rel:.3g} above {rtol:g}"
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         a, b = np.asarray(a), np.asarray(b)
         if a.shape != b.shape or a.dtype != b.dtype:
-            return f"{path}: shape/dtype {a.shape} {a.dtype} vs {b.shape} {b.dtype}"
+            return f"shape/dtype {a.shape} {a.dtype} vs {b.shape} {b.dtype}"
         nan_ok = a.dtype.kind in "fc"
-        return None if np.array_equal(a, b, equal_nan=nan_ok) else f"{path}: values"
-    if isinstance(a, dict) and isinstance(b, dict):
-        for k in sorted(set(a) | set(b), key=str):
-            if k not in a or k not in b:
-                return f"{path}.{k}: only in {'B' if k in b else 'A'}"
-            diff = first_difference(a[k], b[k], f"{path}.{k}")
-            if diff:
-                return diff
-        return None
-    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
-        if type(a) is not type(b) or len(a) != len(b):
-            return f"{path}: {type(a).__name__}[{len(a)}] vs {type(b).__name__}[{len(b)}]"
-        for i, (x, y) in enumerate(zip(a, b)):
-            diff = first_difference(x, y, f"{path}[{i}]")
-            if diff:
-                return diff
-        return None
+        return None if np.array_equal(a, b, equal_nan=nan_ok) else "values"
     if isinstance(a, float) and isinstance(b, float) and a != a and b != b:
         return None  # both NaN
-    return None if type(a) is type(b) and a == b else f"{path}: {a!r} vs {b!r}"
+    return None if type(a) is type(b) and a == b else f"{a!r} vs {b!r}"
+
+
+def first_difference(a, b, path: str = "item", rtol: float | None = None) -> str | None:
+    """The path of the first place where ``a`` and ``b`` differ, else None.
+
+    Without ``rtol`` every leaf must be equal bit for bit (NaN equal to NaN).
+    With it, a float or complex leaf passes when its non-finite entries
+    match in position and value and max|a - b| <= rtol max|a| over the rest;
+    every other leaf must still be equal.
+    """
+    for where, x, y in _leaves(a, b, path):
+        diff = x if y is _MISSING else _leaf_difference(x, y, rtol)
+        if diff:
+            return f"{where}: {diff}"
+    return None
+
+
+def largest_relative_difference(a, b) -> float:
+    """The largest :func:`_relative_difference` over the float and complex
+    leaves that ``a`` and ``b`` both hold with one type and shape."""
+    rels = [_relative_difference(*pair) for _, x, y in _leaves(a, b, "")
+            if y is not _MISSING and (pair := _inexact(x, y)) is not None]
+    return max(rels, default=0.0)
 
 
 def _run_tree(src: str, out: str) -> None:
@@ -227,12 +308,17 @@ def main(argv: list[str]) -> int:
         with open(argv[1], "wb") as fh:
             pickle.dump(collect(), fh)
         return 0
-    if len(argv) != 2:
-        print("usage: python tools/same_outputs.py A_SRC B_SRC", file=sys.stderr)
-        return 2
+    parser = argparse.ArgumentParser(
+        prog="python tools/same_outputs.py",
+        description="Compare the outputs of two gaugerec source trees.")
+    parser.add_argument("a_src")
+    parser.add_argument("b_src")
+    parser.add_argument("--rtol", type=float, default=None,
+                        help="pass float and complex leaves within this relative difference")
+    args = parser.parse_args(argv)
     outputs = []
     with tempfile.TemporaryDirectory() as tmp:
-        for k, src in enumerate(argv):
+        for k, src in enumerate((args.a_src, args.b_src)):
             path = os.path.join(tmp, f"{k}.pkl")
             _run_tree(src, path)
             with open(path, "rb") as fh:
@@ -242,13 +328,20 @@ def main(argv: list[str]) -> int:
     differ = 0
     for name in names:
         if name not in a or name not in b:
-            diff = f"item only in {'B' if name in b else 'A'}"
-        else:
-            diff = first_difference(a[name], b[name])
+            print(f"DIFFERS  {name}: item only in {'B' if name in b else 'A'}")
+            differ += 1
+            continue
+        if first_difference(a[name], b[name]) is None:
+            continue
+        rel = f"largest relative difference {largest_relative_difference(a[name], b[name]):.3g}"
+        diff = first_difference(a[name], b[name], rtol=args.rtol)
         if diff:
             differ += 1
-            print(f"DIFFERS  {name}: {diff}")
-    print(f"{len(names) - differ} of {len(names)} items equal")
+            print(f"DIFFERS  {name}: {diff}; {rel}")
+        else:
+            print(f"WITHIN   {name}: {rel}")
+    print(f"{len(names) - differ} of {len(names)} items equal"
+          + ("" if args.rtol is None else f" within rtol {args.rtol:g}"))
     return 1 if differ else 0
 
 
