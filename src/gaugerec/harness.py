@@ -301,6 +301,7 @@ class ExperimentConfig:
                 check(f"{key}[{i}]", x, (kind,), what)
         check("mollify_width", self.mollify_width, (Real,), "a number")
         check("seed", self.seed, (Integral,), "an integer")
+        check("engine", self.engine, (EngineConfig,), "an EngineConfig")
         check("illumination", self.illumination, (dict,), "an object")
         params = check("illumination.params", self.illumination.get("params", {}),
                        (dict,), "an object")

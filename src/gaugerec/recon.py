@@ -16,11 +16,13 @@ representative of the coefficient triple:
 
 ``reconstruct_global`` selects u_1, frame, and generators per patch.  The
 engine is pointwise, so each candidate is evaluated once on the whole grid,
-in row slabs, and a patch only reduces windows of its fields.  In the same
-pass it blends each patch in the pointwise unit-Frobenius gauge, which does
-not depend on which u_1 the patch picked and fixes its class up to one
-sign: the sign that agrees with the blend so far, so the first admissible
-patch seeds +1.
+in row slabs, and a patch only reduces windows of its fields.  Frames are
+ranked from one Gram matrix of all ratio gradients per u_1 and slab: each
+frame's H is a sub-block of it, and its condition number comes from det H
+and the cofactors in closed form.  In the same pass it blends each patch in
+the pointwise unit-Frobenius gauge, which does not depend on which u_1 the
+patch picked and fixes its class up to one sign: the sign that agrees with
+the blend so far, so the first admissible patch seeds +1.
 """
 
 from __future__ import annotations
@@ -146,8 +148,10 @@ class RatioBundle:
 @dataclass
 class FrameData:
     """Gram data of the frame ratios (indices ``frame``): H, its inverse, the
-    pointwise Frobenius condition number ||H|| ||H^-1||, and ``ok`` where H
-    is regular."""
+    pointwise Frobenius condition number
+    cond = ||H|| ||adj H|| / |det H| = ||H|| ||H^-1|| (``inf`` where H is
+    singular), and ``ok`` where H is regular.  ``cond`` is the selector's
+    ranking field (:func:`_sym_cond`), bit for bit."""
 
     frame: tuple[int, ...]
     H: np.ndarray
@@ -272,9 +276,7 @@ def build_frame(rb: RatioBundle, cond_max: float | None = 1e6,
     G = rb.grad_v[list(frame)]
     H = np.einsum("i...k,j...k->...ij", G, G)
     Hinv, det_ok = _invert_stack(H)
-    normH = np.sqrt(np.sum(np.abs(H) ** 2, axis=(-2, -1)))
-    normHi = np.sqrt(np.sum(np.abs(Hinv) ** 2, axis=(-2, -1)))
-    cond = np.where(det_ok, normH * normHi, np.inf)
+    cond = _sym_cond(_gram(G), range(n))
     if cond_max is not None:
         bad = ~(cond <= cond_max)
         if bad.any():
@@ -284,15 +286,61 @@ def build_frame(rb: RatioBundle, cond_max: float | None = 1e6,
     return FrameData(tuple(frame), H, Hinv, cond, det_ok)
 
 
-def _regular(A: np.ndarray, det: np.ndarray) -> np.ndarray:
-    """Flag of the regular nodes of stacked small matrices ``A`` whose
-    determinants ``det`` the caller computed: a node is singular where
-    |det| <= (1e-14 max|A|)^n, or where ``det`` or an entry of A is NaN or
-    A holds an infinity.  The one singular-node rule of the frame inverse
-    and the pairing solve."""
-    n = A.shape[-1]
-    scale = np.max(np.abs(A), axis=(-2, -1))
+def _regular(det: np.ndarray, scale: np.ndarray, n: int) -> np.ndarray:
+    """Flag of the regular nodes of stacked n x n matrices A whose
+    determinants ``det`` and largest entry moduli ``scale`` = max|A| the
+    caller computed: a node is singular where |det| <= (1e-14 max|A|)^n, or
+    where ``det`` or an entry of A is NaN or A holds an infinity.  The one
+    singular-node rule of the frame inverse, the frame condition number and
+    the pairing solve."""
     return np.abs(det) > (1e-14 * np.maximum(scale, _TINY)) ** n
+
+
+def _gram(G: np.ndarray) -> dict:
+    """Bilinear products G_i . G_j (no conjugation) of a stack of vector
+    fields ``G`` (m, *shape, n), keyed (i, j) with i <= j.  Each is an
+    elementwise sum of products, so every node rounds alike in any array
+    it sits in: the products of a window are bitwise a window of the
+    products."""
+    m, n = G.shape[0], G.shape[-1]
+    h = {}
+    for i, j in itertools.combinations_with_replacement(range(m), 2):
+        h[i, j] = G[i, ..., 0] * G[j, ..., 0]
+        for k in range(1, n):
+            h[i, j] += G[i, ..., k] * G[j, ..., k]
+    return h
+
+
+def _sym_cond(h: dict, frame) -> np.ndarray:
+    """Frobenius condition number ||H|| ||adj H|| / |det H| = ||H|| ||H^-1||
+    of the symmetric 2 x 2 or 3 x 3 matrices H_ab = h[frame_a, frame_b]
+    (``h`` as from :func:`_gram`), with det H and the cofactors in closed
+    form and without forming H or its inverse; ``inf`` at the nodes that
+    :func:`_regular` calls singular."""
+    f = tuple(frame)
+    n = len(f)
+    e = {(a, b): h[f[a], f[b]] for a, b in SYM_PAIRS[n]}
+    if n == 2:
+        cof = {(0, 0): e[1, 1], (0, 1): -e[0, 1], (1, 1): e[0, 0]}
+    else:
+        cof = {(0, 0): e[1, 1] * e[2, 2] - e[1, 2] * e[1, 2],
+               (0, 1): e[0, 2] * e[1, 2] - e[0, 1] * e[2, 2],
+               (0, 2): e[0, 1] * e[1, 2] - e[0, 2] * e[1, 1],
+               (1, 1): e[0, 0] * e[2, 2] - e[0, 2] * e[0, 2],
+               (1, 2): e[0, 1] * e[0, 2] - e[0, 0] * e[1, 2],
+               (2, 2): e[0, 0] * e[1, 1] - e[0, 1] * e[0, 1]}
+    det = sum(e[0, b] * cof[0, b] for b in range(n))
+    mod = {ab: np.abs(x) for ab, x in e.items()}
+    ok = _regular(det, functools.reduce(np.maximum, mod.values()), n)
+    adj_mod = {ab: np.abs(x) for ab, x in cof.items()}
+    norms = np.sqrt(_sym_norm2(mod) * _sym_norm2(adj_mod))
+    return np.divide(norms, np.abs(det), out=np.full(ok.shape, np.inf), where=ok)
+
+
+def _sym_norm2(mod: dict) -> np.ndarray:
+    """Squared Frobenius norm of symmetric matrices from the moduli of
+    their entries on and above the diagonal, keyed (a, b) with a <= b."""
+    return sum(x * x if a == b else 2.0 * (x * x) for (a, b), x in mod.items())
 
 
 def _det_adj(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -314,7 +362,7 @@ def _invert_stack(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     node that :func:`_regular` calls singular, and the flag of the regular
     nodes.  Singular nodes are flagged instead of raising."""
     det, adj = _det_adj(H)
-    ok = _regular(H, det)
+    ok = _regular(det, np.abs(H).max(axis=(-2, -1)), H.shape[-1])
     inv = adj / np.where(ok, det, 1.0)[..., None, None]
     return np.where(ok[..., None, None], inv, np.eye(H.shape[-1], dtype=np.complex128)), ok
 
@@ -408,7 +456,7 @@ def _pair_M0(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     K = stack.shape[0]
     shape = stack.shape[1:-2]
     P = np.einsum("k...ij,m...ji->...km", stack, stack)
-    ok = _regular(P, np.linalg.det(P))
+    ok = _regular(np.linalg.det(P), np.abs(P).max(axis=(-2, -1)), K)
     safe = np.where(ok[..., None, None], P, np.eye(K, dtype=np.complex128))
     e0 = np.zeros(shape + (K,), dtype=np.complex128)
     e0[..., 0] = 1.0
@@ -613,13 +661,15 @@ def _select_on_patch(u: list[ScalarField], box: tuple[slice, ...], ratios, conds
 
     ``ratios(i)`` (the bundle with ``u[i]`` as u_1), ``conds(i)`` (frame ->
     condition field) and ``candidate(i, frame, generators)`` (the fields of
-    ``_candidate``) are full-grid; the patch reduces windows of them.  Frames
-    go best conditioned first, candidates are ranked by worst-node score, and
-    a window that holds a non-finite value is not admissible.  Frame by
-    frame, the best-scoring candidate that clears every threshold wins and is
-    returned as (selection, score, (a, b + div a, c)), its triple in the
-    unit-Frobenius gauge.  Otherwise the best-scoring failed attempt is
-    returned as (selection, score, None) so the caller can report it.  None
+    ``_candidate``) are full-grid; the patch reduces windows of them.  The
+    condition fields come from one Gram matrix of the ratio gradients per
+    u_1 (:func:`_gram`, :func:`_sym_cond`).  Frames go best conditioned
+    first (worst node over the patch), candidates are ranked by worst-node
+    score, and a window that holds a non-finite value is not admissible.
+    Frame by frame, the best-scoring candidate that clears every threshold
+    wins and is returned as (selection, score, (a, b + div a, c)), its triple
+    in the unit-Frobenius gauge.  Otherwise the best-scoring failed attempt
+    is returned as (selection, score, None) so the caller can report it.  None
     when no u_1 candidate clears the floor.
     """
     G_needed = num_generators(u[0].grid.dim)
@@ -672,10 +722,13 @@ def reconstruct_global(u: list[ScalarField], config: EngineConfig | None = None
     unit-Frobenius gauge (independent of the u_1 choice), is blended with a
     smooth partition of unity as soon as it is selected.  A candidate is
     evaluated on the whole grid, in slabs of ``patch_size`` rows, when a
-    patch first asks for it.  The unit gauge fixes the class up to a sign
-    per patch; that sign aligns the patch with the blend accumulated so far,
-    so the first admissible patch seeds +1.  Raises CoverageFailure, carrying
-    the partial result, when some node is covered by no admissible patch.
+    patch first asks for it.  So are the condition fields of all frames of
+    a u_1, which are ranked from one Gram matrix of its ratio gradients per
+    slab, without building a frame.  The unit gauge fixes the class up to a
+    sign per patch; that sign aligns the patch with the blend accumulated so
+    far, so the first admissible patch seeds +1.  Raises CoverageFailure,
+    carrying the partial result, when some node is covered by no admissible
+    patch.
     """
     cfg = (config or EngineConfig()).validate()
     if not u:
@@ -693,10 +746,13 @@ def reconstruct_global(u: list[ScalarField], config: EngineConfig | None = None
         with np.errstate(all="ignore"):
             return _ratios(grid, [u[i1], *u[:i1], *u[i1 + 1:]])
 
+    def frame_conds(rb: RatioBundle) -> tuple[np.ndarray, ...]:
+        h = _gram(rb.grad_v)
+        return tuple(_sym_cond(h, combo) for combo in combos)
+
     @functools.cache
     def conds(i1: int) -> dict:
-        return dict(zip(combos, _slabwise(ratios(i1), cfg.patch_size, lambda rb: tuple(
-            build_frame(rb, cond_max=None, frame=combo).cond for combo in combos))))
+        return dict(zip(combos, _slabwise(ratios(i1), cfg.patch_size, frame_conds)))
 
     @functools.cache
     def candidate(i1: int, frame, subset) -> tuple[np.ndarray, ...]:

@@ -9,9 +9,10 @@ the measured numbers each test recorded through the `detail` fixture.
 import re
 import time
 
+import numpy as np
 import pytest
 
-from gaugerec import ExperimentConfig, run
+from gaugerec import ExperimentConfig, ScalarField, run
 
 CRITERIA = {
     1: "constant-class engine identities on analytic harmonic data",
@@ -38,6 +39,29 @@ def detail():
         _DETAILS[int(num)] = text
 
     return _record
+
+
+@pytest.fixture(scope="session")
+def strip_fields():
+    """Builder ``strip_fields(grid, redundant)`` of criterion 11's data.
+
+    The minimal five fields (1, x1, x2, x1 x2, Re w^3 / 6 with
+    w = x1 + i x2 - (0.5 - 0.3i)) admit no single global selection: the
+    last one's curvature matrix is proportional to the one before it
+    exactly on the column x1 = 0.5, which kills pointwise independence
+    there.  ``redundant`` appends (x1^2 - x2^2) / 2 and Im w^3 / 6, so
+    patch-wise selection can route around that column.
+    """
+
+    def build(grid, redundant):
+        x1, x2 = grid.meshes
+        w = (x1 + 1j * x2) - (0.5 - 0.3j)
+        vals = [np.ones(grid.shape), x1, x2, x1 * x2, np.real(w**3) / 6]
+        if redundant:
+            vals += [(x1**2 - x2**2) / 2, np.imag(w**3) / 6]
+        return [ScalarField(grid, v.astype(complex)) for v in vals]
+
+    return build
 
 
 @pytest.fixture(scope="session")

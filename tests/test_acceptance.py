@@ -46,15 +46,6 @@ from gaugerec.harness import (
 )
 
 
-def strip_fields(grid, redundant):
-    x1, x2 = grid.meshes
-    w = (x1 + 1j * x2) - (0.5 - 0.3j)
-    vals = [np.ones(grid.shape), x1, x2, x1 * x2, np.real(w**3) / 6]
-    if redundant:
-        vals += [(x1**2 - x2**2) / 2, np.imag(w**3) / 6]
-    return [ScalarField(grid, v.astype(complex)) for v in vals]
-
-
 def test_criterion_01_constant_class_identities(detail):
     t0 = time.perf_counter()
     grid = square_grid(65)
@@ -342,7 +333,7 @@ def test_criterion_10_real_data_mode(detail):
                f"{elapsed:.1f}s")
 
 
-def test_criterion_11_patch_reselection(detail):
+def test_criterion_11_patch_reselection(detail, strip_fields):
     t0 = time.perf_counter()
     grid = square_grid(65)
 

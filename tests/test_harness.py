@@ -68,6 +68,16 @@ def test_config_rejects_unknown_top_level_keys():
                                         key: 1})
 
 
+def test_config_rejects_an_engine_that_is_not_an_engine_config():
+    # from_dict converts the engine object; a dict passed to the constructor
+    # used to escape run() as an AttributeError
+    cfg = ExperimentConfig(mode="roundtrip", preset="smooth-complex-2d",
+                           engine={"patch_size": 17, "overlap": 8})
+    with pytest.raises(ConfigError, match="^engine: must be an EngineConfig, got {") as info:
+        run(cfg)
+    assert info.value.field == "engine"
+
+
 def test_stability_mode_requires_positive_noise():
     cfg = ExperimentConfig(mode="stability", preset="identity-2d",
                            grids=[17], noise=[0.0])
@@ -374,17 +384,13 @@ def test_cli_rejects_a_config_that_is_not_an_object(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: <root>: ")
 
 
-def test_cli_coverage_failure_writes_partials(tmp_path):
+def test_cli_coverage_failure_writes_partials(tmp_path, strip_fields):
     # data whose first field vanishes on a strip, no redundancy available
     from gaugerec import save_field
-    grid = square_grid(33)
-    x1, x2 = grid.meshes
-    w = (x1 + 1j * x2) - (0.5 - 0.3j)
-    vals = [np.ones(grid.shape), x1, x2, x1 * x2, np.real(w**3) / 6]
     inputs = []
-    for j, v in enumerate(vals):
+    for j, f in enumerate(strip_fields(square_grid(33), redundant=False)):
         p = tmp_path / f"u{j}.json"
-        save_field(ScalarField(grid, v.astype(complex)), p)
+        save_field(f, p)
         inputs.append(str(p))
     cfg = write_config(tmp_path, "rec.json",
                        {"mode": "reconstruct", "inputs": inputs})

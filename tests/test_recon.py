@@ -38,26 +38,6 @@ def harmonic_fields(grid):
     return harmonic_family(grid).fields()
 
 
-def strip_fields(grid):
-    """Minimal dataset whose natural first field vanishes on a line.
-
-    The last entry is built so its curvature matrix is proportional to the
-    one before it exactly on the column x1 = 0.5, which kills pointwise
-    independence there for any single global selection.
-    """
-    x1, x2 = grid.meshes
-    w = (x1 + 1j * x2) - (0.5 - 0.3j)
-    vals = [np.ones(grid.shape), x1, x2, x1 * x2, np.real(w**3) / 6]
-    return [ScalarField(grid, v.astype(complex)) for v in vals]
-
-
-def redundant_fields(grid):
-    x1, x2 = grid.meshes
-    w = (x1 + 1j * x2) - (0.5 - 0.3j)
-    extra = [(x1**2 - x2**2) / 2, np.imag(w**3) / 6]
-    return strip_fields(grid) + [ScalarField(grid, v.astype(complex)) for v in extra]
-
-
 # ---------------------------------------------------------------------------
 # Exact identities on the trivial class
 # ---------------------------------------------------------------------------
@@ -141,6 +121,18 @@ def _lapack_regular(H):
     return np.abs(np.linalg.det(H)) > (1e-14 * scale) ** H.shape[-1]
 
 
+def _closed_form_cond(H):
+    """The closed-form condition number of symmetric H, read from the
+    entries on and below the diagonal."""
+    n = H.shape[-1]
+    h = {(i, j): H[..., j, i] for i in range(n) for j in range(i, n)}
+    return recon._sym_cond(h, range(n))
+
+
+def _frob(A):
+    return np.sqrt(np.sum(np.abs(A) ** 2, axis=(-2, -1)))
+
+
 @pytest.mark.parametrize("shape, n", [((17, 17), 2), ((9, 9, 9), 3)])
 def test_closed_form_inverse_matches_lapack(shape, n):
     rng = np.random.default_rng(11)
@@ -152,6 +144,8 @@ def test_closed_form_inverse_matches_lapack(shape, n):
     err = np.abs(Hinv - ref).max(axis=(-2, -1)) / np.abs(ref).max(axis=(-2, -1))
     assert err.max() <= 1e-13
     assert np.abs(H @ Hinv - np.eye(n)).max() <= 1e-13
+    ref_cond = _frob(H) * _frob(ref)
+    assert np.abs(_closed_form_cond(H) / ref_cond - 1.0).max() <= 1e-13
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -168,14 +162,21 @@ def test_closed_form_inverse_flags_singular_nodes(n):
     H[3, 0, 0] = np.nan
     H[4, n - 1, 0] = np.inf
     H[5, :, :] = -np.inf
+    # the condition number reads a symmetric matrix: mirror the lower triangle
+    Hsym = np.tril(H) + np.swapaxes(np.tril(H, -1), -1, -2)
     with np.errstate(all="ignore"):  # as inside the engine's slabs
         Hinv, ok = recon._invert_stack(H)
         lapack_ok = _lapack_regular(H)
+        cond, lapack_sym_ok = _closed_form_cond(Hsym), _lapack_regular(Hsym)
     assert ok.tolist() == [True] + [False] * 5
     assert np.array_equal(ok, lapack_ok)
     assert np.array_equal(Hinv[1:], np.broadcast_to(np.eye(n), (5, n, n)))
-    Hinv, ok = recon._invert_stack(rank_one([0.3 + 0.1j, -0.7, 0.2j])[None])
+    assert np.array_equal(np.isinf(cond), ~lapack_sym_ok)
+    assert cond[0] == n  # ||Id|| ||Id^-1|| = sqrt(n)^2
+    H1 = rank_one([0.3 + 0.1j, -0.7, 0.2j])[None]
+    Hinv, ok = recon._invert_stack(H1)
     assert not ok[0] and np.array_equal(Hinv[0], np.eye(n))
+    assert np.isinf(_closed_form_cond(H1)[0])
 
 
 def test_degenerate_frame_is_rejected():
@@ -189,9 +190,9 @@ def test_degenerate_frame_is_rejected():
         build_frame(build_ratios([ones, f, f] + rest))
 
 
-def test_dependent_curvatures_are_rejected():
+def test_dependent_curvatures_are_rejected(strip_fields):
     grid = square_grid(33)
-    rb = build_ratios(strip_fields(grid))
+    rb = build_ratios(strip_fields(grid, redundant=False))
     fr = build_frame(rb)
     with pytest.raises(MDependent) as info:
         build_M(rb, fr)
@@ -253,7 +254,8 @@ def test_ratio_window_equals_ratios_of_the_dilated_crop(shape, box):
 
 
 @pytest.mark.parametrize("m, patch_size, overlap", [(65, 17, 14), (33, 31, 30)])
-def test_a_zero_of_u1_next_to_a_patch_is_a_coverage_failure(m, patch_size, overlap):
+def test_a_zero_of_u1_next_to_a_patch_is_a_coverage_failure(strip_fields, m, patch_size,
+                                                            overlap):
     # x1 vanishes on the grid line x1 = 0, which the strip's patches may try
     # as u_1.  At 65^2 and 17/14 a patch starts 3 nodes from that line; at
     # 33^2 and 31/30 one starts next to it, so its window's derivatives are
@@ -261,7 +263,7 @@ def test_a_zero_of_u1_next_to_a_patch_is_a_coverage_failure(m, patch_size, overl
     # VanishingU1 out of reconstruct_global instead of this CoverageFailure.
     grid = square_grid(m)
     with pytest.raises(CoverageFailure) as info:
-        reconstruct_global(strip_fields(grid),
+        reconstruct_global(strip_fields(grid, redundant=False),
                            EngineConfig(patch_size=patch_size, overlap=overlap))
     rep, pm = info.value.partial
     assert rep.grid == grid
@@ -314,6 +316,50 @@ def test_candidate_windows_equal_the_engine_on_the_window(monkeypatch, shape, bo
     ref = unit_gauge_triple(*reconstruct_class(win, fr, mb).triple_arrays())
     for got, want in zip(triple, ref):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("data, m, patch_size", [
+    ("strip-minimal", 65, 17),
+    ("strip-redundant", 65, 17),
+    ("constant-tensor-3d", 9, None),
+])
+def test_closed_form_cond_ranks_frames_like_the_inverse(strip_fields, data, m, patch_size):
+    # at every (patch, u_1) the frames the selector tries, best conditioned
+    # first, are the ones ||H|| ||H^-1|| with LAPACK's inverse would rank
+    # there, in the same order; singular and non-finite nodes are inf in both
+    if data.startswith("strip"):
+        grid = square_grid(m)
+        u = strip_fields(grid, redundant=data.endswith("redundant"))
+    else:
+        preset = PRESETS[data]
+        grid = square_grid(m, preset.dim)
+        u = synthesize(preset.coefficients(grid), preset.illumination(grid))
+    boxes = recon._patch_boxes(grid.shape, EngineConfig(patch_size=patch_size, overlap=12))
+    combos = list(itertools.combinations(range(len(u) - 1), grid.dim))
+    eye = np.eye(grid.dim)
+
+    def ranked(conds, box):
+        return [combo for _, combo in sorted((float(c[box].max()), combo)
+                                             for combo, c in zip(combos, conds))]
+
+    pairs = 0
+    for i1 in range(len(u)):
+        with np.errstate(all="ignore"):
+            rb = recon._ratios(grid, [u[i1], *u[:i1], *u[i1 + 1:]])
+            h = recon._gram(rb.grad_v)
+            closed = [recon._sym_cond(h, combo) for combo in combos]
+            inverse = []
+            for combo in combos:
+                G = rb.grad_v[list(combo)]
+                H = np.einsum("i...k,j...k->...ij", G, G)
+                ok = _lapack_regular(H)
+                Hinv = np.linalg.inv(np.where(ok[..., None, None], H, eye))
+                inverse.append(np.where(ok, _frob(H) * _frob(Hinv), np.inf))
+        for box in boxes:
+            top = slice(recon._MAX_FRAMES)
+            assert ranked(closed, box)[top] == ranked(inverse, box)[top], (i1, box)
+            pairs += 1
+    assert pairs == len(u) * len(boxes)
 
 
 def test_a_winner_may_vanish_outside_its_patch():
@@ -457,10 +503,10 @@ def test_three_dimensional_constant_class():
     assert np.abs(rep.c.values).max() < 1e-7
 
 
-def test_coverage_failure_carries_partial_output():
+def test_coverage_failure_carries_partial_output(strip_fields):
     grid = square_grid(33)
     with pytest.raises(CoverageFailure) as info:
-        reconstruct_global(strip_fields(grid))
+        reconstruct_global(strip_fields(grid, redundant=False))
     exc = info.value
     assert exc.uncovered.shape[0] > 0
     rep, pm = exc.partial

@@ -48,6 +48,10 @@ RUNS = {
     "roundtrip real-2d 33 17/8": dict(
         mode="roundtrip", preset="real-2d", grids=[33],
         engine={"patch_size": 17, "overlap": 8}),
+    # the benchmark's patched configuration: the ranking picks each patch's frame
+    "roundtrip smooth-complex-2d 97 17/8": dict(
+        mode="roundtrip", preset="smooth-complex-2d", grids=[97],
+        engine={"patch_size": 17, "overlap": 8}),
     "qpat 65": dict(mode="qpat", preset="qpat-demo", grids=[65]),
     "qpat 33 noisy": dict(mode="qpat", preset="qpat-demo", grids=[33],
                           noise=[1e-4], mollify_width=1.0),
@@ -109,6 +113,13 @@ def collect() -> dict:
             else g.EngineConfig(patch_size=17, overlap=8)
         items[f"preset {name}: reconstruct_global"] = _attempt(
             lambda: _global(g, data, patched))
+
+    # the patch map of the run item at 97^2 17/8: every patch's selection
+    grid = g.square_grid(97)
+    preset = g.PRESETS["smooth-complex-2d"]
+    data = g.synthesize(preset.coefficients(grid), preset.illumination(grid))
+    items["smooth-complex-2d 97 17/8: reconstruct_global"] = _attempt(
+        lambda: _global(g, data, g.EngineConfig(patch_size=17, overlap=8)))
 
     items.update(_gauge_items(g))
     items["archive bytes"] = _archives(g)
