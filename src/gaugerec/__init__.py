@@ -54,7 +54,6 @@ from .forward import (
     CoefficientSet,
     DirichletSystem,
     gauge_transform,
-    solve_dirichlet,
     synthesize,
 )
 from .illum import (

@@ -7,6 +7,9 @@ with the offending multi-indices so harness code can report or mask them.
 
 from __future__ import annotations
 
+import math
+from numbers import Integral, Real
+
 import numpy as np
 
 __all__ = [
@@ -48,8 +51,12 @@ class ConfigError(ToolkitError):
     def check(cls, field: str, value, types: tuple, what: str):
         """``value`` when it is an instance of ``types``, else a ConfigError
         naming ``field``.  A bool passes only when ``types`` names bool, so
-        a JSON true is not taken for a number."""
+        a JSON true is not taken for a number; a NaN or an infinity never
+        passes (JSON readers accept ``NaN`` and ``Infinity``)."""
         if isinstance(value, types) and (bool in types or not isinstance(value, bool)):
+            if isinstance(value, Real) and not isinstance(value, Integral) \
+                    and not math.isfinite(value):
+                raise cls(field, f"must be a finite number, got {value!r}")
             return value
         raise cls(field, f"must be {what}, got {value!r}")
 

@@ -49,7 +49,6 @@ __all__ = [
     "CoefficientSet",
     "BoundaryTrace",
     "DirichletSystem",
-    "solve_dirichlet",
     "gauge_transform",
     "synthesize",
 ]
@@ -324,12 +323,6 @@ class DirichletSystem:
             s = source.values.reshape(-1)[self._lu.order]
         u = self._lu.solve(f.values, s, trace_index=trace_index)
         return ScalarField(self.grid, u.reshape(self.grid.shape))
-
-
-def solve_dirichlet(coeffs: CoefficientSet, f: BoundaryTrace,
-                    source: ScalarField | None = None) -> ScalarField:
-    """One-shot Dirichlet solve; see :class:`DirichletSystem`."""
-    return DirichletSystem(coeffs).solve(f, source=source)
 
 
 def gauge_transform(coeffs: CoefficientSet, tau: ScalarField) -> CoefficientSet:

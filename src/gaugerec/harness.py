@@ -341,6 +341,8 @@ class ExperimentConfig:
                 raise ConfigError(f"noise[{i}]", "noise levels must be nonnegative")
         if self.mollify_width < 0:
             raise ConfigError("mollify_width", "must be nonnegative")
+        if self.seed < 0:
+            raise ConfigError("seed", "must be nonnegative")
         self.engine.validate()
         return self
 

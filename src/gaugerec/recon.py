@@ -5,8 +5,9 @@ equation, forms ratios v_j = u_{j+1}/u_1, and recovers the class
 representative of the coefficient triple:
 
 1. ``build_ratios``: ratios and their first/second derivatives.
-2. ``build_frame``: gradient Gram matrix H of the first n ratios and its
-   pointwise inverse (bilinear products, no conjugation).
+2. ``build_frame``: gradient Gram matrix H of the first n ratios
+   (bilinear products, no conjugation), its pointwise inverse and its
+   condition number, all from one closed form in det H and the cofactors.
 3. ``build_M``: for each remaining ratio w, coefficients theta with
    grad w + sum_j theta_j grad v_j = 0, the curvature matrices
    M = sum_j theta_j Hess v_j, and the normalized matrix M0 that pairs to
@@ -18,11 +19,11 @@ representative of the coefficient triple:
 engine is pointwise, so each candidate is evaluated once on the whole grid,
 in row slabs, and a patch only reduces windows of its fields.  Frames are
 ranked from one Gram matrix of all ratio gradients per u_1 and slab: each
-frame's H is a sub-block of it, and its condition number comes from det H
-and the cofactors in closed form.  In the same pass it blends each patch in
-the pointwise unit-Frobenius gauge, which does not depend on which u_1 the
-patch picked and fixes its class up to one sign: the sign that agrees with
-the blend so far, so the first admissible patch seeds +1.
+frame's H is a sub-block of it, and its condition number comes from the
+closed form that ``build_frame`` uses.  In the same pass it blends each
+patch in the pointwise unit-Frobenius gauge, which does not depend on which
+u_1 the patch picked and fixes its class up to one sign: the sign that
+agrees with the blend so far, so the first admissible patch seeds +1.
 """
 
 from __future__ import annotations
@@ -147,11 +148,12 @@ class RatioBundle:
 
 @dataclass
 class FrameData:
-    """Gram data of the frame ratios (indices ``frame``): H, its inverse, the
-    pointwise Frobenius condition number
-    cond = ||H|| ||adj H|| / |det H| = ||H|| ||H^-1|| (``inf`` where H is
-    singular), and ``ok`` where H is regular.  ``cond`` is the selector's
-    ranking field (:func:`_sym_cond`), bit for bit."""
+    """Gram data of the frame ratios (indices ``frame``): H, its inverse
+    adj H / det H (the identity where H is singular), the pointwise
+    Frobenius condition number cond = ||H|| ||adj H|| / |det H|
+    = ||H|| ||H^-1|| (``inf`` where H is singular), and ``ok`` where H is
+    regular.  All four come from the closed form of :func:`_sym_frame`, so
+    ``cond`` is the selector's ranking field, bit for bit."""
 
     frame: tuple[int, ...]
     H: np.ndarray
@@ -261,29 +263,41 @@ def _ratios(grid: Grid, u: list[ScalarField]) -> RatioBundle:
 
 def build_frame(rb: RatioBundle, cond_max: float | None = 1e6,
                 frame: tuple[int, ...] | None = None) -> FrameData:
-    """Gram matrix H_ij = grad v_i . grad v_j of the frame ratios.
+    """Gram matrix H_ij = grad v_i . grad v_j of the frame ratios, its
+    inverse and its condition number (:func:`_frame_from_gram`).
 
     The product is bilinear (no conjugation).  ``frame`` selects which
     ratios form the frame (default: the first n).  With ``cond_max`` set,
     nodes whose Frobenius condition number exceeds it raise FrameDegenerate.
     """
-    grid = rb.grid
-    n = grid.dim
+    n = rb.grid.dim
     if frame is None:
         frame = tuple(range(n))
     if len(frame) != n:
         raise ValueError(f"frame needs exactly {n} ratios")
-    G = rb.grad_v[list(frame)]
-    H = np.einsum("i...k,j...k->...ij", G, G)
-    Hinv, det_ok = _invert_stack(H)
-    cond = _sym_cond(_gram(G), range(n))
+    fr = _frame_from_gram(_gram(rb.grad_v[list(frame)]), tuple(frame))
     if cond_max is not None:
-        bad = ~(cond <= cond_max)
+        bad = ~(fr.cond <= cond_max)
         if bad.any():
             raise FrameDegenerate(
                 f"frame Gram matrix condition exceeds {cond_max:g}",
                 nodes=np.argwhere(bad))
-    return FrameData(tuple(frame), H, Hinv, cond, det_ok)
+    return fr
+
+
+def _frame_from_gram(h: dict, frame: tuple[int, ...]) -> FrameData:
+    """The frame data of ``frame`` from the products ``h`` of its own
+    gradients (:func:`_gram`, keys 0..n-1).  H and H^-1 = cof / det are
+    unpacked in ``SYM_PAIRS`` order from the closed form of
+    :func:`_sym_frame`; the identity stands in for H^-1 where H is
+    singular."""
+    n = len(frame)
+    e, cof, det, ok, cond = _sym_frame(h, range(n))
+    d = np.where(ok, det, 1.0)
+    H = unpack_sym(np.stack([e[ab] for ab in SYM_PAIRS[n]], axis=-1), n)
+    inv = unpack_sym(np.stack([cof[ab] / d for ab in SYM_PAIRS[n]], axis=-1), n)
+    Hinv = np.where(ok[..., None, None], inv, np.eye(n, dtype=np.complex128))
+    return FrameData(frame, H, Hinv, cond, ok)
 
 
 def _regular(det: np.ndarray, scale: np.ndarray, n: int) -> np.ndarray:
@@ -291,8 +305,7 @@ def _regular(det: np.ndarray, scale: np.ndarray, n: int) -> np.ndarray:
     determinants ``det`` and largest entry moduli ``scale`` = max|A| the
     caller computed: a node is singular where |det| <= (1e-14 max|A|)^n, or
     where ``det`` or an entry of A is NaN or A holds an infinity.  The one
-    singular-node rule of the frame inverse, the frame condition number and
-    the pairing solve."""
+    singular-node rule of the frame and the pairing solve."""
     return np.abs(det) > (1e-14 * np.maximum(scale, _TINY)) ** n
 
 
@@ -311,12 +324,16 @@ def _gram(G: np.ndarray) -> dict:
     return h
 
 
-def _sym_cond(h: dict, frame) -> np.ndarray:
-    """Frobenius condition number ||H|| ||adj H|| / |det H| = ||H|| ||H^-1||
-    of the symmetric 2 x 2 or 3 x 3 matrices H_ab = h[frame_a, frame_b]
-    (``h`` as from :func:`_gram`), with det H and the cofactors in closed
-    form and without forming H or its inverse; ``inf`` at the nodes that
-    :func:`_regular` calls singular."""
+def _sym_frame(h: dict, frame) -> tuple[dict, dict, np.ndarray, np.ndarray, np.ndarray]:
+    """The one closed form of a frame's Gram matrix.
+
+    For the symmetric 2 x 2 or 3 x 3 matrices H_ab = h[frame_a, frame_b]
+    (``h`` as from :func:`_gram`) returns (e, cof, det, ok, cond): the
+    entries and the cofactors on and above the diagonal, keyed (a, b) with
+    a <= b (adj H = cof, as H is symmetric), det H, the flag of the nodes
+    :func:`_regular` calls regular, and the Frobenius condition number
+    ||H|| ||adj H|| / |det H| = ||H|| ||H^-1||, ``inf`` where H is
+    singular.  Neither H nor its inverse is formed."""
     f = tuple(frame)
     n = len(f)
     e = {(a, b): h[f[a], f[b]] for a, b in SYM_PAIRS[n]}
@@ -334,37 +351,14 @@ def _sym_cond(h: dict, frame) -> np.ndarray:
     ok = _regular(det, functools.reduce(np.maximum, mod.values()), n)
     adj_mod = {ab: np.abs(x) for ab, x in cof.items()}
     norms = np.sqrt(_sym_norm2(mod) * _sym_norm2(adj_mod))
-    return np.divide(norms, np.abs(det), out=np.full(ok.shape, np.inf), where=ok)
+    cond = np.divide(norms, np.abs(det), out=np.full(ok.shape, np.inf), where=ok)
+    return e, cof, det, ok, cond
 
 
 def _sym_norm2(mod: dict) -> np.ndarray:
     """Squared Frobenius norm of symmetric matrices from the moduli of
     their entries on and above the diagonal, keyed (a, b) with a <= b."""
     return sum(x * x if a == b else 2.0 * (x * x) for (a, b), x in mod.items())
-
-
-def _det_adj(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Determinant and adjugate of stacked 2 x 2 or 3 x 3 matrices, in
-    closed form.  In 3D the rows of the adjugate are the cross products of
-    the columns c1 x c2, c2 x c0 and c0 x c1, and det = c0 . (c1 x c2)."""
-    if A.shape[-1] == 2:
-        a, b, c, d = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
-        adj = np.stack([np.stack([d, -b], axis=-1), np.stack([-c, a], axis=-1)], axis=-2)
-        return a * d - b * c, adj
-    c0, c1, c2 = A[..., :, 0], A[..., :, 1], A[..., :, 2]
-    adj = np.stack([np.cross(c1, c2), np.cross(c2, c0), np.cross(c0, c1)], axis=-2)
-    return np.einsum("...i,...i->...", adj[..., 0, :], c0), adj
-
-
-def _invert_stack(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise inverse adj(H)/det(H) of stacked 2 x 2 or 3 x 3 matrices
-    (closed form, :func:`_det_adj`), with the identity in place of every
-    node that :func:`_regular` calls singular, and the flag of the regular
-    nodes.  Singular nodes are flagged instead of raising."""
-    det, adj = _det_adj(H)
-    ok = _regular(det, np.abs(H).max(axis=(-2, -1)), H.shape[-1])
-    inv = adj / np.where(ok, det, 1.0)[..., None, None]
-    return np.where(ok[..., None, None], inv, np.eye(H.shape[-1], dtype=np.complex128)), ok
 
 
 def build_M(rb: RatioBundle, fr: FrameData, indep_min: float | None = 1e-8,
@@ -663,7 +657,7 @@ def _select_on_patch(u: list[ScalarField], box: tuple[slice, ...], ratios, conds
     condition field) and ``candidate(i, frame, generators)`` (the fields of
     ``_candidate``) are full-grid; the patch reduces windows of them.  The
     condition fields come from one Gram matrix of the ratio gradients per
-    u_1 (:func:`_gram`, :func:`_sym_cond`).  Frames go best conditioned
+    u_1 (:func:`_gram`, :func:`_sym_frame`).  Frames go best conditioned
     first (worst node over the patch), candidates are ranked by worst-node
     score, and a window that holds a non-finite value is not admissible.
     Frame by frame, the best-scoring candidate that clears every threshold
@@ -748,7 +742,7 @@ def reconstruct_global(u: list[ScalarField], config: EngineConfig | None = None
 
     def frame_conds(rb: RatioBundle) -> tuple[np.ndarray, ...]:
         h = _gram(rb.grad_v)
-        return tuple(_sym_cond(h, combo) for combo in combos)
+        return tuple(_sym_frame(h, combo)[-1] for combo in combos)
 
     @functools.cache
     def conds(i1: int) -> dict:

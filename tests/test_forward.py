@@ -17,7 +17,6 @@ from gaugerec import (
     VanishingGauge,
     VectorField,
     gauge_transform,
-    solve_dirichlet,
     square_grid,
     synthesize,
 )
@@ -127,8 +126,8 @@ def test_solver_exact_on_quadratic_constant_coefficients():
                      -x1 + 2 * (0.5 - 0.4j) * x2], axis=-1)
     src = (np.einsum("ij,ij->", amat, hess) * np.ones(grid.shape)
            + grad @ bvec + cval * u_true)
-    u = solve_dirichlet(cs, BoundaryTrace.from_node_values(grid, u_true),
-                        source=ScalarField(grid, src))
+    u = DirichletSystem(cs).solve(BoundaryTrace.from_node_values(grid, u_true),
+                              source=ScalarField(grid, src))
     assert np.abs(u.values - u_true).max() < 1e-10
 
 
@@ -151,8 +150,8 @@ def test_solver_second_order_on_smooth_problem():
         u_true = np.exp(x1 + x2).astype(complex)
         # div(gam grad u) + c u for u = e^{x1+x2}
         src = (2 * gam + dgam[..., 0] + dgam[..., 1] + 0.5j) * u_true
-        u = solve_dirichlet(cs, BoundaryTrace.from_node_values(grid, u_true),
-                            source=ScalarField(grid, src))
+        u = DirichletSystem(cs).solve(BoundaryTrace.from_node_values(grid, u_true),
+                                  source=ScalarField(grid, src))
         errs.append(np.abs(u.values - u_true).max())
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert errs[-1] < 5e-5
@@ -165,7 +164,7 @@ def test_discrete_maximum_principle(seed):
     cs = const_coeffs(grid, np.eye(2), [0.2, -0.1], 0.0)
     rng = np.random.default_rng(seed)
     f = BoundaryTrace(grid, rng.uniform(-1.0, 1.0, grid.boundary_flat.size) + 0j)
-    u = solve_dirichlet(cs, f).values.real
+    u = DirichletSystem(cs).solve(f).values.real
     assert u.max() <= f.values.real.max() + 1e-10
     assert u.min() >= f.values.real.min() - 1e-10
 

@@ -344,6 +344,22 @@ def test_cli_names_the_field_of_a_mistyped_config_value(tmp_path, capsys,
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
 
+@pytest.mark.parametrize("override, argv, field", [
+    ({"noise": [1e-4]}, ["--seed", "-1"], "seed"),
+    ({"noise": [float("nan")]}, [], "noise[0]"),
+    ({"mollify_width": float("nan")}, [], "mollify_width"),
+    ({"engine": {"cond_max": float("nan")}}, [], "engine.cond_max"),
+], ids=["negative-seed", "nan-noise", "nan-mollify-width", "nan-cond-max"])
+def test_cli_refuses_a_negative_seed_and_numbers_that_are_not_finite(
+        tmp_path, capsys, override, argv, field):
+    # JSON readers accept NaN and Infinity: exit 1 naming the field, not a
+    # traceback, a NaN echoed in the report or a coverage failure
+    doc = {"mode": "roundtrip", "preset": "smooth-complex-2d", "grids": [17], **override}
+    path = write_config(tmp_path, "bad.json", doc)
+    assert cli_main(["roundtrip", "--config", path, *argv]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
 def archive_without_extent(tmp_path):
     from gaugerec import save_field
     path = tmp_path / "u.json"

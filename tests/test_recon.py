@@ -20,6 +20,7 @@ from gaugerec import (
     build_M,
     build_frame,
     build_ratios,
+    cgo_family,
     complement_basis,
     constant_tensor_family,
     harmonic_family,
@@ -121,12 +122,12 @@ def _lapack_regular(H):
     return np.abs(np.linalg.det(H)) > (1e-14 * scale) ** H.shape[-1]
 
 
-def _closed_form_cond(H):
-    """The closed-form condition number of symmetric H, read from the
-    entries on and below the diagonal."""
+def _closed_form(H):
+    """The engine's frame data (H, Hinv, cond, ok) of symmetric H, read
+    from the entries on and below the diagonal."""
     n = H.shape[-1]
     h = {(i, j): H[..., j, i] for i in range(n) for j in range(i, n)}
-    return recon._sym_cond(h, range(n))
+    return recon._frame_from_gram(h, tuple(range(n)))
 
 
 def _frob(A):
@@ -138,22 +139,25 @@ def test_closed_form_inverse_matches_lapack(shape, n):
     rng = np.random.default_rng(11)
     B = rng.standard_normal(shape + (n, n)) + 1j * rng.standard_normal(shape + (n, n))
     H = n * np.eye(n) + 0.2 * (B + np.swapaxes(B, -1, -2))
-    Hinv, ok = recon._invert_stack(H)
+    fr = _closed_form(H)
+    Hinv, ok = fr.Hinv, fr.ok
+    assert np.array_equal(fr.H, H)
     assert ok.all() and np.array_equal(ok, _lapack_regular(H))
     ref = np.linalg.inv(H)
     err = np.abs(Hinv - ref).max(axis=(-2, -1)) / np.abs(ref).max(axis=(-2, -1))
     assert err.max() <= 1e-13
     assert np.abs(H @ Hinv - np.eye(n)).max() <= 1e-13
     ref_cond = _frob(H) * _frob(ref)
-    assert np.abs(_closed_form_cond(H) / ref_cond - 1.0).max() <= 1e-13
+    assert np.abs(fr.cond / ref_cond - 1.0).max() <= 1e-13
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_closed_form_inverse_flags_singular_nodes(n):
     """Rank-one H from parallel gradients, a zero matrix and non-finite
-    nodes get the identity and ``ok == False``, as under the LAPACK rule.
-    A complex rank-one H has det exactly 0 in closed form too; LAPACK's
-    pivoted elimination of it can leave a roundoff det (2.5e-16 in 2D)."""
+    nodes get the identity, ``ok == False`` and an infinite condition
+    number, as under the LAPACK rule.  A complex rank-one H has det exactly
+    0 in closed form too; LAPACK's pivoted elimination of it can leave a
+    roundoff det (2.5e-16 in 2D)."""
     def rank_one(g):
         G = np.stack([np.asarray(g[:n]) * 2.0 ** k for k in range(n)])
         return G @ G.T
@@ -162,21 +166,42 @@ def test_closed_form_inverse_flags_singular_nodes(n):
     H[3, 0, 0] = np.nan
     H[4, n - 1, 0] = np.inf
     H[5, :, :] = -np.inf
-    # the condition number reads a symmetric matrix: mirror the lower triangle
+    # the closed form reads a symmetric matrix, as the engine's H is one by
+    # construction: mirror the lower triangle
     Hsym = np.tril(H) + np.swapaxes(np.tril(H, -1), -1, -2)
     with np.errstate(all="ignore"):  # as inside the engine's slabs
-        Hinv, ok = recon._invert_stack(H)
-        lapack_ok = _lapack_regular(H)
-        cond, lapack_sym_ok = _closed_form_cond(Hsym), _lapack_regular(Hsym)
+        fr = _closed_form(Hsym)
+        lapack_ok = _lapack_regular(Hsym)
+    Hinv, ok, cond = fr.Hinv, fr.ok, fr.cond
     assert ok.tolist() == [True] + [False] * 5
     assert np.array_equal(ok, lapack_ok)
     assert np.array_equal(Hinv[1:], np.broadcast_to(np.eye(n), (5, n, n)))
-    assert np.array_equal(np.isinf(cond), ~lapack_sym_ok)
+    assert np.array_equal(np.isinf(cond), ~lapack_ok)
     assert cond[0] == n  # ||Id|| ||Id^-1|| = sqrt(n)^2
     H1 = rank_one([0.3 + 0.1j, -0.7, 0.2j])[None]
-    Hinv, ok = recon._invert_stack(H1)
-    assert not ok[0] and np.array_equal(Hinv[0], np.eye(n))
-    assert np.isinf(_closed_form_cond(H1)[0])
+    fr = _closed_form(H1)
+    assert not fr.ok[0] and np.array_equal(fr.Hinv[0], np.eye(n))
+    assert np.isinf(fr.cond[0])
+
+
+@pytest.mark.parametrize("data", ["cgo 9^3", "smooth-complex-2d 17^2"])
+def test_frame_is_the_gram_block_and_inverts_it(data):
+    # on engine data H is the block of the bilinear products bit for bit,
+    # and H^-1 inverts it to roundoff wherever H is regular
+    if data.startswith("cgo"):
+        u = cgo_family(square_grid(9, 3)).fields()
+    else:
+        preset = PRESETS["smooth-complex-2d"]
+        grid = square_grid(17)
+        u = synthesize(preset.coefficients(grid), preset.illumination(grid))
+    rb = build_ratios(u)
+    fr = build_frame(rb, cond_max=None)
+    n = rb.grid.dim
+    h = recon._gram(rb.grad_v[:n])
+    for i, j in itertools.product(range(n), repeat=2):
+        assert np.array_equal(fr.H[..., i, j], h[min(i, j), max(i, j)]), (i, j)
+    assert fr.ok.all()
+    assert np.abs(fr.H @ fr.Hinv - np.eye(n))[fr.ok].max() <= 1e-13
 
 
 def test_degenerate_frame_is_rejected():
@@ -347,7 +372,7 @@ def test_closed_form_cond_ranks_frames_like_the_inverse(strip_fields, data, m, p
         with np.errstate(all="ignore"):
             rb = recon._ratios(grid, [u[i1], *u[:i1], *u[i1 + 1:]])
             h = recon._gram(rb.grad_v)
-            closed = [recon._sym_cond(h, combo) for combo in combos]
+            closed = [recon._sym_frame(h, combo)[-1] for combo in combos]
             inverse = []
             for combo in combos:
                 G = rb.grad_v[list(combo)]
