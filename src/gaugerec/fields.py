@@ -22,7 +22,10 @@ Conventions
 
 from __future__ import annotations
 
+import base64
 import json
+import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -59,21 +62,33 @@ SYM_PAIRS = {
 MIN_NODES_PER_AXIS = 9
 
 
+def _node_count(axis: int, m) -> int:
+    """``m`` as an int; ValueError naming the axis when it is not an integer
+    (a float such as 9.5 or 9.0 included)."""
+    try:
+        return operator.index(m)
+    except TypeError:
+        raise ValueError(f"axis {axis}: node count {m!r} is not an integer") from None
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform node-centered grid on an axis-aligned box.
 
     Parameters
     ----------
-    shape : per-axis node counts, each at least 9.
-    extent : per-axis (lo, hi) coordinate bounds, lo < hi.
+    shape : per-axis node counts, integers of at least 9 each.
+    extent : per-axis (lo, hi) coordinate bounds, finite, lo < hi, with a
+        finite spacing (hi - lo) / (m - 1).
+
+    ValueError on anything else; the messages name the axis.
     """
 
     shape: tuple[int, ...]
     extent: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        shape = tuple(int(m) for m in self.shape)
+        shape = tuple(_node_count(k, m) for k, m in enumerate(self.shape))
         extent = tuple((float(lo), float(hi)) for lo, hi in self.extent)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "extent", extent)
@@ -81,12 +96,16 @@ class Grid:
             raise ValueError(f"grid dimension must be 2 or 3, got {len(shape)}")
         if len(extent) != len(shape):
             raise ValueError("extent and shape dimensions disagree")
-        for m in shape:
+        for k, ((lo, hi), m) in enumerate(zip(extent, shape)):
             if m < MIN_NODES_PER_AXIS:
-                raise ValueError(f"need at least {MIN_NODES_PER_AXIS} nodes per axis, got {m}")
-        for lo, hi in extent:
+                raise ValueError(f"axis {k}: need at least {MIN_NODES_PER_AXIS} nodes, got {m}")
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"axis {k}: extent ({lo}, {hi}) is not finite")
             if not (hi > lo):
-                raise ValueError(f"empty extent ({lo}, {hi})")
+                raise ValueError(f"axis {k}: empty extent ({lo}, {hi})")
+            if not math.isfinite((hi - lo) / (m - 1)):
+                raise ValueError(f"axis {k}: extent ({lo}, {hi}) has a spacing that is "
+                                 f"not finite")
 
     @property
     def dim(self) -> int:
@@ -359,19 +378,29 @@ def mollify(f: ScalarField, width: float) -> ScalarField:
 # ---------------------------------------------------------------------------
 
 _KIND_TO_CLS = {"scalar": ScalarField, "vector": VectorField, "symtensor": SymTensorField}
+_DTYPE = "<c16"
 
 
 def save_field(f: _Field, path) -> None:
-    """Write a field as JSON: grid metadata, kind, and the values as a flat
-    row-major list of [re, im] pairs (components fastest)."""
-    flat = f.values.ravel(order="C")
+    """Write a field as a JSON archive: one object with the keys
+
+    * ``"grid"``: ``{"shape": [m, ...], "extent": [[lo, hi], ...]}``;
+    * ``"kind"``: ``"scalar"``, ``"vector"`` or ``"symtensor"``;
+    * ``"dtype"``: ``"<c16"``, little-endian complex128;
+    * ``"values"``: the base64 text of the values' raw ``<c16`` bytes, in C
+      (row-major) order over the grid, components fastest.
+
+    Every value round-trips through :func:`load_field` bit for bit.
+    """
+    raw = np.ascontiguousarray(f.values, dtype=_DTYPE).tobytes()
     payload = {
         "grid": {
             "shape": list(f.grid.shape),
             "extent": [list(e) for e in f.grid.extent],
         },
         "kind": f.kind,
-        "values": np.stack([flat.real, flat.imag], axis=-1).tolist(),
+        "dtype": _DTYPE,
+        "values": base64.b64encode(raw).decode("ascii"),
     }
     # json.dumps encodes in C; json.dump streams through the Python encoder.
     with open(path, "w") as fh:
@@ -379,6 +408,15 @@ def save_field(f: _Field, path) -> None:
 
 
 def load_field(path) -> _Field:
+    """Read an archive written by :func:`save_field`.
+
+    ValueError naming the key when the grid or ``"kind"`` is invalid, when
+    ``"dtype"`` is not ``"<c16"``, when ``"values"`` is not base64 text, or
+    when it decodes to a length other than 16 bytes per value of the grid and
+    kind; an archive whose ``"values"`` is a list of [re, im] pairs predates
+    the binary payload and is refused.  The field constructor then refuses
+    non-finite values.
+    """
     with open(path) as fh:
         payload = json.load(fh)
     grid = Grid(
@@ -390,7 +428,22 @@ def load_field(path) -> _Field:
         cls = _KIND_TO_CLS[kind]
     except KeyError:
         raise ValueError(f"unknown field kind {kind!r}") from None
-    pairs = np.asarray(payload["values"], dtype=np.float64)
-    flat = pairs[:, 0] + 1j * pairs[:, 1]
+    text = payload["values"]
+    if isinstance(text, list) and "dtype" not in payload:
+        raise ValueError("'values' is a list of [re, im] pairs: the archive predates the "
+                         "binary payload and must be re-synthesized")
+    dtype = payload.get("dtype")
+    if dtype != _DTYPE:
+        raise ValueError(f"'dtype' must be {_DTYPE!r}, got {dtype!r}")
+    if not isinstance(text, str):
+        raise ValueError(f"'values' must be base64 text, got {type(text).__name__}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or non-ASCII text
+        raise ValueError(f"'values' is not base64 text: {exc}") from None
     shape = grid.shape + cls._component_shape(grid.dim)
-    return cls(grid, flat.reshape(shape))
+    expected = np.dtype(_DTYPE).itemsize * math.prod(shape)  # Python ints: no overflow
+    if len(raw) != expected:
+        raise ValueError(f"'values' holds {len(raw)} bytes; a {kind} field on "
+                         f"{grid.shape} needs {expected}")
+    return cls(grid, np.frombuffer(raw, dtype=_DTYPE).reshape(shape))

@@ -1,6 +1,9 @@
 """Grid geometry, stencils, mollification, and field I/O."""
 
+import base64
 import json
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from gaugerec import (
     save_field,
     square_grid,
 )
+from gaugerec.cli import main as cli_main
 
 
 def grid2(n=33):
@@ -54,6 +58,28 @@ def test_grid_validation():
         Grid((17, 17), ((1.0, 0.0), (0.0, 1.0)))
     with pytest.raises(ValueError):
         ScalarField(grid2(), np.zeros((32, 33)))
+
+
+@pytest.mark.parametrize("shape, extent, message", [
+    ((9.5, 9), ((0.0, 1.0), (0.0, 1.0)), "axis 0: node count 9.5 is not an integer"),
+    ((9, 9.0), ((0.0, 1.0), (0.0, 1.0)), "axis 1: node count 9.0 is not an integer"),
+    ((9, 9), ((0.0, np.inf), (0.0, 1.0)), "axis 0: extent .* is not finite"),
+    ((9, 9), ((0.0, 1.0), (np.nan, 1.0)), "axis 1: extent .* is not finite"),
+    ((9, 9), ((-1e308, 1e308), (0.0, 1.0)), "axis 0: .* spacing that is not finite"),
+], ids=["fractional-count", "float-count", "infinite-bound", "nan-bound",
+        "infinite-spacing"])
+def test_grid_refuses_fractional_counts_and_infinite_extents(tmp_path, shape, extent,
+                                                             message):
+    with pytest.raises(ValueError, match=message):
+        Grid(shape, extent)
+    # an archive header reaches the same check
+    path = tmp_path / "u.json"
+    save_field(ScalarField(grid2(9), np.zeros((9, 9))), path)
+    doc = json.loads(path.read_text())
+    doc["grid"] = {"shape": list(shape), "extent": [list(e) for e in extent]}
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
+        load_field(path)
 
 
 def test_on_boundary_gathers_boundary_nodes_and_keeps_component_axes():
@@ -207,9 +233,10 @@ def test_save_preserves_full_precision(tmp_path):
 
 
 def test_save_writes_the_documented_payload_byte_for_byte(tmp_path):
-    """The archive is json.dumps of the documented payload, the values built
-    one [re, im] pair of Python floats per entry; signed zeros, subnormals
-    and very large and very small magnitudes included."""
+    """The archive is json.dumps of the documented header, the values the
+    base64 text of each entry's little-endian (re, im) float64 pair in C
+    order, components fastest; signed zeros, subnormals and very large and
+    very small magnitudes included, and every value reads back bit for bit."""
     g = Grid((10, 9), ((0.0, 1.0), (-1.0, 2.5)))
     rng = np.random.default_rng(3)
     vals = rng.standard_normal(g.shape + (2, 2)) + 1j * rng.standard_normal(g.shape + (2, 2))
@@ -219,12 +246,18 @@ def test_save_writes_the_documented_payload_byte_for_byte(tmp_path):
               SymTensorField.from_matrix(g, vals.reshape(g.shape + (2, 2)))):
         path = tmp_path / f"{f.kind}.json"
         save_field(f, path)
+        raw = b"".join(struct.pack("<dd", float(z.real), float(z.imag))
+                       for z in f.values.ravel())
         payload = {
             "grid": {"shape": [10, 9], "extent": [[0.0, 1.0], [-1.0, 2.5]]},
             "kind": f.kind,
-            "values": [[float(z.real), float(z.imag)] for z in f.values.ravel()],
+            "dtype": "<c16",
+            "values": base64.b64encode(raw).decode("ascii"),
         }
         assert path.read_bytes() == json.dumps(payload).encode()
+        back = load_field(path)
+        assert type(back) is type(f) and back.grid == g
+        assert back.values.tobytes() == f.values.tobytes()
 
 
 def test_load_rejects_tampered_kind(tmp_path):
@@ -236,3 +269,46 @@ def test_load_rejects_tampered_kind(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError):
         load_field(path)
+
+
+def _old_text_values(doc):
+    """The archive as the earlier text format wrote it: a list of [re, im]
+    pairs and no dtype."""
+    del doc["dtype"]
+    z = np.frombuffer(base64.b64decode(doc["values"]), dtype="<c16")
+    doc["values"] = [[float(v.real), float(v.imag)] for v in z]
+
+
+def _drop_last_value(doc):
+    doc["values"] = base64.b64encode(base64.b64decode(doc["values"])[:-16]).decode()
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (_old_text_values, "predates the binary payload"),
+    (lambda doc: doc.update(dtype="<c8"), "'dtype' must be '<c16'"),
+    # characters outside the alphabet that a lenient decoder would skip
+    (lambda doc: doc.update(values="****" + doc["values"]), "'values' is not base64"),
+    (_drop_last_value, "'values' holds 1280 bytes"),
+    (lambda doc: doc.update(kind="symtensor"), "'values' holds 1296 bytes"),
+    (lambda doc: doc["grid"].update(shape=[2**40, 2**40]), "'values' holds 1296 bytes"),
+], ids=["old-text-format", "dtype-c8", "not-base64", "one-value-short",
+        "scalar-relabelled-symtensor", "huge-shape"])
+def test_load_refuses_malformed_archives(tmp_path, capsys, tamper, message):
+    g = grid2(9)
+    path = tmp_path / "u.json"
+    save_field(ScalarField(g, g.meshes[0] + 1j * g.meshes[1]), path)
+    doc = json.loads(path.read_text())
+    tamper(doc)
+    path.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            load_field(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6  # refused from the header, never sized by it
+    cfg = tmp_path / "rec.json"
+    cfg.write_text(json.dumps({"mode": "reconstruct", "inputs": [str(path)]}))
+    assert cli_main(["reconstruct", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: inputs[0]: cannot read the field archive")

@@ -45,3 +45,6 @@ def test_first_difference_with_and_without_rtol():
     for key, value in (("x", [a, 0.5, (4, "box")]), ("ok", np.array([True, True]))):
         assert tool.first_difference(out, moved(**{key: value}), rtol=1.0)
     assert tool.first_difference({"x": 1}, {"y": 1}) == "item.x: only in A"
+    # bytes differ by length and offset, not by their full text
+    assert tool.first_difference({"b": b"abc" * 1000}, {"b": b"abd"}) == \
+        "item.b: 3000 vs 3 bytes, first difference at byte 2"

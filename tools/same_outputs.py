@@ -127,7 +127,7 @@ def collect() -> dict:
         lambda: _stages(g, g.cgo_family(g.square_grid(9, 3)).fields()))
 
     items.update(_gauge_items(g))
-    items["archive bytes"] = _archives(g)
+    items["archive bytes"], items["archive values"] = _archives(g)
 
     grid = g.square_grid(9)
     x1 = grid.meshes[0]
@@ -145,17 +145,22 @@ def collect() -> dict:
     return items
 
 
-def _archives(g) -> list[bytes]:
-    """The files ``save_field`` writes for a tensor, vector and scalar field."""
+def _archives(g) -> tuple[list, list]:
+    """For a tensor, vector and scalar field: the file ``save_field`` writes,
+    and the kind, grid and values ``load_field`` reads back from it.  The
+    second list is equal across trees whose archive formats carry the same
+    numbers, even where the bytes differ."""
     coeffs = g.PRESETS["smooth-complex-2d"].coefficients(g.square_grid(33))
-    out = []
+    files, values = [], []
     with tempfile.TemporaryDirectory() as tmp:
         for f in (coeffs.a, coeffs.b, coeffs.c):
             path = os.path.join(tmp, f"{f.kind}.json")
             g.save_field(f, path)
             with open(path, "rb") as fh:
-                out.append(fh.read())
-    return out
+                files.append(fh.read())
+            back = g.load_field(path)
+            values.append((back.kind, back.grid.shape, back.grid.extent, back.values))
+    return files, values
 
 
 def _stages(g, data) -> dict:
@@ -287,6 +292,9 @@ def _leaf_difference(a, b, rtol: float | None) -> str | None:
         return None if np.array_equal(a, b, equal_nan=nan_ok) else "values"
     if isinstance(a, float) and isinstance(b, float) and a != a and b != b:
         return None  # both NaN
+    if isinstance(a, bytes) and isinstance(b, bytes) and a != b:
+        at = next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+        return f"{len(a)} vs {len(b)} bytes, first difference at byte {at}"
     return None if type(a) is type(b) and a == b else f"{a!r} vs {b!r}"
 
 
