@@ -24,6 +24,7 @@ from .errors import (
     FrameDegenerate,
     GridMismatch,
     MDependent,
+    NonFiniteData,
     NonIntegrableField,
     NonPositiveH1,
     SingularSystem,

@@ -16,6 +16,7 @@ __all__ = [
     "ToolkitError",
     "ConfigError",
     "GridMismatch",
+    "NonFiniteData",
     "SingularSystem",
     "EllipticityViolation",
     "VanishingGauge",
@@ -87,6 +88,11 @@ class _NodeError(ToolkitError):
         super().__init__(message)
 
 
+class NonFiniteData(_NodeError, ValueError):
+    """A field holds a NaN or an infinity at ``nodes``; a ValueError too, as
+    field construction raised one before this type existed."""
+
+
 class SingularSystem(ToolkitError):
     """Direct solve failed or its residual exceeded tolerance.
 
@@ -117,15 +123,17 @@ class DegenerateTensor(ToolkitError):
 
 
 class VanishingU1(_NodeError):
-    """The designated first solution dips below the admissibility floor."""
+    """The designated first solution vanishes at ``nodes``."""
 
 
 class FrameDegenerate(_NodeError):
-    """The gradient Gram matrix of the frame ratios is too ill conditioned."""
+    """The gradient Gram matrix of the frame ratios is too ill conditioned
+    (``reconstruct_class``: condition above ``recon.COND_MAX``)."""
 
 
 class MDependent(_NodeError):
-    """The candidate M-matrices fail pointwise linear independence from Id."""
+    """The candidate M-matrices fail pointwise linear independence from Id
+    (``reconstruct_class``: independence below ``recon.INDEP_MIN``)."""
 
 
 class CoverageFailure(ToolkitError):

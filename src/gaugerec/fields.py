@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatch
+from .errors import GridMismatch, NonFiniteData
 
 __all__ = [
     "SYM_PAIRS",
@@ -204,7 +204,7 @@ def common_grid(objs) -> Grid:
 
 
 class _Field:
-    """Shared storage and checks for sampled fields."""
+    """Shared storage and checks (shape, NonFiniteData) for sampled fields."""
 
     kind = "abstract"
 
@@ -214,8 +214,10 @@ class _Field:
         if arr.shape != expected:
             raise ValueError(f"{self.kind} field on {grid.shape}: expected values of shape "
                              f"{expected}, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{self.kind} field contains non-finite values")
+        bad = ~np.isfinite(arr).reshape(grid.shape + (-1,)).all(axis=-1)
+        if bad.any():
+            raise NonFiniteData(f"{self.kind} field contains non-finite values",
+                                nodes=np.argwhere(bad))
         arr.setflags(write=False)
         self.grid = grid
         self.values = arr

@@ -3,7 +3,7 @@
 Everything the CLI can do lives here so it is scriptable from Python too.
 A config selects a mode (synthesize / reconstruct / roundtrip / qpat /
 elasto / stability), a preset or input files, a grid ladder, noise levels,
-and engine thresholds; ``run`` executes it deterministically for a given
+and engine patching; ``run`` executes it deterministically for a given
 seed and returns a ReconstructionReport.
 """
 
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field as dc_field, replace
 from numbers import Integral, Real
@@ -37,6 +38,7 @@ from .illum import (
     cgo_family,
     constant_tensor_family,
     harmonic_family,
+    num_solutions,
     plane_wave_family,
 )
 from .recon import EngineConfig, reconstruct_global, unit_gauge_triple
@@ -308,8 +310,10 @@ class ExperimentConfig:
         if "k" in params:
             check("illumination.params.k", params["k"], (Real, type(None)), "a number")
         if "eps" in params:
-            if check("illumination.params.eps", params["eps"], (Real,), "a number") <= 0:
-                raise ConfigError("illumination.params.eps", "must be positive")
+            eps = check("illumination.params.eps", params["eps"], (Real,), "a number")
+            if not (eps > 0 and math.isfinite(eps * eps)):  # the cgo family damps by eps^2
+                raise ConfigError("illumination.params.eps",
+                                  "must be positive, with a finite square")
         if self.mode == "reconstruct":
             if not self.inputs:
                 raise ConfigError("inputs", "reconstruct mode needs field archives")
@@ -597,6 +601,10 @@ def _run_reconstruct(cfg: ExperimentConfig, out_dir: Path | None) -> Reconstruct
         if not isinstance(f, ScalarField):
             raise ConfigError(f"inputs[{i}]", "reconstruct mode expects scalar field archives")
         data.append(f)
+    dim = data[0].grid.dim
+    if len(data) < num_solutions(dim):
+        raise ConfigError("inputs", f"a {dim}D grid needs at least {num_solutions(dim)} "
+                                    f"solution archives, got {len(data)}")
     t0 = time.perf_counter()
     rep, patch_map = reconstruct_global(data, cfg.engine)
     entries = [_entry(rep.grid, admissible_patches=int(sum(patch_map.admissible)),
@@ -645,21 +653,18 @@ def _elasto_errors(rho: ScalarField, truth: dict) -> dict:
             / max(abs(rho_true.imag), 1e-300)}
 
 
-# mode -> (data builder, pipeline, name of its second output, error figures
-# of that output against the truth)
-_APPS = {
-    "qpat": (_qpat_data, qpat_reconstruct, "sigma", _qpat_errors),
-    "elasto": (_elasto_data, elasto_reconstruct, "rho", _elasto_errors),
-}
-
-
 def _run_app(cfg: ExperimentConfig, out_dir: Path | None) -> ReconstructionReport:
     """qpat and elasto modes: the front end on every grid of the ladder,
     with the first noise level (and smoothing) applied to its data."""
     preset = PRESETS[cfg.preset]
     if preset.kind != cfg.mode:
         raise ConfigError("preset", f"{cfg.mode} mode needs a {cfg.mode} preset")
-    build, pipeline, second, second_errors = _APPS[cfg.mode]
+    # mode -> (data builder, pipeline, name of its second output, its error figures);
+    # built per call, so a rebound module global (bench/spans.py) is the one run
+    build, pipeline, second, second_errors = {
+        "qpat": (_qpat_data, qpat_reconstruct, "sigma", _qpat_errors),
+        "elasto": (_elasto_data, elasto_reconstruct, "rho", _elasto_errors),
+    }[cfg.mode]
     entries = []
     t_total = time.perf_counter()
     for size in cfg.grids:

@@ -300,8 +300,8 @@ def cgo_family(grid: Grid, gamma=1.0, k: float | None = None,
     n = grid.dim
     if k is None:
         k = 8.0 / grid.diameter
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (eps > 0 and np.isfinite(eps * eps)):
+        raise ValueError("eps must be positive, with a finite square")
 
     def rho(i: int, j: int) -> np.ndarray:
         out = np.zeros(n, dtype=np.complex128)

@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field as dc_field
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 
@@ -79,35 +79,28 @@ _TINY = 1e-300
 # Config
 # ---------------------------------------------------------------------------
 
+# The admissibility rule, judged per patch by the selector and on the whole
+# grid by ``reconstruct_class``:
+U1_FLOOR_REL = 1e-3  # floor on min |u_1| over a patch / max |u_1| on the grid
+COND_MAX = 1e6       # ceiling on the Frobenius condition number of H
+INDEP_MIN = 1e-8     # floor on the least singular value of vectorized (Id, M^1, ..)
+
+
 @dataclass
 class EngineConfig:
-    """Thresholds and patching controls for the reconstruction engine.
+    """Patching controls for the reconstruction engine.
 
-    ``patch_size = None`` treats the whole grid as a single patch.  The
-    floor/conditioning defaults are the standard admissibility thresholds:
-    |u1| at least ``u1_floor_rel`` times its global max, Frobenius condition
-    number of H at most ``cond_max``, smallest singular value of the
-    vectorized (Id, M^1, ..) stack at least ``indep_min``.
+    ``patch_size = None`` treats the whole grid as a single patch; patches
+    overlap by ``overlap`` nodes per axis.  The thresholds are constants.
     """
 
-    u1_floor_rel: float = 1e-3
-    cond_max: float = 1e6
-    indep_min: float = 1e-8
     patch_size: int | None = None
     overlap: int = 8
 
     def validate(self) -> "EngineConfig":
-        for name in ("u1_floor_rel", "cond_max", "indep_min"):
-            ConfigError.check(f"engine.{name}", getattr(self, name), (Real,), "a number")
         ConfigError.check("engine.patch_size", self.patch_size, (Integral, type(None)),
                           "an integer or null")
         ConfigError.check("engine.overlap", self.overlap, (Integral,), "an integer")
-        if self.u1_floor_rel <= 0:
-            raise ConfigError("engine.u1_floor_rel", "must be positive")
-        if self.cond_max <= 1:
-            raise ConfigError("engine.cond_max", "must exceed 1")
-        if self.indep_min <= 0:
-            raise ConfigError("engine.indep_min", "must be positive")
         if self.patch_size is not None:
             if self.patch_size < 9:
                 raise ConfigError("engine.patch_size", "patches need at least 9 nodes per axis")
@@ -228,22 +221,17 @@ class PatchMap:
 # Stage implementations
 # ---------------------------------------------------------------------------
 
-def build_ratios(u: list[ScalarField], floor: float = 0.0) -> RatioBundle:
+def build_ratios(u: list[ScalarField]) -> RatioBundle:
     """Form v_j = u_{j+1}/u_1 and differentiate.
 
-    ``floor`` is an absolute threshold on |u_1|; nodes below it make the
-    division untrustworthy and raise VanishingU1.
+    Raises VanishingU1 at the nodes where u_1 is exactly 0.
     """
     if len(u) < 2:
         raise ValueError("need at least two solutions")
     grid = common_grid(u)
-    absu1 = np.abs(u[0].values)
-    if floor > 0:
-        bad = absu1 < floor
-        if bad.any():
-            raise VanishingU1(f"|u_1| below floor {floor:g}", nodes=np.argwhere(bad))
-    if (absu1 == 0).any():
-        raise VanishingU1("u_1 vanishes on the grid", nodes=np.argwhere(absu1 == 0))
+    zero = u[0].values == 0
+    if zero.any():
+        raise VanishingU1("u_1 vanishes on the grid", nodes=np.argwhere(zero))
     return _ratios(grid, u)
 
 
@@ -261,28 +249,20 @@ def _ratios(grid: Grid, u: list[ScalarField]) -> RatioBundle:
     return RatioBundle(grid, u1, v, grad_v, hess_v, grad_u1, hess_u1)
 
 
-def build_frame(rb: RatioBundle, cond_max: float | None = 1e6,
-                frame: tuple[int, ...] | None = None) -> FrameData:
+def build_frame(rb: RatioBundle, frame: tuple[int, ...] | None = None) -> FrameData:
     """Gram matrix H_ij = grad v_i . grad v_j of the frame ratios, its
     inverse and its condition number (:func:`_frame_from_gram`).
 
     The product is bilinear (no conjugation).  ``frame`` selects which
-    ratios form the frame (default: the first n).  With ``cond_max`` set,
-    nodes whose Frobenius condition number exceeds it raise FrameDegenerate.
+    ratios form the frame (default: the first n).  ``cond`` is judged by
+    ``reconstruct_class`` and the selector, not here.
     """
     n = rb.grid.dim
     if frame is None:
         frame = tuple(range(n))
     if len(frame) != n:
         raise ValueError(f"frame needs exactly {n} ratios")
-    fr = _frame_from_gram(_gram(rb.grad_v[list(frame)]), tuple(frame))
-    if cond_max is not None:
-        bad = ~(fr.cond <= cond_max)
-        if bad.any():
-            raise FrameDegenerate(
-                f"frame Gram matrix condition exceeds {cond_max:g}",
-                nodes=np.argwhere(bad))
-    return fr
+    return _frame_from_gram(_gram(rb.grad_v[list(frame)]), tuple(frame))
 
 
 def _frame_from_gram(h: dict, frame: tuple[int, ...]) -> FrameData:
@@ -361,7 +341,7 @@ def _sym_norm2(mod: dict) -> np.ndarray:
     return sum(x * x if a == b else 2.0 * (x * x) for (a, b), x in mod.items())
 
 
-def build_M(rb: RatioBundle, fr: FrameData, indep_min: float | None = 1e-8,
+def build_M(rb: RatioBundle, fr: FrameData,
             generators: tuple[int, ...] | None = None) -> MBundle:
     """Curvature matrices of the non-frame ratios and the paired M0.
 
@@ -370,6 +350,7 @@ def build_M(rb: RatioBundle, fr: FrameData, indep_min: float | None = 1e-8,
     inverse; the curvature matrix is M = Hess w + sum_j theta_j Hess v_j.
     M0 is the combination of (Id, M^1, ..) that pairs to delta_{0m},
     normalized by the principal square root and oriented by ``_orientation``.
+    ``indep`` is judged by ``reconstruct_class`` and the selector, not here.
     """
     grid = rb.grid
     n = grid.dim
@@ -402,13 +383,6 @@ def build_M(rb: RatioBundle, fr: FrameData, indep_min: float | None = 1e-8,
     stack = np.concatenate([eye[None], M], axis=0)
 
     indep = _independence(stack)
-    if indep_min is not None:
-        bad = ~(indep >= indep_min)
-        if bad.any():
-            raise MDependent(
-                f"(Id, M^1, ..) fail pointwise independence at {indep_min:g}",
-                nodes=np.argwhere(bad))
-
     M0, ok = _pair_M0(stack)
     M0 *= _orientation(M0)[..., None, None]
     return MBundle(theta, M, M0, indep, ok, worst_lincomb)
@@ -507,7 +481,18 @@ def _orientation(W: np.ndarray) -> np.ndarray:
 
 
 def reconstruct_class(rb: RatioBundle, fr: FrameData, mb: MBundle) -> ClassRepresentative:
-    """The u_1-normalized representative of ``_class_triple``, with diagnostics."""
+    """The u_1-normalized representative of ``_class_triple``, with diagnostics.
+
+    Raises FrameDegenerate where the frame condition exceeds ``COND_MAX``,
+    else MDependent where the independence is below ``INDEP_MIN``."""
+    bad = ~(fr.cond <= COND_MAX)
+    if bad.any():
+        raise FrameDegenerate(f"frame Gram matrix condition exceeds {COND_MAX:g}",
+                              nodes=np.argwhere(bad))
+    bad = ~(mb.indep >= INDEP_MIN)
+    if bad.any():
+        raise MDependent(f"(Id, M^1, ..) fail pointwise independence at {INDEP_MIN:g}",
+                         nodes=np.argwhere(bad))
     a_arr, bpda, c, beta = _class_triple(rb, fr, mb.M0)
     resid = np.einsum("...ij,m...ij->m...", mb.M0, rb.hess_v) \
         + np.einsum("...k,m...k->m...", beta, rb.grad_v)
@@ -642,15 +627,15 @@ def _candidate(rb: RatioBundle, frame, subset, u1_max: float) -> tuple[np.ndarra
     """Pointwise (score, indep, ok, a, b + div a, c) of a frame and generator
     subset: the score is |u_1|/``u1_max`` / cond(H) * indep, ``ok`` flags a
     solvable frame and pairing, and the triple is u_1-normalized."""
-    fr = build_frame(rb, cond_max=None, frame=frame)
-    mb = build_M(rb, fr, indep_min=None, generators=subset)
+    fr = build_frame(rb, frame=frame)
+    mb = build_M(rb, fr, generators=subset)
     margin = np.abs(rb.u1) / max(u1_max, _TINY)
     return (margin / np.maximum(fr.cond, 1.0) * mb.indep, mb.indep, mb.ok & fr.ok,
             *_class_triple(rb, fr, mb.M0)[:3])
 
 
 def _select_on_patch(u: list[ScalarField], box: tuple[slice, ...], ratios, conds,
-                     candidate, cfg: EngineConfig, gmax: np.ndarray):
+                     candidate, gmax: np.ndarray):
     """Choose (u1, frame, generators) on one patch.
 
     ``ratios(i)`` (the bundle with ``u[i]`` as u_1), ``conds(i)`` (frame ->
@@ -660,17 +645,17 @@ def _select_on_patch(u: list[ScalarField], box: tuple[slice, ...], ratios, conds
     u_1 (:func:`_gram`, :func:`_sym_frame`).  Frames go best conditioned
     first (worst node over the patch), candidates are ranked by worst-node
     score, and a window that holds a non-finite value is not admissible.
-    Frame by frame, the best-scoring candidate that clears every threshold
-    wins and is returned as (selection, score, (a, b + div a, c)), its triple
-    in the unit-Frobenius gauge.  Otherwise the best-scoring failed attempt
-    is returned as (selection, score, None) so the caller can report it.  None
-    when no u_1 candidate clears the floor.
+    Frame by frame, the best-scoring candidate that clears ``COND_MAX`` and
+    ``INDEP_MIN`` on the patch wins and is returned as (selection, score,
+    (a, b + div a, c)), its triple in the unit-Frobenius gauge.  Otherwise
+    the best-scoring failed attempt is returned as (selection, score, None)
+    so the caller can report it.  None when no u_1 clears ``U1_FLOOR_REL``.
     """
     G_needed = num_generators(u[0].grid.dim)
     margins = np.array([np.abs(f.values[box]).min() / max(gm, _TINY)
                         for f, gm in zip(u, gmax)])
     order = [i for i in np.argsort(-margins, kind="stable")
-             if margins[i] >= cfg.u1_floor_rel]
+             if margins[i] >= U1_FLOOR_REL]
     best = None
     for i1 in order:
         rb = ratios(i1).window(box)
@@ -680,14 +665,13 @@ def _select_on_patch(u: list[ScalarField], box: tuple[slice, ...], ratios, conds
         frame_scored = sorted((float(cond[box].max()), combo)
                               for combo, cond in conds(i1).items())
         for worst_cond, combo in frame_scored[:_MAX_FRAMES]:
-            frame_ok = worst_cond <= cfg.cond_max
             top = top_ok = None
             pool = [j for j in range(len(others)) if j not in combo]
             for subset in itertools.islice(itertools.combinations(pool, G_needed), _MAX_SUBSETS):
                 score_f, indep, ok = candidate(i1, combo, subset)[:3]
                 core_ok = bool(ok[box].all())
                 score = float(score_f[box].min()) if core_ok else 0.0
-                if core_ok and frame_ok and float(indep[box].min()) >= cfg.indep_min:
+                if core_ok and worst_cond <= COND_MAX and float(indep[box].min()) >= INDEP_MIN:
                     if top_ok is None or score > top_ok[0]:
                         top_ok = (score, subset)
                 elif top is None or score > top[0]:
@@ -759,8 +743,7 @@ def reconstruct_global(u: list[ScalarField], config: EngineConfig | None = None
     acc_c = np.zeros(grid.shape, dtype=np.complex128)
     patch_map = PatchMap([], [], [], [], [], coverage=None)  # set after the pass
     for box in _patch_boxes(grid.shape, cfg):
-        selection, score, triple = (_select_on_patch(u, box, ratios, conds, candidate,
-                                                     cfg, gmax)
+        selection, score, triple = (_select_on_patch(u, box, ratios, conds, candidate, gmax)
                                     or (None, 0.0, None))
         sign = 1
         if triple is not None:

@@ -2,6 +2,7 @@
 
 import base64
 import json
+import re
 import struct
 import tracemalloc
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from gaugerec import (
     BoundaryTrace,
     Grid,
+    NonFiniteData,
     ScalarField,
     SymTensorField,
     VectorField,
@@ -58,6 +60,27 @@ def test_grid_validation():
         Grid((17, 17), ((1.0, 0.0), (0.0, 1.0)))
     with pytest.raises(ValueError):
         ScalarField(grid2(), np.zeros((32, 33)))
+
+
+def test_non_finite_values_name_their_nodes(tmp_path, capsys):
+    g = grid2(9)
+    vals = np.zeros(g.shape + (2,), dtype=complex)
+    vals[2, 5, 1] = np.nan
+    vals[7, 0, 0] = complex(0.0, np.inf)
+    with pytest.raises(NonFiniteData, match="vector field contains non-finite values") as info:
+        VectorField(g, vals)
+    assert info.value.nodes.tolist() == [[2, 5], [7, 0]]
+    with pytest.raises(ValueError):  # still a ValueError for existing callers
+        ScalarField(g, vals[..., 1])
+    # noise that overflows reaches the CLI as the typed error, not a traceback
+    cfg = tmp_path / "rt.json"
+    cfg.write_text(json.dumps({"mode": "roundtrip", "preset": "smooth-complex-2d",
+                               "grids": [17], "noise": [1e308]}))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert cli_main(["roundtrip", "--config", str(cfg)]) == 1
+    assert re.fullmatch(r"error: NonFiniteData: scalar field contains non-finite values "
+                        r"\(\d+ node\(s\), first at \(\d+, \d+\)\)\n",
+                        capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("shape, extent, message", [
@@ -279,6 +302,12 @@ def _old_text_values(doc):
     doc["values"] = [[float(v.real), float(v.imag)] for v in z]
 
 
+def _nan_value(doc):
+    z = np.frombuffer(base64.b64decode(doc["values"]), dtype="<c16").copy()
+    z[40] = np.nan
+    doc["values"] = base64.b64encode(z.tobytes()).decode()
+
+
 def _drop_last_value(doc):
     doc["values"] = base64.b64encode(base64.b64decode(doc["values"])[:-16]).decode()
 
@@ -291,8 +320,9 @@ def _drop_last_value(doc):
     (_drop_last_value, "'values' holds 1280 bytes"),
     (lambda doc: doc.update(kind="symtensor"), "'values' holds 1296 bytes"),
     (lambda doc: doc["grid"].update(shape=[2**40, 2**40]), "'values' holds 1296 bytes"),
+    (_nan_value, r"non-finite values \(1 node\(s\), first at \(4, 4\)\)"),
 ], ids=["old-text-format", "dtype-c8", "not-base64", "one-value-short",
-        "scalar-relabelled-symtensor", "huge-shape"])
+        "scalar-relabelled-symtensor", "huge-shape", "non-finite-value"])
 def test_load_refuses_malformed_archives(tmp_path, capsys, tamper, message):
     g = grid2(9)
     path = tmp_path / "u.json"

@@ -12,6 +12,7 @@ from gaugerec import (
     PRESETS,
     ScalarField,
     add_noise,
+    harmonic_family,
     noise_realization,
     run,
     square_grid,
@@ -19,6 +20,7 @@ from gaugerec import (
     unit_truth,
     write_manifest,
 )
+from gaugerec import harness
 from gaugerec.cli import main as cli_main
 from gaugerec.harness import MODES, observed_orders
 from gaugerec.recon import ClassRepresentative
@@ -51,7 +53,9 @@ def test_config_rejects_bad_fields_with_located_messages():
 
 
 def test_config_rejects_removed_engine_options():
-    for key, value in (("halo", 3), ("pairing", "bilinear")):
+    # the admissibility thresholds are engine constants, not options
+    for key, value in (("halo", 3), ("pairing", "bilinear"), ("u1_floor_rel", 1e-3),
+                       ("cond_max", 1e6), ("indep_min", 1e-8)):
         with pytest.raises(ConfigError, match=f"^engine.{key}: unknown engine option"):
             ExperimentConfig.from_dict({"mode": "roundtrip", "preset": "identity-2d",
                                         "engine": {key: value}})
@@ -224,6 +228,22 @@ def test_constant_tensor_override_with_a_config_a0_is_exact():
 
 
 @pytest.mark.parametrize("mode", ["qpat", "elasto"])
+def test_app_pipelines_are_looked_up_when_the_mode_runs(monkeypatch, mode):
+    # a wrapper bound to the harness global is the pipeline the run calls
+    calls = []
+    name = f"{mode}_reconstruct"
+    real = getattr(harness, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, counted)
+    run(ExperimentConfig(mode=mode, preset=f"{mode}-demo", grids=[17]))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("mode", ["qpat", "elasto"])
 def test_app_modes_smooth_their_data(mode):
     # elasto mode used to ignore noise and mollify_width
     def gamma_error(width):
@@ -335,6 +355,8 @@ def test_cli_reports_config_errors(tmp_path, capsys):
      "illumination.params.k"),
     ({"illumination": {"family": "cgo", "params": {"eps": 0}}},
      "illumination.params.eps"),
+    ({"illumination": {"family": "cgo", "params": {"eps": 1e300}}},
+     "illumination.params.eps"),
 ])
 def test_cli_names_the_field_of_a_mistyped_config_value(tmp_path, capsys,
                                                          override, field):
@@ -392,6 +414,18 @@ def test_cli_names_the_field_of_an_unusable_input(tmp_path, capsys, mode, make_d
     path = write_config(tmp_path, "bad.json", make_doc(tmp_path))
     assert cli_main([mode, "--config", path]) == 1
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
+def test_cli_refuses_fewer_archives_than_the_engine_needs(tmp_path, capsys):
+    from gaugerec import save_field
+    inputs = []
+    for j, f in enumerate(harmonic_family(square_grid(17)).fields()[:2]):
+        inputs.append(str(tmp_path / f"u{j}.json"))
+        save_field(f, inputs[-1])
+    path = write_config(tmp_path, "rec.json", {"mode": "reconstruct", "inputs": inputs})
+    assert cli_main(["reconstruct", "--config", path]) == 1
+    assert capsys.readouterr().err == \
+        "error: inputs: a 2D grid needs at least 5 solution archives, got 2\n"
 
 
 def test_cli_rejects_a_config_that_is_not_an_object(tmp_path, capsys):

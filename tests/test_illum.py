@@ -102,6 +102,13 @@ def test_cgo_family_null_phases():
             assert abs(np.dot(m.rho, m.rho)) < 1e-12
 
 
+@pytest.mark.parametrize("eps", [0.0, 1e300])
+def test_cgo_family_refuses_eps_without_a_finite_square(eps):
+    # eps ** 2 of 1e300 used to escape as an OverflowError
+    with pytest.raises(ValueError, match="eps must be positive, with a finite square"):
+        cgo_family(square_grid(9), eps=eps)
+
+
 def test_cgo_family_accepts_spatial_amplitude():
     grid = square_grid(17)
     gamma = ScalarField(grid, 1 + 0.3 * np.prod(

@@ -113,7 +113,7 @@ def test_vanishing_first_field_is_rejected():
     u1 = ScalarField(grid, (x1 - 0.5).astype(complex))
     u2 = ScalarField(grid, x2.astype(complex))
     with pytest.raises(VanishingU1):
-        build_ratios([u1, u2], floor=1e-8)
+        build_ratios([u1, u2])
 
 
 def _lapack_regular(H):
@@ -195,7 +195,7 @@ def test_frame_is_the_gram_block_and_inverts_it(data):
         grid = square_grid(17)
         u = synthesize(preset.coefficients(grid), preset.illumination(grid))
     rb = build_ratios(u)
-    fr = build_frame(rb, cond_max=None)
+    fr = build_frame(rb)
     n = rb.grid.dim
     h = recon._gram(rb.grad_v[:n])
     for i, j in itertools.product(range(n), repeat=2):
@@ -211,18 +211,37 @@ def test_degenerate_frame_is_rejected():
     f = ScalarField(grid, x1.astype(complex))
     rest = [ScalarField(grid, (x1 * x2).astype(complex)),
             ScalarField(grid, ((x1**2 - x2**2) / 2).astype(complex))]
+    rb = build_ratios([ones, f, f] + rest)
+    fr = build_frame(rb)
+    mb = build_M(rb, fr)
     with pytest.raises(FrameDegenerate):
-        build_frame(build_ratios([ones, f, f] + rest))
+        reconstruct_class(rb, fr, mb)
 
 
 def test_dependent_curvatures_are_rejected(strip_fields):
     grid = square_grid(33)
     rb = build_ratios(strip_fields(grid, redundant=False))
     fr = build_frame(rb)
+    mb = build_M(rb, fr)
     with pytest.raises(MDependent) as info:
-        build_M(rb, fr)
+        reconstruct_class(rb, fr, mb)
     cols = {int(c) for _, c in info.value.nodes}
     assert 16 in cols  # the x1 = 0.5 column on a 33-node axis
+
+
+def test_one_independence_threshold_governs_selector_and_class(monkeypatch):
+    # INDEP_MIN above any singular value of (Id, M^1, ..) leaves no node
+    # admissible for either consumer of the rule
+    monkeypatch.setattr(recon, "INDEP_MIN", 10.0)
+    u = harmonic_fields(square_grid(17))
+    with pytest.raises(CoverageFailure) as info:
+        reconstruct_global(u)
+    assert len(info.value.uncovered) == 17 * 17
+    rb = build_ratios(u)
+    fr = build_frame(rb)
+    with pytest.raises(MDependent, match="independence at 10") as info:
+        reconstruct_class(rb, fr, build_M(rb, fr))
+    assert len(info.value.nodes) == 17 * 17
 
 
 def test_fields_on_grids_of_different_shape_are_rejected():
@@ -246,8 +265,6 @@ def test_fields_on_grids_of_different_extent_are_rejected():
 
 
 def test_engine_config_validation_paths():
-    with pytest.raises(ConfigError, match="cond_max"):
-        EngineConfig(cond_max=0.5).validate()
     with pytest.raises(ConfigError, match="overlap"):
         EngineConfig(patch_size=17, overlap=17).validate()
 
@@ -312,10 +329,10 @@ def test_candidate_windows_equal_the_engine_on_the_window(monkeypatch, shape, bo
     fields = synthesize(preset.coefficients(grid), preset.illumination(grid))
     caches, picked = {}, {}
 
-    def select(u, b, ratios, conds, candidate, cfg, gmax):
+    def select(u, b, ratios, conds, candidate, gmax):
         caches.update(conds=conds, candidate=candidate)  # callable after the run
         key = tuple((sl.start, sl.stop) for sl in b)
-        picked[key] = real_select(u, b, ratios, conds, candidate, cfg, gmax)
+        picked[key] = real_select(u, b, ratios, conds, candidate, gmax)
         return picked[key]
 
     real_select = recon._select_on_patch
@@ -328,12 +345,12 @@ def test_candidate_windows_equal_the_engine_on_the_window(monkeypatch, shape, bo
     conds = caches["conds"](i1)
     for frame in itertools.combinations(range(len(others)), grid.dim):
         assert np.array_equal(conds[frame][box],
-                              build_frame(win, cond_max=None, frame=frame).cond), frame
+                              build_frame(win, frame=frame).cond), frame
     frame = tuple(others.index(j) for j in sel["frame"])
     subset = tuple(others.index(j) for j in sel["generators"])
     score, indep, ok = caches["candidate"](i1, frame, subset)[:3]
-    fr = build_frame(win, cond_max=None, frame=frame)
-    mb = build_M(win, fr, indep_min=None, generators=subset)
+    fr = build_frame(win, frame=frame)
+    mb = build_M(win, fr, generators=subset)
     margin = np.abs(win.u1) / np.abs(fields[i1].values).max()
     assert np.array_equal(indep[box], mb.indep)
     assert np.array_equal(ok[box], mb.ok & fr.ok)

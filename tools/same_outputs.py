@@ -126,6 +126,7 @@ def collect() -> dict:
     items["cgo 3D 9^3: stages"] = _attempt(
         lambda: _stages(g, g.cgo_family(g.square_grid(9, 3)).fields()))
 
+    items["stage errors"] = _stage_errors(g)
     items.update(_gauge_items(g))
     items["archive bytes"], items["archive values"] = _archives(g)
 
@@ -165,12 +166,41 @@ def _archives(g) -> tuple[list, list]:
 
 def _stages(g, data) -> dict:
     rb = g.build_ratios(data)
-    fr = g.build_frame(rb, cond_max=None)
-    mb = g.build_M(rb, fr, indep_min=None)
+    fr = g.build_frame(rb)
+    mb = g.build_M(rb, fr)
     rep = g.reconstruct_class(rb, fr, mb)
     return {"frame": _arrays(fr, ("H", "Hinv", "cond", "ok")),
             "M": _arrays(mb, ("theta", "M", "M0", "indep", "ok", "lincomb_residual")),
             "class": (rep.triple_arrays(), rep.diagnostics)}
+
+
+# name -> (grid size, the fields' values on its meshes)
+_INADMISSIBLE = {
+    # the ratios x1 and x1 make a singular frame Gram matrix everywhere
+    "duplicated frame": (17, lambda x1, x2: [np.ones_like(x1), x1, x1, x1 * x2,
+                                             (x1**2 - x2**2) / 2]),
+    # criterion 11's minimal strip: (Id, M^1, M^2) dependent on the column x1 = 0.5
+    "minimal strip": (33, lambda x1, x2: [np.ones_like(x1), x1, x2, x1 * x2, np.real(
+        ((x1 + 1j * x2) - (0.5 - 0.3j)) ** 3) / 6]),
+}
+
+
+def _stage_errors(g) -> dict:
+    """The typed error that build_ratios, build_frame, build_M and
+    reconstruct_class, run in turn, end in on inadmissible data: its type,
+    message and nodes, whichever stage raises it."""
+    out = {}
+    for name, (size, values) in _INADMISSIBLE.items():
+        grid = g.square_grid(size)
+        u = [g.ScalarField(grid, v.astype(complex)) for v in values(*grid.meshes)]
+        try:
+            rb = g.build_ratios(u)
+            fr = g.build_frame(rb)
+            g.reconstruct_class(rb, fr, g.build_M(rb, fr))
+            out[name] = "not raised"
+        except g.ToolkitError as exc:
+            out[name] = (type(exc).__name__, str(exc), getattr(exc, "nodes", None))
+    return out
 
 
 def _global(g, data, engine) -> dict:
