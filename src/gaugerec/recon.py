@@ -10,8 +10,9 @@ representative of the coefficient triple:
    condition number, all from one closed form in det H and the cofactors.
 3. ``build_M``: for each remaining ratio w, coefficients theta with
    grad w + sum_j theta_j grad v_j = 0, the curvature matrices
-   M = sum_j theta_j Hess v_j, and the normalized matrix M0 that pairs to
-   delta_{0m} against (Id, M^1, ..).
+   M = sum_j theta_j Hess v_j, the independence score of (Id, M^1, ..) and
+   the normalized matrix M0 that pairs to delta_{0m} against them; in 2D
+   both come from closed forms of the per-node 3 x 3 problems.
 4. ``reconstruct_class``: the representative (a, b + div a, c) in the
    u_1-normalized gauge a = M0 / u_1^2.
 
@@ -350,7 +351,11 @@ def build_M(rb: RatioBundle, fr: FrameData,
     inverse; the curvature matrix is M = Hess w + sum_j theta_j Hess v_j.
     M0 is the combination of (Id, M^1, ..) that pairs to delta_{0m},
     normalized by the principal square root and oriented by ``_orientation``.
-    ``indep`` is judged by ``reconstruct_class`` and the selector, not here.
+    ``indep`` is the smallest singular value of the vectorized stack
+    (:func:`_independence`); it is judged by ``reconstruct_class`` and the
+    selector, not here.  In 2D both per-node 3 x 3 problems, the
+    independence and the pairing solve (:func:`_pair_M0`), are closed forms;
+    in 3D (6 x 6) they go to LAPACK.
     """
     grid = rb.grid
     n = grid.dim
@@ -382,34 +387,171 @@ def build_M(rb: RatioBundle, fr: FrameData,
     eye = np.broadcast_to(np.eye(n, dtype=np.complex128), grid.shape + (n, n))
     stack = np.concatenate([eye[None], M], axis=0)
 
-    indep = _independence(stack)
+    indep = _independence(_vectorize_sym(stack))
     M0, ok = _pair_M0(stack)
     M0 *= _orientation(M0)[..., None, None]
     return MBundle(theta, M, M0, indep, ok, worst_lincomb)
 
 
 def _vectorize_sym(stack: np.ndarray) -> np.ndarray:
-    """Map stacked symmetric matrices to rows with Frobenius-compatible
-    weights (off-diagonals scaled by sqrt 2)."""
+    """Map stacked symmetric matrices (K, *shape, n, n) to rows (K, p, *shape),
+    p = n(n+1)/2, with Frobenius-compatible weights (off-diagonals scaled by
+    sqrt 2), so the bilinear product of rows k and m is Tr(B_k B_m)."""
     n = stack.shape[-1]
     comps = []
     for i, j in SYM_PAIRS[n]:
         w = 1.0 if i == j else np.sqrt(2.0)
         comps.append(w * stack[..., i, j])
-    return np.stack(comps, axis=-1)
+    return np.stack(comps, axis=1)
 
 
-def _independence(stack: np.ndarray) -> np.ndarray:
-    """Smallest singular value of the vectorized matrix stack, per node.
+# Nodes per call of the 2D closed form.  Its temporaries, about 1 kB a node,
+# then stay below the batched SVD's workspace.  And a complex array of a
+# chunk (32 kB) stays under the 256 kB from which numpy reuses an unnamed
+# temporary in place, a path that rounds x * conj(y) differently, so a
+# node's bits do not depend on the size of the grid it sits in.
+_CHUNK = 2048
 
-    ``stack`` is (K, *shape, n, n); rows are moved last so the SVD runs over
-    (K, p) blocks with p = n(n+1)/2.  Nodes with a non-finite entry get NaN
-    (the batched SVD would raise on them).
+
+def _independence(rows: np.ndarray) -> np.ndarray:
+    """Smallest singular value, per node, of the p x p matrix whose rows are
+    ``rows`` (K = p, p, *shape), the vectorized stack.
+
+    In 2D (p = 3) this is the closed form of :func:`_least_singular_3x3`,
+    ``_CHUNK`` nodes at a time; in 3D (p = 6) the batched SVD, with the rows
+    moved last.  Nodes with a non-finite entry get NaN (the batched SVD
+    would raise on them).
     """
-    rows = np.moveaxis(_vectorize_sym(stack), 0, -2)
-    finite = np.isfinite(rows).all(axis=(-2, -1))
-    sv = np.linalg.svd(np.where(finite[..., None, None], rows, 0.0), compute_uv=False)
+    if rows.shape[1] == 3:
+        flat = rows.reshape(3, 3, -1)
+        out = np.empty(flat.shape[-1])
+        for lo in range(0, out.size, _CHUNK):
+            out[lo:lo + _CHUNK] = _least_singular_3x3(flat[..., lo:lo + _CHUNK])
+        return out.reshape(rows.shape[2:])
+    A = np.moveaxis(rows, (0, 1), (-2, -1))
+    finite = np.isfinite(A).all(axis=(-2, -1))
+    sv = np.linalg.svd(np.where(finite[..., None, None], A, 0.0), compute_uv=False)
     return np.where(finite, sv[..., -1], np.nan)
+
+
+def _cross(x, y) -> tuple:
+    """Bilinear cross product (no conjugation) of two stacked 3-vectors."""
+    return (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0])
+
+
+def _hdot(x, y) -> np.ndarray:
+    """Hermitian product x^H y of two stacked 3-vectors."""
+    return np.conj(x[0]) * y[0] + np.conj(x[1]) * y[1] + np.conj(x[2]) * y[2]
+
+
+def _unit(x) -> tuple:
+    """A stacked 3-vector divided by its norm; 0 where the norm is 0."""
+    n2 = _hdot(x, x).real
+    inv = np.where(n2 > 0, 1.0 / np.sqrt(np.where(n2 > 0, n2, 1.0)), 0.0)
+    return tuple(t * inv for t in x)
+
+
+def _least_singular_3x3(A: np.ndarray) -> np.ndarray:
+    """Smallest singular value of 3 x 3 complex matrices A (row, column,
+    *shape) in closed form: sigma_3 = |det A| / ||adj A||_2.
+
+    The cofactor matrix C has the rows r1 x r2, r2 x r0 and r0 x r1 of the
+    rows r of A (:func:`_cross`), det A = r0 . (r1 x r2), and
+    ||adj A||_2^2 = sigma_1^2 sigma_2^2 is the largest eigenvalue of the
+    Hermitian C C^H (:func:`_top_eigenvalue`); 0 where that vanishes.  A is
+    first scaled per node by a power of two, which is exact, so that no
+    product overflows anywhere in the double range.  The result is capped
+    by sigma_2 <= sqrt(3) ||adj A||_2 / ||A||_F, so a node of rank 1 reads
+    roundoff, not a ratio of two roundoffs.  The absolute error is about
+    eps sigma_1 (sigma_1/sigma_2), against the SVD's eps sigma_1: the two
+    differ only where sigma_2 is small too, and there sigma_3 <= sigma_2.
+    Nodes with a non-finite entry get NaN.
+    """
+    big = np.abs(A).max(axis=(0, 1))
+    finite = np.isfinite(big)
+    exponent = np.clip(np.frexp(np.where(finite, big, 1.0))[1], -1000, 1000)
+    with np.errstate(invalid="ignore"):
+        A = A * np.ldexp(1.0, -exponent)
+        r = [tuple(row) for row in A]
+        cof = [_cross(r[1], r[2]), _cross(r[2], r[0]), _cross(r[0], r[1])]
+        det = r[0][0] * cof[0][0] + r[0][1] * cof[0][1] + r[0][2] * cof[0][2]
+        g = {(a, b): _hdot(cof[b], cof[a]) for a, b in SYM_PAIRS[3]}
+        root = np.sqrt(_top_eigenvalue(g))
+        zero = np.zeros(root.shape)
+        smin = np.divide(np.abs(det), root, out=zero.copy(), where=root > 0)
+        fro = np.sqrt(np.einsum("ij...,ij...->...", A, A.conj()).real)
+        cap = np.sqrt(3.0) * np.divide(root, fro, out=zero, where=fro > 0)
+        return np.where(finite, np.ldexp(np.minimum(smin, cap), exponent), np.nan)
+
+
+def _top_eigenvalue(g: dict) -> np.ndarray:
+    """Largest eigenvalue of Hermitian 3 x 3 matrices G, given as their
+    entries on and above the diagonal, keyed (a, b) with a <= b.
+
+    The smallest eigenvalue lam_3 comes from the trigonometric formula
+    (Smith 1961, "Eigenvalues of a symmetric 3 x 3 matrix").  That
+    formula's largest root loses accuracy as the top two eigenvalues meet,
+    where 1 - r^2 cancels: at sigma_2 = sigma_3 in ``_least_singular_3x3``
+    it is off by about sqrt(eps).  So lam_1 = lam_3 + mu, with mu the
+    largest eigenvalue of N = G - lam_3 I, taken as the larger of two
+    Rayleigh-Ritz values, each a lower bound on mu:
+
+    - on the complement of N's null vector v (the largest column of adj N),
+      spanned by a Householder reflector: the 2 x 2 compression's larger
+      eigenvalue is (t11 + t22)/2 + sqrt(((t11 - t22)/2)^2 + |t12|^2), a
+      sum of squares.  Exact to roundoff unless N is nearly of rank 1;
+    - x^H N x for x along N's largest column, which is exact to roundoff
+      when N is nearly of rank 1, the case where v is noise.
+    """
+    a, b, c = g[0, 0].real, g[1, 1].real, g[2, 2].real
+    d, e, f = g[0, 1], g[0, 2], g[1, 2]
+    dc, ec, fc = np.conj(d), np.conj(e), np.conj(f)
+    md, me, mf = (d * dc).real, (e * ec).real, (f * fc).real
+    q = (a + b + c) / 3.0
+    a0, b0, c0 = a - q, b - q, c - q
+    p = np.sqrt((a0 * a0 + b0 * b0 + c0 * c0 + 2.0 * (md + me + mf)) / 6.0)
+    det0 = a0 * b0 * c0 + 2.0 * (d * f * ec).real - a0 * mf - b0 * me - c0 * md
+    r = np.clip(det0 / (2.0 * np.where(p > 0, p, 1.0) ** 3), -1.0, 1.0)
+    lam3 = q + 2.0 * p * np.cos(np.arccos(r) / 3.0 + 2.0 * np.pi / 3.0)
+
+    na, nb, nc = a - lam3, b - lam3, c - lam3
+
+    def apply_N(y):
+        return (na * y[0] + d * y[1] + e * y[2], dc * y[0] + nb * y[1] + f * y[2],
+                ec * y[0] + fc * y[1] + nc * y[2])
+
+    x = _unit(_largest((na, dc, ec), (d, nb, fc), (e, f, nc),
+                       na * na + md + me, md + nb * nb + mf, me + mf + nc * nc))
+    mu_x = _hdot(x, apply_N(x)).real
+
+    p01, p02, p12 = e * fc - d * nc, d * f - e * nb, e * dc - na * f   # adj N above the diagonal
+    m01, m02, m12 = (p01 * np.conj(p01)).real, (p02 * np.conj(p02)).real, (p12 * np.conj(p12)).real
+    q00, q11, q22 = nb * nc - mf, na * nc - me, na * nb - md
+    v = _unit(_largest((q00, np.conj(p01), np.conj(p02)), (p01, q11, np.conj(p12)),
+                       (p02, p12, q22),
+                       q00 * q00 + m01 + m02, m01 + q11 * q11 + m12, m02 + m12 + q22 * q22))
+    # H = I - beta w w^H maps v onto e_0, so H e_1 and H e_2 span v's complement
+    av0 = np.abs(v[0])
+    phase = np.where(av0 > 0, v[0] / np.where(av0 > 0, av0, 1.0), 1.0)
+    w = (v[0] + phase, v[1], v[2])
+    beta = 1.0 / (1.0 + av0)
+    z = apply_N(w)
+    bs = beta * beta * _hdot(w, z).real
+    w1c, w2c = np.conj(w[1]), np.conj(w[2])
+    t11 = nb - 2.0 * beta * (w[1] * np.conj(z[1])).real + bs * (w[1] * w1c).real
+    t22 = nc - 2.0 * beta * (w[2] * np.conj(z[2])).real + bs * (w[2] * w2c).real
+    t12 = f - beta * (w[1] * np.conj(z[2]) + z[1] * w2c) + bs * w[1] * w2c
+    h = (t11 - t22) / 2.0
+    mu_v = (t11 + t22) / 2.0 + np.sqrt(h * h + (t12 * np.conj(t12)).real)
+    return lam3 + np.maximum(mu_x, mu_v)
+
+
+def _largest(c0, c1, c2, n0, n1, n2) -> tuple:
+    """Per node, the one of three stacked 3-vectors with the largest squared
+    norm (given as ``n0, n1, n2``), the first on ties."""
+    k0 = (n0 >= n1) & (n0 >= n2)
+    k1 = ~k0 & (n1 >= n2)
+    return tuple(np.where(k0, s, np.where(k1, t, u)) for s, t, u in zip(c0, c1, c2))
 
 
 def _pair_M0(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -418,17 +560,26 @@ def _pair_M0(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     P_km = Tr(B_k B_m), y = P^-1 e_0, M0 = sum y_k B_k / sqrt(y_0) (the
     constraints for m >= 1 hold by construction and the normalization
-    Tr(M0 M0) = 1 follows from y^T P y = y_0).  Returns M0 and the flag of
-    the nodes where P is regular and y_0 does not vanish.
+    Tr(M0 M0) = 1 follows from y^T P y = y_0).  In 2D P is the bilinear
+    Gram matrix of the vectorized stack (:func:`_vectorize_sym`), a complex
+    symmetric 3 x 3, and y = cof(P)[0, :] / det P comes from the frame's
+    closed form (:func:`_sym_frame`); in 3D from LAPACK's det and solve.
+    Where P is singular, y = e_0, so M0 = Id.  Returns M0 and the flag of
+    the nodes where P is regular (:func:`_regular`) and y_0 does not vanish.
     """
     K = stack.shape[0]
-    shape = stack.shape[1:-2]
-    P = np.einsum("k...ij,m...ji->...km", stack, stack)
-    ok = _regular(np.linalg.det(P), np.abs(P).max(axis=(-2, -1)), K)
-    safe = np.where(ok[..., None, None], P, np.eye(K, dtype=np.complex128))
-    e0 = np.zeros(shape + (K,), dtype=np.complex128)
-    e0[..., 0] = 1.0
-    y = np.linalg.solve(safe, e0[..., None])[..., 0]
+    if K == 3:
+        h = _gram(np.moveaxis(_vectorize_sym(stack), 1, -1))
+        _, cof, det, ok, _ = _sym_frame(h, range(K))
+        d = np.where(ok, det, 1.0)
+        y = np.stack([np.where(ok, cof[0, k] / d, float(k == 0)) for k in range(K)], axis=-1)
+    else:
+        P = np.einsum("k...ij,m...ji->...km", stack, stack)
+        ok = _regular(np.linalg.det(P), np.abs(P).max(axis=(-2, -1)), K)
+        safe = np.where(ok[..., None, None], P, np.eye(K, dtype=np.complex128))
+        e0 = np.zeros(ok.shape + (K,), dtype=np.complex128)
+        e0[..., 0] = 1.0
+        y = np.linalg.solve(safe, e0[..., None])[..., 0]
     raw = np.einsum("...k,k...ij->...ij", y, stack)
     s2 = y[..., 0]
     ok = ok & (np.abs(s2) > 1e-28)

@@ -351,8 +351,8 @@ def test_criterion_11_patch_reselection(detail, strip_fields):
         reconstruct_global(strip_fields(grid, redundant=False),
                            EngineConfig(patch_size=17, overlap=12))
     uncovered = info.value.uncovered
-    cols = {int(c) for _, c in uncovered}
-    assert 32 in cols  # the x1 = 0.5 line on a 65-node axis
+    # the whole x1 = 0.5 line: x1 varies along the first index (x1[32, :] = 0.5)
+    assert {int(c) for r, c in uncovered if r == 32} == set(range(65))
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
     detail(11, f"redundant run covered (tensor error {a_err:.1e}); minimal "

@@ -1,5 +1,6 @@
 """The pointwise class engine: identities, failure modes, patching."""
 
+import functools
 import gc
 import itertools
 import weakref
@@ -402,6 +403,180 @@ def test_closed_form_cond_ranks_frames_like_the_inverse(strip_fields, data, m, p
             assert ranked(closed, box)[top] == ranked(inverse, box)[top], (i1, box)
             pairs += 1
     assert pairs == len(u) * len(boxes)
+
+
+def _svd_least(rows):
+    """Smallest and largest singular values of each node's matrix, whose
+    rows are ``rows`` (K, p, *shape), by LAPACK's SVD; the smallest is NaN
+    where an entry is not finite."""
+    A = np.moveaxis(rows, (0, 1), (-2, -1))
+    finite = np.isfinite(A).all(axis=(-2, -1))
+    sv = np.linalg.svd(np.where(finite[..., None, None], A, 0.0), compute_uv=False)
+    return np.where(finite, sv[..., -1], np.nan), sv[..., 0]
+
+
+def _preset_stack(name, m):
+    """The stack (Id, M^1, M^2) that build_M pairs on a preset's data."""
+    preset = PRESETS[name]
+    grid = square_grid(m, preset.dim)
+    rb = build_ratios(synthesize(preset.coefficients(grid), preset.illumination(grid)))
+    mb = build_M(rb, build_frame(rb))
+    eye = np.broadcast_to(np.eye(grid.dim, dtype=complex), mb.M.shape[1:])
+    return np.concatenate([eye[None], mb.M])
+
+
+def _random_rows(m, seed):
+    """Random complex 3 x 3 matrices on an m x m grid, as rows (3, 3, m, m).
+    Every 7th node has sigma_3 = 1e-9 sigma_1.  Node 1 has sigma_2 = sigma_3,
+    where the trigonometric formula's largest root loses half its digits;
+    node 2 has rank 1; nodes 3-5 hold a NaN, an inf and both; nodes 8 and 9
+    have sigma_2 = sigma_3 = 1e-9 sigma_1; nodes 10 and 11 are scaled by
+    1e307 and 1e-300, where C C^H would overflow or underflow unscaled."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m * m, 3, 3)) + 1j * rng.standard_normal((m * m, 3, 3))
+    u, s, vh = np.linalg.svd(A)
+    s[::7, 2] = 1e-9 * s[::7, 0]
+    s[1] = (1.0, 0.5, 0.5)
+    s[2] = (1.0, 0.0, 0.0)
+    s[8:10, 1:] = 1e-9 * s[8:10, :1]
+    s[10:12] *= np.array([[1e307], [1e-300]])
+    A = (u * s[:, None, :]) @ vh
+    A[3, 0, 0] = np.nan
+    A[4, 1, 2] = np.inf
+    A[5, 2, 1] = complex(np.inf, np.nan)
+    return np.moveaxis(A.reshape(m, m, 3, 3), (-2, -1), (0, 1))
+
+
+@pytest.mark.parametrize("data", ["random", "isotropic-c", "smooth-complex-2d"])
+def test_closed_form_independence_matches_the_svd(data):
+    # |det A| / ||adj A||_2 is within 4 eps sigma_1 of LAPACK's sigma_3 at
+    # every node, NaN at exactly the non-finite ones; where sigma_2 is tiny
+    # too, the stated bound is eps sigma_1 (sigma_1 / sigma_2)
+    rows = _random_rows(129, 5) if data == "random" \
+        else recon._vectorize_sym(_preset_stack(data, 33))
+    got = recon._independence(rows)
+    want, s1 = _svd_least(rows)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.isnan(want).sum() == (3 if data == "random" else 0)
+    bound = 4 * np.finfo(float).eps * s1
+    if data == "random":
+        assert got.flat[2] <= bound.flat[2]  # rank 1 reads roundoff
+        bound.flat[8:10] /= 1e-9
+    assert np.nanmax(np.abs(got - want) / bound) <= 1.0
+
+
+@pytest.mark.parametrize("redundant", [False, True], ids=["strip-minimal", "strip-redundant"])
+def test_closed_form_independence_ranks_generators_like_the_svd(strip_fields, monkeypatch,
+                                                                 redundant):
+    # at every (patch, u_1, frame) the selector tries, the generator subsets
+    # rank by worst-node score, admissible first, as they do with LAPACK's
+    # SVD, and the selector picks the same winners
+    grid = square_grid(65)
+    u = strip_fields(grid, redundant=redundant)
+    cfg = EngineConfig(patch_size=17, overlap=12)
+    gmax = [float(np.abs(f.values).max()) for f in u]
+    combos = list(itertools.combinations(range(len(u) - 1), 2))
+
+    @functools.cache
+    def scores(i1, frame, subset):
+        # (closed-form score, SVD score, closed-form indep, SVD indep, ok)
+        rb = ratios(i1)
+        fr = build_frame(rb, frame)
+        mb = build_M(rb, fr, subset)
+        eye = np.broadcast_to(np.eye(2, dtype=complex), mb.M.shape[1:])
+        svd = _svd_least(recon._vectorize_sym(np.concatenate([eye[None], mb.M])))[0]
+        weight = np.abs(rb.u1) / gmax[i1] / np.maximum(fr.cond, 1.0)
+        return weight * mb.indep, weight * svd, mb.indep, svd, mb.ok & fr.ok
+
+    @functools.cache
+    def ratios(i1):
+        return recon._ratios(grid, [u[i1], *u[:i1], *u[i1 + 1:]])
+
+    def keys(i1, frame, box, variant):
+        # the selector's order: admissible first, then best worst-node score
+        pool = [j for j in range(len(u) - 1) if j not in frame]
+        out = {}
+        for subset in itertools.islice(itertools.combinations(pool, 2), recon._MAX_SUBSETS):
+            fields = scores(i1, frame, subset)
+            score, indep, ok = fields[variant], fields[2 + variant], fields[4]
+            core_ok = bool(ok[box].all())
+            passes = core_ok and float(indep[box].min()) >= recon.INDEP_MIN
+            out[subset] = (not passes, -float(score[box].min()) if core_ok else 0.0)
+        return out
+
+    tried = 0
+    with np.errstate(all="ignore"):
+        for box in recon._patch_boxes(grid.shape, cfg):
+            margins = np.array([np.abs(f.values[box]).min() / gm for f, gm in zip(u, gmax)])
+            for i1 in np.argsort(-margins, kind="stable"):
+                rb = ratios(i1)
+                if margins[i1] < recon.U1_FLOOR_REL or not (
+                        np.isfinite(rb.window(box).grad_v).all()):
+                    continue
+                h = recon._gram(rb.window(box).grad_v)
+                frames = sorted((float(recon._sym_frame(h, combo)[-1].max()), combo)
+                                for combo in combos)
+                for worst_cond, frame in frames[:recon._MAX_FRAMES]:
+                    got, want = keys(i1, frame, box, 0), keys(i1, frame, box, 1)
+                    order = sorted(want, key=want.get)
+                    # every step of the SVD's order holds for the closed form,
+                    # except between scores that tie to 1e-13 (some subsets
+                    # tie exactly, and either rounding may order them)
+                    for a, b in zip(order, order[1:]):
+                        assert got[a] <= got[b] or (
+                            got[a][0] == got[b][0]
+                            and got[a][1] - got[b][1] <= 1e-13 * abs(got[b][1])), (box, i1, frame)
+                    tried += 1
+                    if worst_cond <= recon.COND_MAX and not want[order[0]][0]:
+                        break
+                else:
+                    continue
+                break
+    assert tried >= 121
+
+    def selections(variant):
+        monkeypatch.setattr(recon, "_independence", variant)
+        try:
+            return reconstruct_global(u, cfg)[1].selections
+        except CoverageFailure as exc:
+            return exc.partial[1].selections
+
+    closed = recon._independence
+    assert selections(lambda rows: _svd_least(rows)[0]) == selections(closed)
+
+
+@pytest.mark.parametrize("name, m, pin", [
+    # pins 25% above the measured worst node: 6.23e-16, 5.94e-16, 4.45e-16
+    # and 5.26e-16 (LAPACK's det and solve read 5.43e-16, 6.04e-16,
+    # 5.11e-16 and 5.36e-16)
+    ("smooth-complex-2d", 129, 7.8e-16),
+    ("isotropic-c", 65, 7.4e-16),
+    ("real-2d", 65, 5.6e-16),
+    ("bzero-2d", 65, 6.6e-16),
+])
+def test_pairing_solve_matches_an_extended_precision_reference(name, m, pin):
+    # M0 = sum_k y_k B_k / sqrt(y_0), y = cof(P)[0, :] / det P, per node
+    # against the same formula with P, its cofactors and M0 in extended
+    # precision; the flags are LAPACK's rule (det, then solve) on the same P
+    stack = _preset_stack(name, m)
+    M0, ok = recon._pair_M0(stack)
+
+    P = np.einsum("k...ij,m...ji->...km", stack, stack)
+    y = np.linalg.solve(P, np.broadcast_to(np.eye(3)[0], P.shape[:-1])[..., None])[..., 0]
+    lapack_ok = recon._regular(np.linalg.det(P), np.abs(P).max(axis=(-2, -1)), 3) \
+        & (np.abs(y[..., 0]) > 1e-28)
+    assert np.array_equal(ok, lapack_ok)
+    assert ok.all()
+
+    B = stack.astype(np.clongdouble)
+    P = np.einsum("k...ij,m...ji->km...", B, B)
+    cof = [P[1, 1] * P[2, 2] - P[1, 2] * P[2, 1], P[1, 2] * P[2, 0] - P[1, 0] * P[2, 2],
+           P[1, 0] * P[2, 1] - P[1, 1] * P[2, 0]]
+    det = P[0, 0] * cof[0] + P[0, 1] * cof[1] + P[0, 2] * cof[2]
+    y = [c / det for c in cof]
+    ref = sum(yk[..., None, None] * Bk for yk, Bk in zip(y, B)) / np.sqrt(y[0])[..., None, None]
+    err = np.abs(M0 - ref).max(axis=(-2, -1)) / np.abs(ref).max(axis=(-2, -1))
+    assert err.max() <= pin
 
 
 def test_a_winner_may_vanish_outside_its_patch():

@@ -33,14 +33,24 @@ def test_first_difference_with_and_without_rtol():
     assert tool.first_difference(out, moved(), rtol=1e-13) is None
     assert tool.first_difference(out, moved(), rtol=1e-15).startswith(
         "item.x[0]: relative difference")
-    assert 1e-15 < tool.largest_relative_difference(out, moved()) < 2e-14
+    rel, where, diff, scale = tool.largest_difference(out, moved())
+    assert 1e-15 < rel < 2e-14
+    assert where.startswith("item.") and diff == rel * scale
+
+    # each relative figure comes with the leaf's absolute ones, so a
+    # roundoff-sized leaf reads as such: 1e-16 on entries near 2e-16
+    tiny = {"r": np.array([2e-16, 1e-16])}
+    assert tool.first_difference(tiny, {"r": tiny["r"] + 1e-16}, rtol=1e-13) == \
+        "item.r: relative difference 0.5 (max|a - b| 1e-16, max|a| 2e-16) above 1e-13"
+    assert tool.largest_difference(tiny, {"r": tiny["r"] + 1e-16}) == \
+        (0.5, "item.r", 1e-16, 2e-16)
 
     # non-finite entries must match in place and value
     b = moved()
     b["x"][0] = a.copy()
     b["x"][0][1] = np.inf
     assert tool.first_difference(out, b, rtol=1.0) == \
-        "item.x[0]: relative difference inf above 1"
+        "item.x[0]: relative difference inf (non-finite entries differ) above 1"
     # every other leaf stays exact
     for key, value in (("x", [a, 0.5, (4, "box")]), ("ok", np.array([True, True]))):
         assert tool.first_difference(out, moved(**{key: value}), rtol=1.0)

@@ -9,8 +9,9 @@ process with one BLAS thread; the outputs are pickled and compared item by
 item: arrays with NaN-aware ``np.array_equal`` (shape and dtype included),
 dicts and sequences element-wise, everything else with ``==``.  Every item
 that differs is printed with the path of its first difference and the
-largest relative difference of its float and complex leaves; the exit status
-is 1 if any item differs, else 0.
+float or complex leaf of largest relative difference, each relative figure
+with the leaf's max|a - b| and max|a|, so a roundoff-sized leaf shows as
+such; the exit status is 1 if any item differs, else 0.
 
 With ``--rtol R`` a float or complex leaf passes when its non-finite entries
 sit at the same positions with the same values and max|a - b| <= R max|a|
@@ -297,23 +298,31 @@ def _inexact(a, b) -> tuple[np.ndarray, np.ndarray] | None:
     return None
 
 
-def _relative_difference(a: np.ndarray, b: np.ndarray) -> float:
-    """max|a - b| / max|a| over the finite entries; inf where the non-finite
-    entries differ in position or value."""
+def _relative_difference(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
+    """(max|a - b| / max|a|, max|a - b|, max|a|) over the finite entries;
+    all inf where the non-finite entries differ in position or value."""
     fin = np.isfinite(a)
     if not (np.array_equal(fin, np.isfinite(b))
             and np.array_equal(a[~fin], b[~fin], equal_nan=True)):
-        return np.inf
+        return np.inf, np.inf, np.inf
     diff = float(np.abs(a[fin] - b[fin]).max(initial=0.0))
     scale = float(np.abs(a[fin]).max(initial=0.0))
-    return diff / scale if scale > 0.0 else (np.inf if diff > 0.0 else 0.0)
+    rel = diff / scale if scale > 0.0 else (np.inf if diff > 0.0 else 0.0)
+    return rel, diff, scale
+
+
+def _figures(rel: float, diff: float, scale: float) -> str:
+    if diff == np.inf and scale == np.inf:
+        return f"{rel:.3g} (non-finite entries differ)"
+    return f"{rel:.3g} (max|a - b| {diff:.3g}, max|a| {scale:.3g})"
 
 
 def _leaf_difference(a, b, rtol: float | None) -> str | None:
     pair = _inexact(a, b) if rtol is not None else None
     if pair is not None:
-        rel = _relative_difference(*pair)
-        return None if rel <= rtol else f"relative difference {rel:.3g} above {rtol:g}"
+        figures = _relative_difference(*pair)
+        return None if figures[0] <= rtol else \
+            f"relative difference {_figures(*figures)} above {rtol:g}"
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         a, b = np.asarray(a), np.asarray(b)
         if a.shape != b.shape or a.dtype != b.dtype:
@@ -343,12 +352,14 @@ def first_difference(a, b, path: str = "item", rtol: float | None = None) -> str
     return None
 
 
-def largest_relative_difference(a, b) -> float:
-    """The largest :func:`_relative_difference` over the float and complex
-    leaves that ``a`` and ``b`` both hold with one type and shape."""
-    rels = [_relative_difference(*pair) for _, x, y in _leaves(a, b, "")
-            if y is not _MISSING and (pair := _inexact(x, y)) is not None]
-    return max(rels, default=0.0)
+def largest_difference(a, b) -> tuple[float, str, float, float]:
+    """(relative difference, path, max|a - b|, max|a|) of the float or complex
+    leaf, of those ``a`` and ``b`` both hold with one type and shape, whose
+    :func:`_relative_difference` is largest; (0.0, "", 0.0, 0.0) if none."""
+    found = [(*_relative_difference(*pair), where) for where, x, y in _leaves(a, b, "item")
+             if y is not _MISSING and (pair := _inexact(x, y)) is not None]
+    rel, diff, scale, where = max(found, key=lambda f: f[0], default=(0.0, 0.0, 0.0, ""))
+    return rel, where, diff, scale
 
 
 def _run_tree(src: str, out: str) -> None:
@@ -387,7 +398,8 @@ def main(argv: list[str]) -> int:
             continue
         if first_difference(a[name], b[name]) is None:
             continue
-        rel = f"largest relative difference {largest_relative_difference(a[name], b[name]):.3g}"
+        rel, where, *figures = largest_difference(a[name], b[name])
+        rel = f"largest relative difference {_figures(rel, *figures)} at {where}"
         diff = first_difference(a[name], b[name], rtol=args.rtol)
         if diff:
             differ += 1
