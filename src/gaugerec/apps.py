@@ -145,7 +145,8 @@ def _flux_solve(D: SymTensorField, rhs_interior: np.ndarray,
     """Solve -div(D grad w) = rhs_interior inside, w = boundary_values on the
     boundary."""
     system = _InteriorLU(D.grid, partial(_flux_stencil, D))
-    w = system.solve(boundary_values, rhs_interior.reshape(-1)[system.order])
+    w = system.solve(boundary_values[:, None],
+                     rhs_interior.reshape(-1)[system.order][:, None])
     return w.reshape(D.grid.shape)
 
 

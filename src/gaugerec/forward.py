@@ -18,11 +18,14 @@ numbered by nested dissection of the box (George 1973: recursive bisection,
 each separator plane after the two halves it splits), and SuperLU factors the
 interior block in that order, without a column permutation of its own.  The
 order depends only on the grid shape and is computed once per shape.  The
-factorization is done once per coefficient set, so synthesizing many
-illuminations reuses it.  The conservative flux solve of the photoacoustic
-front end goes through the same factor and solve (``_InteriorLU``).  Every
-solve is checked against the relative residual ``_RTOL``; above it the solve
-raises SingularSystem.
+factorization is done once per coefficient set, and an illumination family
+is solved as one block of right-hand sides: one SuperLU solve and one sparse
+product for the residuals of all its traces.  The conservative flux solve of
+the photoacoustic front end goes through the same factor and solve
+(``_InteriorLU``).  Every solution is checked, column by column, against the
+relative residual ``_RTOL`` (``_residual_gate``, which the gauge's
+transform-based Poisson solve shares); above it the solve raises
+SingularSystem.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .errors import EllipticityViolation, SingularSystem, VanishingGauge
+from .errors import EllipticityViolation, NonFiniteData, SingularSystem, VanishingGauge
 from .fields import (
     Grid,
     ScalarField,
@@ -116,7 +119,8 @@ class BoundaryTrace:
     """Dirichlet datum sampled at the boundary nodes.
 
     ``values`` is a flat complex array over the boundary nodes in row-major
-    grid order (matching ``grid.boundary_flat``).
+    grid order (matching ``grid.boundary_flat``).  A NaN or infinite value
+    raises NonFiniteData naming the grid indices of its boundary nodes.
     """
 
     grid: Grid
@@ -128,6 +132,10 @@ class BoundaryTrace:
         k = self.grid.boundary_flat.size
         if vals.shape != (k,):
             raise ValueError(f"expected {k} boundary values, got shape {vals.shape}")
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            raise NonFiniteData("boundary trace contains non-finite values",
+                                nodes=np.argwhere(self.grid.boundary_mask)[bad])
         self.values = vals
 
     @classmethod
@@ -245,37 +253,72 @@ class _InteriorLU:
             raise SingularSystem(f"factorization failed: {exc}") from exc
 
     def solve(self, f: np.ndarray, s: np.ndarray | None = None,
-              trace_index: int | None = None) -> np.ndarray:
-        """Flat solution over the grid for boundary values ``f`` (in
-        ``boundary_flat`` order) and interior source ``s`` (in solver order)."""
+              indexed: bool = False) -> np.ndarray:
+        """Flat solutions over the grid, one column per right-hand side.
+
+        ``f`` holds the boundary values, (k_B, r) in ``boundary_flat``
+        order; ``s`` the interior source, (n_I, r) or (n_I, 1) in solver
+        order, zero when omitted.  The r columns take one SuperLU solve and
+        one sparse product for their residuals; a column with a non-finite
+        solution or a relative residual above ``_RTOL`` raises
+        SingularSystem, naming the first such column as ``trace_index``
+        when ``indexed``.
+        """
         n_int = self.order.size
         if s is None:
-            s = np.zeros(n_int, dtype=np.complex128)
-        x = np.zeros(self.grid.num_nodes, dtype=np.complex128)
-        x[n_int:] = f
-        x[:n_int] = self._lu.solve(s - self._A @ x)
-        if not np.all(np.isfinite(x)):
-            raise SingularSystem("solution is not finite", trace_index=trace_index)
-        # Boundary rows are not assembled: u_B = f exactly, so their residual
-        # is 0 and their |A||u| term would be |f|, which max|f| covers.
-        resid = self._A @ x - s
-        scale = max(float((self._absA @ np.abs(x)).max()),
-                    float(np.abs(f).max()), float(np.abs(s).max()), 1e-300)
-        rel = float(np.abs(resid).max()) / scale
-        if rel > _RTOL:
-            raise SingularSystem("direct solve residual above tolerance",
-                                 residual=rel, trace_index=trace_index)
-        u = np.empty_like(x)
+            s = np.zeros((n_int, 1), dtype=np.complex128)
+        x = np.concatenate([self._lu.solve(s - self._A[:, n_int:] @ f), f])
+        self._gate(x, f, s, indexed)
+        # column-major, so that each solution is one contiguous column
+        u = np.empty(x.shape, dtype=np.complex128, order="F")
         u[self.order] = x[:n_int]
         u[self.grid.boundary_flat] = f
         return u
+
+    def _gate(self, x: np.ndarray, f: np.ndarray, s: np.ndarray, indexed: bool) -> None:
+        """``_residual_gate`` for solutions ``x`` in solver order.  Each
+        full-size temporary is reduced to its column maxima before the next
+        is made, which keeps a block's peak memory down."""
+        # Boundary rows are not assembled: u_B = f exactly, so their residual
+        # is 0 and their |A||u| term would be |f|, which max|f| covers.
+        absax_max = (self._absA @ np.abs(x)).max(axis=0)
+        resid = self._A @ x
+        resid -= s
+        _residual_gate(x, np.abs(resid).max(axis=0), absax_max, f, s, indexed)
+
+
+def _residual_gate(x: np.ndarray, resid_max, absax_max, f: np.ndarray,
+                   s: np.ndarray, indexed: bool = False) -> None:
+    """Raise SingularSystem at the first column j of the solutions ``x``
+    that is not finite or whose relative residual
+
+        max|resid_j| / max(max(|A||x_j|), max|f_j|, max|s_j|, 1e-300)
+
+    exceeds ``_RTOL``.  ``resid_max`` and ``absax_max`` are the column
+    maxima of |resid| and of |A||x|, ``f`` holds the boundary values and
+    ``s`` the source (a single column applies to every solution).  The
+    error names j as its ``trace_index`` when ``indexed``.
+    """
+    finite = np.isfinite(x).all(axis=0)
+    scale = np.maximum(np.maximum(absax_max, np.abs(f).max(axis=0)),
+                       np.maximum(np.abs(s).max(axis=0), 1e-300))
+    with np.errstate(invalid="ignore"):  # a non-finite column fails anyway
+        rel = resid_max / scale
+    failed = np.flatnonzero(~finite | (rel > _RTOL))
+    if failed.size:
+        j = int(failed[0])
+        index = j if indexed else None
+        if not finite[j]:
+            raise SingularSystem("solution is not finite", trace_index=index)
+        raise SingularSystem("direct solve residual above tolerance",
+                             residual=float(rel[j]), trace_index=index)
 
 
 class DirichletSystem:
     """Assembled and factored Dirichlet problem for one coefficient set.
 
-    Reusable across right-hand sides; ``synthesize`` relies on that to
-    amortize the factorization over an illumination family.
+    Reusable across right-hand sides; ``synthesize`` solves a whole
+    illumination family with one factorization and one block solve.
     """
 
     def __init__(self, coeffs: CoefficientSet):
@@ -313,16 +356,31 @@ class DirichletSystem:
                         stencil[tuple(off)] = (sp_ * sq) * apq / (2.0 * h[p] * h[q])
         return stencil
 
-    def solve(self, f: BoundaryTrace, source: ScalarField | None = None,
-              trace_index: int | None = None) -> ScalarField:
-        """The solution for trace ``f`` and interior ``source``; both must
-        lie on the system's grid (GridMismatch otherwise)."""
-        common_grid([self, f] if source is None else [self, f, source])
+    def solve(self, f: BoundaryTrace | list[BoundaryTrace],
+              source: ScalarField | None = None) -> ScalarField | list[ScalarField]:
+        """The solution for one trace, or the list of solutions for a
+        sequence of traces, with the interior ``source`` (zero when omitted)
+        in every problem.
+
+        The traces are one block of right-hand sides: one SuperLU solve and
+        one residual gate for all of them (``_InteriorLU.solve``).  For a
+        sequence, the SingularSystem of a failing member carries its index
+        as ``trace_index``.  Traces and source must lie on the system's grid
+        (GridMismatch otherwise).
+        """
+        single = isinstance(f, BoundaryTrace)
+        traces = [f] if single else list(f)
+        if not traces:
+            return []
+        common_grid([self, *traces] + ([] if source is None else [source]))
         s = None
         if source is not None:
-            s = source.values.reshape(-1)[self._lu.order]
-        u = self._lu.solve(f.values, s, trace_index=trace_index)
-        return ScalarField(self.grid, u.reshape(self.grid.shape))
+            s = source.values.reshape(-1)[self._lu.order][:, None]
+        fb = np.stack([tr.values for tr in traces], axis=1)
+        u = self._lu.solve(fb, s, indexed=not single)
+        out = [ScalarField(self.grid, u[:, j].reshape(self.grid.shape))
+               for j in range(len(traces))]
+        return out[0] if single else out
 
 
 def gauge_transform(coeffs: CoefficientSet, tau: ScalarField) -> CoefficientSet:
@@ -352,10 +410,8 @@ def synthesize(coeffs: CoefficientSet, traces) -> list[ScalarField]:
     """Solve the Dirichlet problem for every trace in an illumination set.
 
     ``traces`` is an iterable of BoundaryTrace (an IlluminationSet works).
-    On failure the raised SingularSystem carries the failing trace index.
+    One factorization and one block solve serve the whole set
+    (``DirichletSystem.solve``); on failure the raised SingularSystem
+    carries the index of the first failing trace.
     """
-    system = DirichletSystem(coeffs)
-    out = []
-    for j, tr in enumerate(traces):
-        out.append(system.solve(tr, trace_index=j))
-    return out
+    return DirichletSystem(coeffs).solve(list(traces))

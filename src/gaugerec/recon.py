@@ -52,8 +52,7 @@ from .fields import (
     VectorField,
     common_grid,
     divergence_tensor,
-    grad_values,
-    hess_values,
+    second_derivative_values,
     unpack_sym,
 )
 from .illum import num_generators, num_solutions
@@ -238,16 +237,31 @@ def build_ratios(u: list[ScalarField]) -> RatioBundle:
 
 def _ratios(grid: Grid, u: list[ScalarField]) -> RatioBundle:
     """``build_ratios`` without its checks: where u_1 vanishes, the ratios
-    and the derivatives that reach them are not finite."""
+    and the derivatives that reach them are not finite.
+
+    u_1 and the m ratios share one (m+1, *shape) stack, differentiated along
+    axis k+1 as a whole; each mixed second derivative is the symmetrized
+    derivative of the stored first derivatives, as in ``hess_values``.  The
+    bundle's arrays are views of that stack and its derivatives.
+    """
     u1 = u[0].values
     sp = grid.spacing
-    v = np.stack([(f.values / u1) for f in u[1:]], axis=0)
-    grad_v = np.stack([grad_values(vj, sp) for vj in v], axis=0)
-    hess_packed = [hess_values(vj, sp) for vj in v]
-    hess_v = np.stack([unpack_sym(hp, grid.dim) for hp in hess_packed], axis=0)
-    grad_u1 = grad_values(u1, sp)
-    hess_u1 = unpack_sym(hess_values(u1, sp), grid.dim)
-    return RatioBundle(grid, u1, v, grad_v, hess_v, grad_u1, hess_u1)
+    n = grid.dim
+    w = np.empty((len(u),) + grid.shape, dtype=np.complex128)
+    w[0] = u1
+    for k, f in enumerate(u[1:], start=1):
+        np.divide(f.values, u1, out=w[k])
+    grad = np.empty(w.shape + (n,), dtype=np.complex128)
+    hess = np.empty(w.shape + (n, n), dtype=np.complex128)
+    for k in range(n):
+        grad[..., k] = np.gradient(w, sp[k], axis=k + 1, edge_order=2)
+        hess[..., k, k] = second_derivative_values(w, sp[k], k + 1)
+    for i, j in SYM_PAIRS[n]:
+        if i != j:
+            dij = np.gradient(grad[..., i], sp[j], axis=j + 1, edge_order=2)
+            dji = np.gradient(grad[..., j], sp[i], axis=i + 1, edge_order=2)
+            hess[..., i, j] = hess[..., j, i] = 0.5 * (dij + dji)
+    return RatioBundle(grid, u1, w[1:], grad[1:], hess[1:], grad[0], hess[0])
 
 
 def build_frame(rb: RatioBundle, frame: tuple[int, ...] | None = None) -> FrameData:

@@ -11,6 +11,7 @@ from gaugerec import (
     DirichletSystem,
     EllipticityViolation,
     GridMismatch,
+    NonFiniteData,
     ScalarField,
     SingularSystem,
     SymTensorField,
@@ -22,6 +23,7 @@ from gaugerec import (
 )
 from gaugerec.fields import Grid
 from gaugerec.forward import _nested_dissection
+from gaugerec.harness import PRESETS
 
 
 def const_coeffs(grid, amat, bvec, cval):
@@ -111,6 +113,17 @@ def test_boundary_trace_contracts():
         BoundaryTrace(grid, np.zeros(7))
 
 
+def test_boundary_trace_refuses_non_finite_values_at_their_nodes():
+    grid = square_grid(9)
+    vals = np.ones(grid.boundary_flat.size, dtype=complex)
+    vals[[3, 20]] = [np.nan, np.inf]
+    with pytest.raises(NonFiniteData) as info:
+        BoundaryTrace(grid, vals)
+    flat = grid.boundary_flat[[3, 20]]
+    assert np.array_equal(info.value.nodes,
+                          np.column_stack(np.unravel_index(flat, grid.shape)))
+
+
 def test_solver_exact_on_quadratic_constant_coefficients():
     """Constant (a, b, c) and a quadratic solution: the stencil is exact,
     so the solve reproduces the polynomial to factorization roundoff."""
@@ -181,6 +194,35 @@ def test_residual_tolerance_is_enforced(monkeypatch):
     with pytest.raises(SingularSystem) as info:
         synthesize(cs, [f, f])
     assert info.value.trace_index == 0
+
+
+@pytest.mark.parametrize("preset,n", [("smooth-complex-2d", 65), ("constant-tensor-3d", 9)])
+def test_block_solve_equals_per_trace_solves(preset, n):
+    """synthesize solves the family as one block; every member is bitwise
+    the solution of its own one-column solve."""
+    p = PRESETS[preset]
+    grid = square_grid(n, p.dim)
+    cs = p.coefficients(grid)
+    traces = list(p.illumination(grid))
+    system = DirichletSystem(cs)
+    block = synthesize(cs, traces)
+    assert len(block) == len(traces)
+    for u, tr in zip(block, traces):
+        assert np.array_equal(u.values, system.solve(tr).values)
+
+
+def test_block_solve_names_the_first_failing_trace(monkeypatch):
+    """A zero trace leaves a residual of exactly 0, so it passes even a zero
+    bound; the gate is per column and names the third trace."""
+    grid = square_grid(9)
+    cs = const_coeffs(grid, np.eye(2), [0.2, -0.1], 0.3)
+    zero = BoundaryTrace(grid, np.zeros(grid.boundary_flat.size))
+    f = BoundaryTrace.from_function(grid, lambda p: np.exp(p[:, 0]) * p[:, 1])
+    monkeypatch.setattr(gaugerec.forward, "_RTOL", 0.0)
+    with pytest.raises(SingularSystem) as info:
+        synthesize(cs, [zero, zero, f])
+    assert info.value.trace_index == 2
+    assert info.value.residual > 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,17 @@
 import numpy as np
 import pytest
 
+import gaugerec.forward
 from gaugerec import (
     BoundaryTrace,
     BranchAmbiguity,
     CoefficientSet,
     ComplexCoefficients,
+    DirichletSystem,
+    Grid,
     NonIntegrableField,
     ScalarField,
+    SingularSystem,
     SymTensorField,
     VanishingDeterminant,
     VectorField,
@@ -26,6 +30,7 @@ from gaugerec import (
     square_grid,
     synthesize,
 )
+from gaugerec.gauge import _exp_poisson
 from gaugerec.harness import PRESETS, unit_truth
 from gaugerec.recon import ClassRepresentative
 
@@ -213,3 +218,36 @@ def test_divergence_free_route_requires_real_classes():
     anchor = BoundaryTrace.from_node_values(grid, truth[3])
     with pytest.raises(ComplexCoefficients):
         recover_tau_divfree_b(rep, anchor)
+
+
+def poisson_problem(grid):
+    xs = grid.meshes
+    source = np.cos(3.0 * xs[0]) * (1.0 + xs[-1]) + 0.5j * xs[1] ** 2
+    tau_b = BoundaryTrace.from_node_values(
+        grid, (1.2 + 0.3 * xs[0] - 0.2j * xs[-1]) * np.exp(0.3j * xs[1]))
+    return source, tau_b
+
+
+@pytest.mark.parametrize("grid", [
+    square_grid(65),
+    Grid((17, 25), ((0.0, 1.0), (0.0, 2.0))),
+    Grid((11, 9, 13), ((0.0, 1.0),) * 3),
+], ids=["65^2", "17x25 over (0,1)x(0,2)", "11x9x13"])
+def test_sine_transform_poisson_matches_the_direct_solve(grid):
+    """The transform solve of the gauge's Poisson problem agrees with the
+    factored Laplacian, on square, rectangular and 3D boxes."""
+    source, tau_b = poisson_problem(grid)
+    w = DirichletSystem(CoefficientSet.constant(grid, np.eye(grid.dim))).solve(
+        BoundaryTrace(grid, np.log(tau_b.values)), source=ScalarField(grid, source))
+    ref = np.exp(w.values)
+    tau = _exp_poisson(grid, source, tau_b)
+    assert np.abs(tau - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_sine_transform_poisson_keeps_the_residual_gate(monkeypatch):
+    grid = square_grid(17)
+    source, tau_b = poisson_problem(grid)
+    monkeypatch.setattr(gaugerec.forward, "_RTOL", 0.0)
+    with pytest.raises(SingularSystem) as info:
+        _exp_poisson(grid, source, tau_b)
+    assert info.value.trace_index is None and info.value.residual > 0.0

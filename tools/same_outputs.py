@@ -222,6 +222,16 @@ def _gauge_items(g) -> dict:
     diag = {}
     items["tau b = 0, trace anchor"] = _attempt(lambda: (g.recover_tau_b_zero(
         rep, g.BoundaryTrace.from_node_values(grid, tau_t), diagnostics=diag).values, diag))
+    # a rectangular grid with unequal spacings, so the per-axis terms of the
+    # Poisson solve are compared too
+    wide = g.Grid((17, 25), ((0.0, 1.0), (0.0, 2.0)))
+    coeffs_w = preset.coefficients(wide)
+    rep_w, _ = g.reconstruct_global(g.synthesize(coeffs_w, preset.illumination(wide)))
+    tau_w = g.unit_truth(coeffs_w)[3]
+    diag_w = {}
+    items["tau b = 0, trace anchor, 17x25 over (0,1)x(0,2)"] = _attempt(
+        lambda: (g.recover_tau_b_zero(rep_w, g.BoundaryTrace.from_node_values(wide, tau_w),
+                                      diagnostics=diag_w).values, diag_w))
     small = g.square_grid(17)
     rep17, _ = g.reconstruct_global(g.harmonic_family(small).fields())
     diag17 = {}
