@@ -7,7 +7,7 @@ The package is organized bottom-up:
 ``forward``   coefficient sets, Dirichlet solver, gauge action, synthesis
 ``illum``     boundary illumination families and admissibility seeds
 ``recon``     the pointwise reconstruction engine and patch stitching
-``gauge``     gauge splitting and scalar-factor transport
+``gauge``     scalar-factor (tau) recovery
 ``apps``      photoacoustic and elastography front ends
 ``harness``   presets, experiment configs, noise, reports
 ``cli``       the ``gaugerec`` command
@@ -15,7 +15,6 @@ The package is organized bottom-up:
 
 from ._version import __version__
 from .errors import (
-    BranchAmbiguity,
     ComplexCoefficients,
     ConfigError,
     CoverageFailure,
@@ -29,7 +28,6 @@ from .errors import (
     NonPositiveH1,
     SingularSystem,
     ToolkitError,
-    VanishingDeterminant,
     VanishingGauge,
     VanishingU1,
 )
@@ -85,14 +83,11 @@ from .recon import (
     unit_gauge_triple,
 )
 from .gauge import (
-    GaugeSplit,
     curl_residual,
     integrate_gradient,
     recover_tau_b_zero,
     recover_tau_divfree_b,
     recover_tau_known_phi,
-    split_det,
-    split_pairing,
 )
 from .apps import (
     ElastoData,

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import NonPositiveH1
 from .fields import SYM_PAIRS, ScalarField, SymTensorField, common_grid
@@ -129,6 +128,8 @@ def divergence_form_matrix(D: SymTensorField) -> sp.csr_matrix:
     nested-dissection order and factors only their interior block, with the
     boundary values moved to the right-hand side (see ``forward._InteriorLU``).
     """
+    import scipy.sparse as sp
+
     grid = D.grid
     int_flat = np.flatnonzero(grid.interior_mask.ravel())
     rows = _stencil_rows(grid, int_flat, _flux_stencil(D, int_flat)).tocoo()

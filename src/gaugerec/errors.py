@@ -25,8 +25,6 @@ __all__ = [
     "FrameDegenerate",
     "MDependent",
     "CoverageFailure",
-    "VanishingDeterminant",
-    "BranchAmbiguity",
     "NonIntegrableField",
     "ComplexCoefficients",
     "NonPositiveH1",
@@ -153,14 +151,6 @@ class CoverageFailure(ToolkitError):
             f"reconstruction does not cover the grid: {self.uncovered.shape[0]} "
             f"node(s) uncovered, first at {tuple(int(i) for i in self.uncovered[0])}"
         )
-
-
-class VanishingDeterminant(_NodeError):
-    """det(a) below floor; the determinant gauge split is undefined."""
-
-
-class BranchAmbiguity(_NodeError):
-    """Branch continuation of a root/phase could not be resolved."""
 
 
 class NonIntegrableField(ToolkitError):

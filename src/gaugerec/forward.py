@@ -26,6 +26,13 @@ the photoacoustic front end goes through the same factor and solve
 relative residual ``_RTOL`` (``_residual_gate``, which the gauge's
 transform-based Poisson solve shares); above it the solve raises
 SingularSystem.
+
+Importing this module, or the package, loads numpy only.  scipy.sparse is
+imported inside the functions that build or factor a sparse operator
+(``_stencil_rows``, ``_InteriorLU``), as the gauge's transforms and the
+mollifier import theirs, so a process pays for scipy at its first
+factorization, transform or smoothing, and one that does none of them
+(``gaugerec reconstruct`` on archives) never loads it.
 """
 
 from __future__ import annotations
@@ -34,8 +41,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .errors import EllipticityViolation, NonFiniteData, SingularSystem, VanishingGauge
 from .fields import (
@@ -208,6 +213,8 @@ def _stencil_rows(grid: Grid, nodes: np.ndarray, stencil: dict,
     ``stencil`` maps an integer offset tuple to the coefficients at ``nodes``.
     ``columns[j]`` is the column of grid node j (the identity when omitted).
     """
+    import scipy.sparse as sp
+
     strides = _flat_strides(grid.shape)
     offsets = np.array([np.asarray(off) @ strides for off in stencil], dtype=np.intp)
     cols = nodes[:, None] + offsets
@@ -235,6 +242,8 @@ class _InteriorLU:
     """
 
     def __init__(self, grid: Grid, stencil_at):
+        from scipy.sparse.linalg import splu
+
         self.grid = grid
         self.order = order = _nested_dissection(grid.shape)
         n_int = order.size

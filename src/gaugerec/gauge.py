@@ -1,29 +1,22 @@
-"""Splitting and fixing the multiplicative gauge.
+"""Fixing the multiplicative gauge.
 
 A reconstructed representative determines the coefficient triple only up to
-(a, b, c) -> (tau a, tau b - a grad tau, tau c).  This module provides
-
-* canonical splits of the leading tensor into scalar x unit-normalized parts
-  (determinant and pairing conventions), and
-* three ways to pin tau itself when extra structure is known: b identically
-  zero (transport/potential route), b = a grad(phi) with known phi (Poisson
-  route), and real coefficients with divergence-free b (adjoint PDE route).
+(a, b, c) -> (tau a, tau b - a grad tau, tau c); ``recon.unit_gauge_triple``
+gives its unit-pairing normal form.  This module pins tau itself when extra
+structure is known, in three ways: b identically zero (transport/potential
+route), b = a grad(phi) with known phi (Poisson route), and real
+coefficients with divergence-free b (adjoint PDE route).  It also holds the
+curl check and the least-squares potential those routes rest on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .errors import (
-    BranchAmbiguity,
     ComplexCoefficients,
     DegenerateTensor,
     NonIntegrableField,
-    VanishingDeterminant,
     VanishingGauge,
 )
 from .fields import (
@@ -37,12 +30,9 @@ from .fields import (
     second_derivative_values,
 )
 from .forward import BoundaryTrace, CoefficientSet, DirichletSystem, _residual_gate
-from .recon import ClassRepresentative, _axis_scan, unit_gauge_triple
+from .recon import ClassRepresentative
 
 __all__ = [
-    "GaugeSplit",
-    "split_det",
-    "split_pairing",
     "curl_residual",
     "integrate_gradient",
     "recover_tau_b_zero",
@@ -51,71 +41,14 @@ __all__ = [
 ]
 
 
-@dataclass
-class GaugeSplit:
-    """Scalar factor and unit-normalized tensor with a = tau * unit.
-
-    convention "det": det(unit) = 1, tau = det(a)^(1/n) on the continuous
-    branch that is principal at the domain corner node.
-    convention "pairing": Tr(unit unit) = 1 (bilinear), the scale of
-    ``unit_gauge_triple``: sign fixed by continuity and Re Tr > 0 at the
-    center node.
-    """
-
-    tau: ScalarField
-    unit: SymTensorField
-    convention: str
-
-
-def split_det(a: SymTensorField) -> GaugeSplit:
-    """tau = det(a)^(1/n) with branch continuity, unit = a / tau.
-
-    Nodes where |det| falls below 1e-12 times its largest value on the grid
-    raise VanishingDeterminant.  A neighbor phase jump above pi/2 raises
-    BranchAmbiguity since continuation can no longer be trusted.
-    """
-    grid = a.grid
-    n = grid.dim
-    d = np.linalg.det(a.as_matrix())
-    absd = np.abs(d)
-    ref = float(absd.max())
-    if ref <= 0:
-        raise VanishingDeterminant("det(a) vanishes identically")
-    bad = absd < 1e-12 * ref
-    if bad.any():
-        raise VanishingDeterminant("det(a) below the relative floor",
-                                   nodes=np.argwhere(bad))
-    # Unwrap the phase along the scan path, from the principal value at the
-    # first node; a step close to pi means the branch cannot be tracked.
-    ang, worst = _axis_scan(d.shape, np.angle(d[(0,) * n]),
-                            lambda cur, prev: np.angle(d[cur] / d[prev]), np.add)
-    if worst > 0.5 * np.pi:
-        raise BranchAmbiguity(
-            f"determinant phase jumps by {worst:.3f} rad between neighbors")
-    tau = np.exp((np.log(absd) + 1j * ang) / n)
-    unit = a.values / tau[..., None]
-    return GaugeSplit(ScalarField(grid, tau),
-                      SymTensorField(grid, unit), "det")
-
-
-def split_pairing(a: SymTensorField) -> GaugeSplit:
-    """tau = sqrt(Tr(a a)) with sign continuity, unit = a / tau.
-
-    Raises VanishingGauge where Tr(a a) vanishes.
-    """
-    grid = a.grid
-    unit, _, _, scale = unit_gauge_triple(
-        a.as_matrix(), np.zeros(grid.shape + (grid.dim,)), np.zeros(grid.shape))
-    return GaugeSplit(ScalarField(grid, scale),
-                      SymTensorField.from_matrix(grid, unit), "pairing")
-
-
 # ---------------------------------------------------------------------------
 # Discrete potential recovery
 # ---------------------------------------------------------------------------
 
 def _diff_matrix_1d(m: int, h: float) -> sp.csr_matrix:
     """First-derivative matrix matching the gradient stencil contract."""
+    import scipy.sparse as sp
+
     main = np.zeros(m)
     main[0] = -1.5
     main[-1] = 1.5
@@ -131,6 +64,8 @@ def _diff_matrix_1d(m: int, h: float) -> sp.csr_matrix:
 
 def _gradient_operator(grid: Grid) -> sp.csr_matrix:
     """Sparse (n N, N) matrix applying all n first derivatives."""
+    import scipy.sparse as sp
+
     blocks = []
     for k in range(grid.dim):
         op = None
@@ -163,6 +98,8 @@ def integrate_gradient(g: VectorField) -> ScalarField:
     is pinned at the first node (the system is consistent, so pinning does
     not distort the solution).
     """
+    from scipy.sparse.linalg import splu
+
     grid = g.grid
     G = _gradient_operator(grid)
     A = (G.T @ G).tolil()

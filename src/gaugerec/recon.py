@@ -601,28 +601,23 @@ def _pair_M0(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return raw / s[..., None, None], ok
 
 
-def _axis_scan(shape: tuple[int, ...], start: float, step,
-               op: np.ufunc) -> tuple[np.ndarray, float]:
-    """Carry a value from the first node along the scan path of a grid.
+def _axis_scan(shape: tuple[int, ...], step) -> np.ndarray:
+    """Carry a sign from the first node (+1) along the scan path of a grid.
 
     The path runs down axis 0 from the first node, then along axis 1 from
     every node reached so far, then along axis 2 in 3D.  ``step(cur, prev)``
     takes the index windows of the two ends of a batch of path edges and
-    returns the change across each; ``op`` (np.multiply or np.add) chains
-    the changes: value = op(value at the start of the line, op.accumulate).
-    Returns the field and the largest |step| on the path.
+    returns the sign change (+-1) across each; the changes are chained by
+    products along each line.
     """
     out = np.empty(shape)
-    out[(0,) * len(shape)] = start
-    worst = 0.0
+    out[(0,) * len(shape)] = 1.0
     for k in range(len(shape)):
         head, tail = (slice(None),) * k, (0,) * (len(shape) - k - 1)
         cur = head + (slice(1, None),) + tail
         d = step(cur, head + (slice(None, -1),) + tail)
-        out[cur] = op(out[head + (slice(0, 1),) + tail], op.accumulate(d, axis=k))
-        if d.size:
-            worst = max(worst, float(np.abs(d).max()))
-    return out, worst
+        out[cur] = out[head + (slice(0, 1),) + tail] * np.multiply.accumulate(d, axis=k)
+    return out
 
 
 def _orientation(W: np.ndarray) -> np.ndarray:
@@ -639,7 +634,7 @@ def _orientation(W: np.ndarray) -> np.ndarray:
         ov = np.real(np.einsum("...ij,...ij->...", W[cur], np.conj(W[prev])))
         return np.where(ov < 0, -1.0, 1.0)
 
-    sgn, _ = _axis_scan(shape, 1.0, rel, np.multiply)
+    sgn = _axis_scan(shape, rel)
     center = tuple(m // 2 for m in shape)
     tr = np.trace(W[center]) * sgn[center]
     return -sgn if (tr.real < 0 or (tr.real == 0 and tr.imag < 0)) else sgn
@@ -648,6 +643,12 @@ def _orientation(W: np.ndarray) -> np.ndarray:
 def reconstruct_class(rb: RatioBundle, fr: FrameData, mb: MBundle) -> ClassRepresentative:
     """The u_1-normalized representative of ``_class_triple``, with diagnostics.
 
+    ``eq_residual`` is, per node, the largest over the ratios v_m of the
+    residual of M0 : Hess v_m + beta . grad v_m = 0 relative to the size of
+    its terms, sum_ij |M0_ij| |d_ij v_m| + sum_k |beta_k| |d_k v_m|.  On
+    exact data it reads roundoff also where the summed terms cancel (the 2D
+    constant classes); where every term of a ratio's equation is itself
+    roundoff, it can read up to 1.
     Raises FrameDegenerate where the frame condition exceeds ``COND_MAX``,
     else MDependent where the independence is below ``INDEP_MIN``."""
     bad = ~(fr.cond <= COND_MAX)
@@ -661,9 +662,9 @@ def reconstruct_class(rb: RatioBundle, fr: FrameData, mb: MBundle) -> ClassRepre
     a_arr, bpda, c, beta = _class_triple(rb, fr, mb.M0)
     resid = np.einsum("...ij,m...ij->m...", mb.M0, rb.hess_v) \
         + np.einsum("...k,m...k->m...", beta, rb.grad_v)
-    scale = np.abs(np.einsum("...ij,m...ij->m...", mb.M0, rb.hess_v)).max(axis=0) \
-        + np.abs(beta).max(axis=-1) * np.abs(rb.grad_v).max(axis=(0, -1)) + _TINY
-    diagnostics = {"eq_residual": np.abs(resid).max(axis=0) / scale, "frame_cond": fr.cond,
+    size = np.einsum("...ij,m...ij->m...", np.abs(mb.M0), np.abs(rb.hess_v)) \
+        + np.einsum("...k,m...k->m...", np.abs(beta), np.abs(rb.grad_v)) + _TINY
+    diagnostics = {"eq_residual": (np.abs(resid) / size).max(axis=0), "frame_cond": fr.cond,
                    "pairing_indep": mb.indep, "lincomb_residual": mb.lincomb_residual}
     return _assemble_representative(rb.grid, a_arr, bpda, c,
                                     gauge="u1-normalized", diagnostics=diagnostics)

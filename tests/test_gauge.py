@@ -1,4 +1,4 @@
-"""Gauge splitting conventions and scalar-factor recovery routes."""
+"""Scalar-factor recovery routes and the potential integration they use."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 import gaugerec.forward
 from gaugerec import (
     BoundaryTrace,
-    BranchAmbiguity,
     CoefficientSet,
     ComplexCoefficients,
     DirichletSystem,
@@ -15,7 +14,6 @@ from gaugerec import (
     ScalarField,
     SingularSystem,
     SymTensorField,
-    VanishingDeterminant,
     VectorField,
     curl_residual,
     gradient,
@@ -25,8 +23,6 @@ from gaugerec import (
     recover_tau_b_zero,
     recover_tau_divfree_b,
     recover_tau_known_phi,
-    split_det,
-    split_pairing,
     square_grid,
     synthesize,
 )
@@ -39,72 +35,6 @@ SR = np.array([[0.6, 0.3], [0.3, -0.4]])
 
 def bump(grid):
     return np.prod([np.sin(np.pi * m) for m in grid.meshes], axis=0)
-
-
-def scaled_tensor(grid, tau_vals, base):
-    return SymTensorField.from_matrix(
-        grid, np.einsum("..., ij -> ...ij", tau_vals, np.asarray(base, complex)))
-
-
-# ---------------------------------------------------------------------------
-# Splitting conventions
-# ---------------------------------------------------------------------------
-
-def test_split_det_recovers_a_winding_factor():
-    grid = square_grid(33)
-    x1, x2 = grid.meshes
-    # phase sweeps 1.5 pi across the domain: forces branch continuation
-    tau = 1.3 * np.exp(1j * 1.5 * np.pi * (x1 + 0.3 * x2) / 1.3)
-    base = np.array([[2.0, 0.0], [0.0, 0.5]])  # det = 1
-    gs = split_det(scaled_tensor(grid, tau, base))
-    assert gs.convention == "det"
-    assert np.abs(gs.tau.values - tau).max() < 1e-10
-    det_unit = np.linalg.det(gs.unit.as_matrix())
-    assert np.abs(det_unit - 1.0).max() < 1e-10
-    recomposed = gs.tau.values[..., None] * gs.unit.values
-    assert np.abs(recomposed - scaled_tensor(grid, tau, base).values).max() < 1e-10
-
-
-def test_split_det_recovers_a_winding_factor_in_3d():
-    grid = square_grid(13, dim=3)
-    x1, x2, x3 = grid.meshes
-    # det = tau^3 winds by 4.5 pi, along every axis of the scan path
-    tau = 1.3 * np.exp(1j * 1.5 * np.pi * (x1 + 0.3 * x2 + 0.5 * x3) / 1.8)
-    base = np.diag([2.0, 0.5, 1.0])  # det = 1
-    gs = split_det(scaled_tensor(grid, tau, base))
-    assert np.abs(gs.tau.values - tau).max() < 1e-10
-    assert np.abs(np.linalg.det(gs.unit.as_matrix()) - 1.0).max() < 1e-10
-
-
-def test_split_pairing_unit_normalization():
-    grid = square_grid(33)
-    x1, x2 = grid.meshes
-    tau = (1.0 + 0.5 * x1) * np.exp(0.4j * x2)
-    base = np.eye(2) / np.sqrt(2)  # Tr(base base) = 1
-    gp = split_pairing(scaled_tensor(grid, tau, base))
-    assert gp.convention == "pairing"
-    assert np.abs(gp.tau.values - tau).max() < 1e-12
-    unit = gp.unit.as_matrix()
-    pair = np.einsum("...ij,...ij->...", unit, unit)
-    assert np.abs(pair - 1.0).max() < 1e-12
-
-
-def test_split_det_flags_vanishing_determinant():
-    grid = square_grid(17)
-    x1, _ = grid.meshes
-    mat = np.zeros(grid.shape + (2, 2), dtype=complex)
-    mat[..., 0, 0] = x1  # zero along one edge
-    mat[..., 1, 1] = 1.0
-    with pytest.raises(VanishingDeterminant):
-        split_det(SymTensorField.from_matrix(grid, mat))
-
-
-def test_split_det_flags_branch_jumps():
-    grid = square_grid(17)
-    rng = np.random.default_rng(0)
-    tau = np.exp(1j * rng.uniform(-np.pi, np.pi, grid.shape))
-    with pytest.raises(BranchAmbiguity):
-        split_det(scaled_tensor(grid, tau, np.eye(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +63,7 @@ def test_curl_residual_separates_gradients_from_rotations():
 # ---------------------------------------------------------------------------
 # Recovery routes.  Each builds a class whose hypotheses the route needs,
 # reconstructs the representative from synthesized data, and compares the
-# recovered factor against the truth split.
+# recovered factor against the true one.
 # ---------------------------------------------------------------------------
 
 def reconstruct_with_truth(coeffs, grid):

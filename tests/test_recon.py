@@ -579,6 +579,41 @@ def test_pairing_solve_matches_an_extended_precision_reference(name, m, pin):
     assert err.max() <= pin
 
 
+def _eq_residual(u):
+    rb = build_ratios(u)
+    fr = build_frame(rb)
+    return reconstruct_class(rb, fr, build_M(rb, fr)).diagnostics["eq_residual"]
+
+
+def _preset_data(name, m):
+    preset = PRESETS[name]
+    grid = square_grid(m, preset.dim)
+    return synthesize(preset.coefficients(grid), preset.illumination(grid))
+
+
+@pytest.mark.parametrize("name, m, measured", [
+    # the equation's terms vanish on the constant classes; each solution's
+    # residual is judged against the size of its own terms, so these read
+    # roundoff too (they read 4.9e-3 and 4.9e-4 against the summed terms)
+    ("constant-tensor-2d", 33, 5.40e-16),
+    ("bzero-2d", 33, 3.78e-16),
+    ("smooth-complex-2d", 65, 3.89e-16),
+])
+def test_equation_residual_reads_roundoff_on_exact_data(name, m, measured):
+    assert _eq_residual(_preset_data(name, m)).max() <= 1.25 * measured
+
+
+def test_equation_residual_peaks_at_a_spiked_node():
+    u = _preset_data("smooth-complex-2d", 33)
+    spiked = u[3].values.copy()
+    spiked[10, 20] *= 1e3
+    u[3] = ScalarField(u[3].grid, spiked)
+    r = _eq_residual(u)
+    # measured: 5.2e-9 at the spike against a median of 1.3e-16
+    assert np.unravel_index(np.argmax(r), r.shape) == (10, 20)
+    assert r.max() > 1e6 * np.median(r)
+
+
 def test_a_winner_may_vanish_outside_its_patch():
     # identity class, no constant member; u[0] = x1 - 1/4 is exactly 0 on
     # grid row 8, which the patches starting at row 16 do not hold.  There

@@ -253,11 +253,6 @@ def _gauge_items(g) -> dict:
     b_div = g.VectorField(grid, np.stack([gpsi[..., 1], -gpsi[..., 0]], axis=-1))
     items["tau divergence-free b"] = _attempt(lambda: _route(
         g, g.CoefficientSet.from_fields(a, b_div, c), g.recover_tau_divfree_b))
-
-    a_smooth = g.reconstruct_global(g.synthesize(
-        g.PRESETS["smooth-complex-2d"].coefficients(grid), g.harmonic_family(grid)))[0].a
-    for split in ("split_det", "split_pairing"):
-        items[split] = _attempt(lambda: _split(getattr(g, split)(a_smooth)))
     return items
 
 
@@ -266,10 +261,6 @@ def _route(g, coeffs, recover):
     rep, _ = g.reconstruct_global(g.synthesize(coeffs, g.harmonic_family(grid)))
     anchor = g.BoundaryTrace.from_node_values(grid, g.unit_truth(coeffs)[3])
     return recover(rep, anchor).values
-
-
-def _split(s) -> tuple:
-    return s.tau.values, s.unit.values, s.convention
 
 
 _MISSING = object()
