@@ -92,10 +92,7 @@ from .gauge import (
 from .apps import (
     ElastoData,
     QpatData,
-    divergence_form_matrix,
-    elasto_model_residual,
     elasto_reconstruct,
-    qpat_model_residual,
     qpat_reconstruct,
 )
 from .harness import (

@@ -22,18 +22,15 @@ import numpy as np
 
 from .errors import NonPositiveH1
 from .fields import SYM_PAIRS, ScalarField, SymTensorField, common_grid
-from .forward import BoundaryTrace, _flat_strides, _InteriorLU, _stencil_rows
+from .forward import BoundaryTrace, _flat_strides, _InteriorLU
 from .gauge import recover_tau_b_zero
 from .recon import EngineConfig, reconstruct_global
 
 __all__ = [
     "QpatData",
     "ElastoData",
-    "divergence_form_matrix",
     "qpat_reconstruct",
     "elasto_reconstruct",
-    "qpat_model_residual",
-    "elasto_model_residual",
 ]
 
 
@@ -117,28 +114,6 @@ def _flux_stencil(D: SymTensorField, nodes: np.ndarray) -> dict:
             add(-ep + eq, -dpq_minus * scale)
             add(-ep - eq, dpq_minus * scale)
     return entries
-
-
-def divergence_form_matrix(D: SymTensorField) -> sp.csr_matrix:
-    """Sparse N x N operator: -div(D grad w) at interior rows, identity at the
-    boundary, in row-major node order.
-
-    This is the form for applying the operator (the model residuals).  The
-    flux solve does not factor it: it assembles the same interior rows in
-    nested-dissection order and factors only their interior block, with the
-    boundary values moved to the right-hand side (see ``forward._InteriorLU``).
-    """
-    import scipy.sparse as sp
-
-    grid = D.grid
-    int_flat = np.flatnonzero(grid.interior_mask.ravel())
-    rows = _stencil_rows(grid, int_flat, _flux_stencil(D, int_flat)).tocoo()
-    bnd = grid.boundary_flat
-    return sp.csr_matrix(
-        (np.concatenate([rows.data, np.ones(bnd.size)]),
-         (np.concatenate([int_flat[rows.row], bnd]),
-          np.concatenate([rows.col, bnd]))),
-        shape=(grid.num_nodes, grid.num_nodes))
 
 
 def _flux_solve(D: SymTensorField, rhs_interior: np.ndarray,
@@ -239,32 +214,3 @@ def elasto_reconstruct(data: ElastoData, config: EngineConfig | None = None
     gamma = SymTensorField(rep.grid, rep.a.values * tau.values[..., None])
     rho = ScalarField(rep.grid, tau.values * rep.c.values / data.omega ** 2)
     return gamma, rho, _pipeline_report(rep, patch_map, diag)
-
-
-def _worst_residual(gamma: SymTensorField, H: list[ScalarField], residual) -> float:
-    """Largest interior model residual over the data, relative to
-    sup|H_j| / h^2.  ``residual(A, h)`` gives the residual at every node for
-    the flat data h, with A the flux operator of ``divergence_form_matrix``."""
-    grid = gamma.grid
-    A = divergence_form_matrix(gamma)
-    interior = grid.interior_mask.ravel()
-    worst = 0.0
-    for Hj in H:
-        r = residual(A, Hj.values.reshape(-1))[interior]
-        scale = max(float(np.abs(Hj.values).max()), 1e-300) / min(grid.spacing) ** 2
-        worst = max(worst, float(np.abs(r).max()) / scale)
-    return worst
-
-
-def qpat_model_residual(gamma: SymTensorField, sigma: ScalarField,
-                        H: list[ScalarField]) -> float:
-    """Relative interior residual of -div(gamma grad(H_j/sigma)) + H_j."""
-    s = sigma.values.reshape(-1)
-    return _worst_residual(gamma, H, lambda A, h: A @ (h / s) + h)
-
-
-def elasto_model_residual(gamma: SymTensorField, rho: ScalarField,
-                          omega: float, H: list[ScalarField]) -> float:
-    """Relative interior residual of div(gamma grad u_j) + omega^2 rho u_j."""
-    k = omega ** 2 * rho.values.reshape(-1)
-    return _worst_residual(gamma, H, lambda A, h: -(A @ h) + k * h)

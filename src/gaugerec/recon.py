@@ -18,13 +18,16 @@ representative of the coefficient triple:
 
 ``reconstruct_global`` selects u_1, frame, and generators per patch.  The
 engine is pointwise, so each candidate is evaluated once on the whole grid,
-in row slabs, and a patch only reduces windows of its fields.  Frames are
-ranked from one Gram matrix of all ratio gradients per u_1 and slab: each
-frame's H is a sub-block of it, and its condition number comes from the
-closed form that ``build_frame`` uses.  In the same pass it blends each
-patch in the pointwise unit-Frobenius gauge, which does not depend on which
-u_1 the patch picked and fixes its class up to one sign: the sign that
-agrees with the blend so far, so the first admissible patch seeds +1.
+in row slabs, and each of its fields is reduced at once over every patch box
+to the worst node a patch judges it by; a patch reads entries of these
+tables.  Frames are ranked from one Gram matrix of all ratio gradients per
+u_1 and slab: each frame's H is a sub-block of it, and its condition number
+comes from the closed form that ``build_frame`` uses.  In the same pass it
+blends each patch in the pointwise unit-Frobenius gauge, which does not
+depend on which u_1 the patch picked and fixes its class up to one sign: the
+sign that agrees with the blend so far, so the first admissible patch seeds
++1.  The gauge's scale and neighbour signs are computed once on the whole
+grid per winning candidate, and a patch chains the signs inside its box.
 """
 
 from __future__ import annotations
@@ -601,43 +604,75 @@ def _pair_M0(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return raw / s[..., None, None], ok
 
 
-def _axis_scan(shape: tuple[int, ...], step) -> np.ndarray:
-    """Carry a sign from the first node (+1) along the scan path of a grid.
+def _edge_prefix(W: np.ndarray, starts: list[list[int]]) -> list[np.ndarray]:
+    """Per axis k of a field of matrices, the products of the edge signs
+    (:func:`_edge_sign`) along axis k from the start of each grid line, 1 at
+    its first node, on the lines a scan path (:func:`_scan_signs`) of a box
+    starting at ``starts`` runs along: those through coordinates
+    ``starts[j]`` on each axis j > k, indexed there by their position in
+    ``starts[j]``.  The sign change between two nodes of a line is the
+    product of their entries, exact in +-1."""
+    d = W.ndim - 2
+    out = []
+    for k in range(d):
+        lines = W[(slice(None),) * (k + 1) + np.ix_(*starts[k + 1:])] if k < d - 1 else W
+        head = (slice(None),) * k
+        p = np.ones(lines.shape[:-2])
+        np.multiply.accumulate(_edge_sign(lines[head + (slice(1, None),)],
+                                          lines[head + (slice(None, -1),)]),
+                               axis=k, out=p[head + (slice(1, None),)])
+        out.append(p)
+    return out
+
+
+def _scan_signs(prefix: list[np.ndarray], box: tuple[slice, ...],
+                position: tuple[int, ...]) -> np.ndarray:
+    """Carry a sign from the first node of ``box`` (+1) along its scan path.
 
     The path runs down axis 0 from the first node, then along axis 1 from
-    every node reached so far, then along axis 2 in 3D.  ``step(cur, prev)``
-    takes the index windows of the two ends of a batch of path edges and
-    returns the sign change (+-1) across each; the changes are chained by
-    products along each line.
+    every node reached so far, then along axis 2 in 3D.  The sign change
+    along each leg is the product of the leg's two entries of ``prefix``
+    (:func:`_edge_prefix`), where ``position`` gives the box's start on each
+    axis as its index in the starts ``prefix`` was built for.  So a box of a
+    larger grid reads the signs its own windows would give.
     """
-    out = np.empty(shape)
-    out[(0,) * len(shape)] = 1.0
-    for k in range(len(shape)):
-        head, tail = (slice(None),) * k, (0,) * (len(shape) - k - 1)
-        cur = head + (slice(1, None),) + tail
-        d = step(cur, head + (slice(None, -1),) + tail)
-        out[cur] = out[head + (slice(0, 1),) + tail] * np.multiply.accumulate(d, axis=k)
-    return out
+    start = tuple(sl.start for sl in box)
+    sgn = np.ones(())
+    for k, p in enumerate(prefix):
+        # leg k ends at the node's coordinates on axes <= k, the start beyond
+        leg = p[box[:k + 1] + position[k + 1:]] \
+            * p[box[:k] + (start[k],) + position[k + 1:]][..., None]
+        sgn = sgn[..., None] * leg
+    return sgn
+
+
+def _edge_sign(W_cur: np.ndarray, W_prev: np.ndarray) -> np.ndarray:
+    """The sign (+-1) of the Hermitian overlap Re sum W_cur conj(W_prev)
+    across each edge between two windows of a field of matrices; +1 where
+    it is 0 or NaN."""
+    ov = np.real(np.einsum("...ij,...ij->...", W_cur, np.conj(W_prev)))
+    return np.where(ov < 0, -1.0, 1.0)
+
+
+def _flip_at_center(sgn: np.ndarray, W_center: np.ndarray) -> np.ndarray:
+    """``sgn`` or ``-sgn``, whichever makes Re Tr W > 0 at the center node of
+    ``sgn``'s box (Im Tr > 0 when the real part is 0); ``W_center`` is W at
+    that node."""
+    tr = np.trace(W_center) * sgn[tuple(m // 2 for m in sgn.shape)]
+    return -sgn if (tr.real < 0 or (tr.real == 0 and tr.imag < 0)) else sgn
 
 
 def _orientation(W: np.ndarray) -> np.ndarray:
     """Per-node signs in {-1, +1} that orient a field of matrices.
 
-    Neighbors on the scan path are aligned by the sign of the Hermitian
-    overlap Re sum W_cur conj(W_prev); the whole field is then flipped, if
-    needed, so that Re Tr W > 0 at the center node (Im Tr > 0 when the real
-    part is 0).
+    Neighbors on the scan path (:func:`_scan_signs`) are aligned by
+    :func:`_edge_sign`; the whole field is then flipped, if needed, by
+    :func:`_flip_at_center`.
     """
     shape = W.shape[:-2]
-
-    def rel(cur, prev):
-        ov = np.real(np.einsum("...ij,...ij->...", W[cur], np.conj(W[prev])))
-        return np.where(ov < 0, -1.0, 1.0)
-
-    sgn = _axis_scan(shape, rel)
-    center = tuple(m // 2 for m in shape)
-    tr = np.trace(W[center]) * sgn[center]
-    return -sgn if (tr.real < 0 or (tr.real == 0 and tr.imag < 0)) else sgn
+    sgn = _scan_signs(_edge_prefix(W, [[0]] * len(shape)),
+                      tuple(slice(0, m) for m in shape), (0,) * len(shape))
+    return _flip_at_center(sgn, W[tuple(m // 2 for m in shape)])
 
 
 def reconstruct_class(rb: RatioBundle, fr: FrameData, mb: MBundle) -> ClassRepresentative:
@@ -645,10 +680,11 @@ def reconstruct_class(rb: RatioBundle, fr: FrameData, mb: MBundle) -> ClassRepre
 
     ``eq_residual`` is, per node, the largest over the ratios v_m of the
     residual of M0 : Hess v_m + beta . grad v_m = 0 relative to the size of
-    its terms, sum_ij |M0_ij| |d_ij v_m| + sum_k |beta_k| |d_k v_m|.  On
-    exact data it reads roundoff also where the summed terms cancel (the 2D
-    constant classes); where every term of a ratio's equation is itself
-    roundoff, it can read up to 1.
+    its terms, sum_ij |M0_ij| |d_ij v_m| + sum_k |beta_k| |d_k v_m|, floored
+    at eps max|M0| max|Hess v_m|.  On exact data it reads roundoff also
+    where the summed terms cancel (the 2D constant classes); where every
+    term of a ratio's equation is itself roundoff, the floor keeps it small
+    (at most 3.6e-13, on boundary nodes of the 3D constant class at 17^3).
     Raises FrameDegenerate where the frame condition exceeds ``COND_MAX``,
     else MDependent where the independence is below ``INDEP_MIN``."""
     bad = ~(fr.cond <= COND_MAX)
@@ -662,8 +698,13 @@ def reconstruct_class(rb: RatioBundle, fr: FrameData, mb: MBundle) -> ClassRepre
     a_arr, bpda, c, beta = _class_triple(rb, fr, mb.M0)
     resid = np.einsum("...ij,m...ij->m...", mb.M0, rb.hess_v) \
         + np.einsum("...k,m...k->m...", beta, rb.grad_v)
-    size = np.einsum("...ij,m...ij->m...", np.abs(mb.M0), np.abs(rb.hess_v)) \
-        + np.einsum("...k,m...k->m...", np.abs(beta), np.abs(rb.grad_v)) + _TINY
+    hess_mod = np.abs(rb.hess_v)
+    size = np.einsum("...ij,m...ij->m...", np.abs(mb.M0), hess_mod) \
+        + np.einsum("...k,m...k->m...", np.abs(beta), np.abs(rb.grad_v))
+    # where every term of a ratio's equation is roundoff, so is its size
+    floor = np.finfo(float).eps * np.abs(mb.M0).max() \
+        * hess_mod.reshape(len(hess_mod), -1).max(axis=1)
+    size = np.maximum(size, floor.reshape((-1,) + (1,) * rb.grid.dim)) + _TINY
     diagnostics = {"eq_residual": (np.abs(resid) / size).max(axis=0), "frame_cond": fr.cond,
                    "pairing_indep": mb.indep, "lincomb_residual": mb.lincomb_residual}
     return _assemble_representative(rb.grid, a_arr, bpda, c,
@@ -704,6 +745,16 @@ def _assemble_representative(grid: Grid, a_mat: np.ndarray, bpda: np.ndarray,
                                gauge=gauge, diagnostics=diagnostics)
 
 
+_NO_UNIT_GAUGE = "Tr(a a) vanishes; the unit gauge is undefined"
+
+
+def _trace_square(a_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bilinear pairing Tr(a a) per node, and the flag of the nodes where
+    it vanishes (modulus below 1e-28), where the unit gauge is undefined."""
+    s2 = np.einsum("...ij,...ji->...", a_mat, a_mat)
+    return s2, np.abs(s2) < 1e-28
+
+
 def unit_gauge_triple(a_mat: np.ndarray, bpda: np.ndarray, c: np.ndarray):
     """Rescale a gauge triple so that Tr(a a) = 1 pointwise.
 
@@ -714,9 +765,9 @@ def unit_gauge_triple(a_mat: np.ndarray, bpda: np.ndarray, c: np.ndarray):
     scalar field stays on the orbit.  Returns (a, b + div a, c, scale) with
     a = scale * a_unit exactly.
     """
-    s2 = np.einsum("...ij,...ji->...", a_mat, a_mat)
-    if (np.abs(s2) < 1e-28).any():
-        raise VanishingGauge("Tr(a a) vanishes; the unit gauge is undefined")
+    s2, vanishing = _trace_square(a_mat)
+    if vanishing.any():
+        raise VanishingGauge(_NO_UNIT_GAUGE)
     s = np.sqrt(s2)
     scale = s * _orientation(a_mat / s[..., None, None])
     return (a_mat / scale[..., None, None], bpda / scale[..., None],
@@ -734,18 +785,41 @@ def _axis_starts(m: int, size: int, stride: int) -> list[int]:
     return starts
 
 
-def _patch_boxes(shape: tuple[int, ...], cfg: EngineConfig) -> list[tuple[slice, ...]]:
+def _patch_axes(shape: tuple[int, ...], cfg: EngineConfig) -> list[tuple[list[int], int]]:
+    """Per axis, the start nodes of the patches and their common length; the
+    patches are the boxes of every combination of one start per axis."""
     if cfg.patch_size is None:
-        return [tuple(slice(0, m) for m in shape)]
-    size = cfg.patch_size
-    stride = cfg.patch_size - cfg.overlap
-    per_axis = []
-    for m in shape:
-        if size >= m:
-            per_axis.append([slice(0, m)])
-        else:
-            per_axis.append([slice(s, s + size) for s in _axis_starts(m, size, stride)])
+        return [([0], m) for m in shape]
+    size, stride = cfg.patch_size, cfg.patch_size - cfg.overlap
+    return [([0], m) if size >= m else (_axis_starts(m, size, stride), size) for m in shape]
+
+
+def _patch_boxes(shape: tuple[int, ...], cfg: EngineConfig) -> list[tuple[slice, ...]]:
+    """The patches, in ``itertools.product`` order of :func:`_patch_axes`,
+    which is the order of the boxes in a :func:`_box_reduce` table."""
+    per_axis = [[slice(s, s + length) for s in starts]
+                for starts, length in _patch_axes(shape, cfg)]
     return [tuple(combo) for combo in itertools.product(*per_axis)]
+
+
+def _box_reduce(x: np.ndarray, axes: list[tuple[list[int], int]], ufunc) -> np.ndarray:
+    """``ufunc.reduce`` of ``x`` over every box of the patch ``axes``
+    (:func:`_patch_axes`), which span the last axes of ``x``: an array of
+    shape x.shape[:-dim] + (number of boxes,), the boxes in the order of
+    :func:`_patch_boxes`.
+
+    Separable: along each axis in turn, the window of the patch length at
+    each patch start is reduced.  For ``np.minimum``, ``np.maximum``,
+    ``np.logical_and`` and ``np.logical_or`` this is exact, and NaN
+    propagates as in ``ndarray.min`` and ``max``, so an entry is the box's
+    own reduction.
+    """
+    lead = x.ndim - len(axes)
+    for k, (starts, length) in enumerate(axes):
+        head = (slice(None),) * (lead + k)
+        x = np.stack([ufunc.reduce(x[head + (slice(s, s + length),)], axis=lead + k)
+                      for s in starts], axis=lead + k)
+    return x.reshape(x.shape[:lead] + (-1,))
 
 
 def _ramp(length: int, overlap: int, ramp_lo: bool, ramp_hi: bool) -> np.ndarray:
@@ -761,11 +835,11 @@ def _ramp(length: int, overlap: int, ramp_lo: bool, ramp_hi: bool) -> np.ndarray
     return w
 
 
-def _patch_weight(core: tuple[slice, ...], shape: tuple[int, ...], overlap: int) -> np.ndarray:
-    axes = []
-    for sl, m in zip(core, shape):
-        axes.append(_ramp(sl.stop - sl.start, overlap,
-                          ramp_lo=sl.start > 0, ramp_hi=sl.stop < m))
+def _patch_weight(geometry: tuple[tuple[int, bool, bool], ...], overlap: int) -> np.ndarray:
+    """The blend weight of a box from its geometry: per axis its length and
+    whether it ramps up at its start and down at its end (not at the grid's
+    edges)."""
+    axes = [_ramp(length, overlap, lo, hi) for length, lo, hi in geometry]
     w = axes[0]
     for ax in axes[1:]:
         w = np.multiply.outer(w, ax)
@@ -800,53 +874,170 @@ def _candidate(rb: RatioBundle, frame, subset, u1_max: float) -> tuple[np.ndarra
             *_class_triple(rb, fr, mb.M0)[:3])
 
 
-def _select_on_patch(u: list[ScalarField], box: tuple[slice, ...], ratios, conds,
-                     candidate, gmax: np.ndarray):
-    """Choose (u1, frame, generators) on one patch.
+class _UnitGauge:
+    """``unit_gauge_triple`` of one full-grid triple, taken box by box.
 
-    ``ratios(i)`` (the bundle with ``u[i]`` as u_1), ``conds(i)`` (frame ->
-    condition field) and ``candidate(i, frame, generators)`` (the fields of
-    ``_candidate``) are full-grid; the patch reduces windows of them.  The
-    condition fields come from one Gram matrix of the ratio gradients per
-    u_1 (:func:`_gram`, :func:`_sym_frame`).  Frames go best conditioned
-    first (worst node over the patch), candidates are ranked by worst-node
-    score, and a window that holds a non-finite value is not admissible.
-    Frame by frame, the best-scoring candidate that clears ``COND_MAX`` and
-    ``INDEP_MIN`` on the patch wins and is returned as (selection, score,
-    (a, b + div a, c)), its triple in the unit-Frobenius gauge.  Otherwise
-    the best-scoring failed attempt is returned as (selection, score, None)
-    so the caller can report it.  None when no u_1 clears ``U1_FLOOR_REL``.
+    The scale s = sqrt(Tr(a a)) and the edge signs of the unit field a/s
+    on every line that a box's scan path runs along (:func:`_edge_prefix`)
+    are computed once on the whole grid.  A box chains the signs inside it
+    (:func:`_scan_signs`), flips them at its center node
+    (:func:`_flip_at_center`) and divides its windows of the triple by s
+    times them.  Each step is pointwise or exact, so a box gets the bits
+    ``unit_gauge_triple`` gives on a copy of its windows, and raises
+    VanishingGauge where that would: at a box that holds a node of
+    |Tr(a a)| < 1e-28.
     """
-    G_needed = num_generators(u[0].grid.dim)
-    margins = np.array([np.abs(f.values[box]).min() / max(gm, _TINY)
-                        for f, gm in zip(u, gmax)])
+
+    def __init__(self, triple: list[np.ndarray], axes: list[tuple[list[int], int]]):
+        self.triple = triple
+        a = triple[0]
+        # a triple need not be finite outside the boxes it wins
+        with np.errstate(all="ignore"):
+            s2, vanishing = _trace_square(a)
+            self.vanishing = _box_reduce(vanishing, axes, np.logical_or)
+            self.s = np.sqrt(s2)
+            self.prefix = _edge_prefix(a / self.s[..., None, None], [st for st, _ in axes])
+        self.positions = list(itertools.product(*(range(len(st)) for st, _ in axes)))
+
+    def window(self, k: int, box: tuple[slice, ...]) -> tuple[np.ndarray, ...]:
+        """The unit-gauge (a, b + div a, c) on box ``k``, ``box``."""
+        if self.vanishing[k]:
+            raise VanishingGauge(_NO_UNIT_GAUGE)
+        center = tuple(sl.start + (sl.stop - sl.start) // 2 for sl in box)
+        sgn = _scan_signs(self.prefix, box, self.positions[k])
+        scale = self.s[box] * _flip_at_center(sgn, self.triple[0][center] / self.s[center])
+        a, bpda, c = (x[box] for x in self.triple)
+        return a / scale[..., None, None], bpda / scale[..., None], c / scale
+
+
+class _Selector:
+    """The selector's full-grid fields, each built when a patch first asks
+    for it, and their per-box tables.
+
+    A candidate is evaluated on the whole grid, in slabs of ``patch_size``
+    rows (:func:`_slabwise`), and so are the condition fields of all frames
+    of a u_1, from one Gram matrix of its ratio gradients per slab
+    (:func:`_gram`, :func:`_sym_frame`).  Each field is reduced at once over
+    every patch box (:func:`_box_reduce`) to the worst node that a patch
+    judges it by, and only these tables are kept, with the candidate's
+    triple.  The triple's unit gauge (:class:`_UnitGauge`) is set up when
+    the candidate first wins a patch.  Column k of a table is box k of
+    :func:`_patch_boxes`.
+    """
+
+    def __init__(self, u: list[ScalarField], grid: Grid, cfg: EngineConfig):
+        self.u, self.grid, self.cfg = u, grid, cfg
+        self.axes = _patch_axes(grid.shape, cfg)
+        self.gmax = np.array([float(np.abs(f.values).max()) for f in u])
+        self.combos = list(itertools.combinations(range(len(u) - 1), grid.dim))
+        # min |u_i| over each box relative to max |u_i| on the grid
+        self.margins = self._reduce(np.array([np.abs(f.values) for f in u]), np.minimum) \
+            / np.maximum(self.gmax, _TINY)[:, None]
+        self._built = {}
+
+    def _reduce(self, x: np.ndarray, ufunc) -> np.ndarray:
+        return _box_reduce(x, self.axes, ufunc)
+
+    def _cached(self, key, build):
+        if key not in self._built:
+            self._built[key] = build()
+        return self._built[key]
+
+    def release(self) -> None:
+        self._built.clear()
+
+    def ratios(self, i1: int) -> RatioBundle:
+        """The bundle with ``u[i1]`` as u_1."""
+        def build():
+            u = self.u
+            with np.errstate(all="ignore"):
+                return _ratios(self.grid, [u[i1], *u[:i1], *u[i1 + 1:]])
+        return self._cached(("ratios", i1), build)
+
+    def finite(self, i1: int) -> np.ndarray:
+        """Per box, whether every ratio derivative of u_1 = ``u[i1]`` is finite."""
+        def build():
+            rb = self.ratios(i1)
+            node = np.ones(self.grid.shape, dtype=bool)
+            for x in (rb.grad_v, rb.hess_v):
+                # per component: a reduction over the short component axes is slow
+                finite = np.isfinite(x).all(axis=0)
+                for comp in np.ndindex(x.shape[1 + self.grid.dim:]):
+                    node &= finite[(...,) + comp]
+            return self._reduce(node, np.logical_and)
+        return self._cached(("finite", i1), build)
+
+    def cond_fields(self, i1: int) -> tuple[np.ndarray, ...]:
+        """The condition field of each frame of ``combos`` (not kept)."""
+        def frame_conds(rb):
+            h = _gram(rb.grad_v)
+            return tuple(_sym_frame(h, combo)[-1] for combo in self.combos)
+        return _slabwise(self.ratios(i1), self.cfg.patch_size, frame_conds)
+
+    def conds(self, i1: int) -> np.ndarray:
+        """Per frame of ``combos`` and box, the largest condition number."""
+        return self._cached(("conds", i1), lambda: self._reduce(
+            np.array(self.cond_fields(i1)), np.maximum))
+
+    def candidate_fields(self, i1: int, frame, subset) -> tuple[np.ndarray, ...]:
+        """The fields of :func:`_candidate` (not kept)."""
+        return _slabwise(self.ratios(i1), self.cfg.patch_size,
+                         lambda rb: _candidate(rb, frame, subset, self.gmax[i1]))
+
+    def candidate(self, i1: int, frame, subset) -> tuple:
+        """Per box the least score, the least ``indep`` and whether ``ok``
+        holds throughout; then the full-grid triple."""
+        def build():
+            score, indep, ok, *triple = self.candidate_fields(i1, frame, subset)
+            return (*self._reduce(np.array([score, indep]), np.minimum),
+                    self._reduce(ok, np.logical_and), triple)
+        return self._cached(("candidate", i1, frame, subset), build)
+
+    def unit(self, i1: int, frame, subset) -> _UnitGauge:
+        return self._cached(("unit", i1, frame, subset), lambda: _UnitGauge(
+            self.candidate(i1, frame, subset)[3], self.axes))
+
+
+def _select_on_patch(sel: _Selector, k: int, box: tuple[slice, ...]):
+    """Choose (u1, frame, generators) on patch ``k``, ``box``.
+
+    The patch reads column ``k`` of the selector's per-box tables
+    (:class:`_Selector`), whose fields are built when a patch first asks for
+    them.  Frames go best conditioned first (worst node over the patch),
+    candidates are ranked by worst-node score, and a window that holds a
+    non-finite value is not admissible.  Frame by frame, the best-scoring
+    candidate that clears ``COND_MAX`` and ``INDEP_MIN`` on the patch wins
+    and is returned as (selection, score, (a, b + div a, c)), its triple in
+    the unit-Frobenius gauge (:class:`_UnitGauge`).  Otherwise the
+    best-scoring failed attempt is returned as (selection, score, None) so
+    the caller can report it.  None when no u_1 clears ``U1_FLOOR_REL``.
+    """
+    G_needed = num_generators(sel.grid.dim)
+    margins = sel.margins[:, k]
     order = [i for i in np.argsort(-margins, kind="stable")
              if margins[i] >= U1_FLOOR_REL]
     best = None
     for i1 in order:
-        rb = ratios(i1).window(box)
-        if not (np.isfinite(rb.grad_v).all() and np.isfinite(rb.hess_v).all()):
+        if not sel.finite(i1)[k]:
             continue
-        others = [j for j in range(len(u)) if j != i1]
-        frame_scored = sorted((float(cond[box].max()), combo)
-                              for combo, cond in conds(i1).items())
+        others = [j for j in range(len(sel.u)) if j != i1]
+        frame_scored = sorted(zip(sel.conds(i1)[:, k].tolist(), sel.combos))
         for worst_cond, combo in frame_scored[:_MAX_FRAMES]:
             top = top_ok = None
             pool = [j for j in range(len(others)) if j not in combo]
             for subset in itertools.islice(itertools.combinations(pool, G_needed), _MAX_SUBSETS):
-                score_f, indep, ok = candidate(i1, combo, subset)[:3]
-                core_ok = bool(ok[box].all())
-                score = float(score_f[box].min()) if core_ok else 0.0
-                if core_ok and worst_cond <= COND_MAX and float(indep[box].min()) >= INDEP_MIN:
+                score_t, indep_t, ok_t, _ = sel.candidate(i1, combo, subset)
+                core_ok = bool(ok_t[k])
+                score = float(score_t[k]) if core_ok else 0.0
+                if core_ok and worst_cond <= COND_MAX and float(indep_t[k]) >= INDEP_MIN:
                     if top_ok is None or score > top_ok[0]:
                         top_ok = (score, subset)
                 elif top is None or score > top[0]:
                     top = (score, subset)
             if top_ok is not None:
                 score, subset = top_ok
-                # copied: on a strided view its einsum may round differently
-                return (_selection(i1, others, combo, subset), score, unit_gauge_triple(
-                    *(x[box].copy() for x in candidate(i1, combo, subset)[3:]))[:3])
+                return (_selection(i1, others, combo, subset), score,
+                        sel.unit(i1, combo, subset).window(k, box))
             if top is not None and (best is None or top[0] > best[1]):
                 best = (_selection(i1, others, combo, top[1]), top[0], None)
     return best
@@ -868,9 +1059,13 @@ def reconstruct_global(u: list[ScalarField], config: EngineConfig | None = None
     evaluated on the whole grid, in slabs of ``patch_size`` rows, when a
     patch first asks for it.  So are the condition fields of all frames of
     a u_1, which are ranked from one Gram matrix of its ratio gradients per
-    slab, without building a frame.  The unit gauge fixes the class up to a
-    sign per patch; that sign aligns the patch with the blend accumulated so
-    far, so the first admissible patch seeds +1.  Raises CoverageFailure,
+    slab, without building a frame.  Each field is reduced over every patch
+    box as it is built, and the patches read those per-box tables
+    (:class:`_Selector`); a winning candidate's unit gauge is set up once on
+    the whole grid (:class:`_UnitGauge`).  The unit gauge fixes the class up
+    to a sign per patch; that sign aligns the patch with the blend
+    accumulated so far, so the first admissible patch seeds +1.  Blend
+    weights are built once per box geometry.  Raises CoverageFailure,
     carrying the partial result, when some node is covered by no admissible
     patch.
     """
@@ -882,41 +1077,25 @@ def reconstruct_global(u: list[ScalarField], config: EngineConfig | None = None
     if len(u) < num_solutions(n):
         raise ValueError(f"need at least {num_solutions(n)} solutions, got {len(u)}")
 
-    gmax = np.array([float(np.abs(f.values).max()) for f in u])
-    combos = list(itertools.combinations(range(len(u) - 1), n))
-
-    @functools.cache
-    def ratios(i1: int) -> RatioBundle:
-        with np.errstate(all="ignore"):
-            return _ratios(grid, [u[i1], *u[:i1], *u[i1 + 1:]])
-
-    def frame_conds(rb: RatioBundle) -> tuple[np.ndarray, ...]:
-        h = _gram(rb.grad_v)
-        return tuple(_sym_frame(h, combo)[-1] for combo in combos)
-
-    @functools.cache
-    def conds(i1: int) -> dict:
-        return dict(zip(combos, _slabwise(ratios(i1), cfg.patch_size, frame_conds)))
-
-    @functools.cache
-    def candidate(i1: int, frame, subset) -> tuple[np.ndarray, ...]:
-        return _slabwise(ratios(i1), cfg.patch_size,
-                         lambda rb: _candidate(rb, frame, subset, gmax[i1]))
-
+    sel = _Selector(u, grid, cfg)
+    weights = {}
     wsum = np.zeros(grid.shape)
     acc_a = np.zeros(grid.shape + (n, n), dtype=np.complex128)
     acc_b = np.zeros(grid.shape + (n,), dtype=np.complex128)
     acc_c = np.zeros(grid.shape, dtype=np.complex128)
     patch_map = PatchMap([], [], [], [], [], coverage=None)  # set after the pass
-    for box in _patch_boxes(grid.shape, cfg):
-        selection, score, triple = (_select_on_patch(u, box, ratios, conds, candidate, gmax)
-                                    or (None, 0.0, None))
+    for k, box in enumerate(_patch_boxes(grid.shape, cfg)):
+        selection, score, triple = _select_on_patch(sel, k, box) or (None, 0.0, None)
         sign = 1
         if triple is not None:
             a_u, bpda_u, c_u = triple
             if np.real(np.sum(acc_a[box] * np.conj(a_u))) < 0:
                 sign = -1
-            w = _patch_weight(box, grid.shape, cfg.overlap)
+            geometry = tuple((sl.stop - sl.start, sl.start > 0, sl.stop < m)
+                             for sl, m in zip(box, grid.shape))
+            if geometry not in weights:
+                weights[geometry] = _patch_weight(geometry, cfg.overlap)
+            w = weights[geometry]
             wsum[box] += w
             sw = sign * w
             acc_a[box] += sw[..., None, None] * a_u
@@ -927,8 +1106,7 @@ def reconstruct_global(u: list[ScalarField], config: EngineConfig | None = None
         patch_map.selections.append(selection)
         patch_map.scores.append(score)
         patch_map.signs.append(sign)
-    for cache in (ratios, conds, candidate):
-        cache.cache_clear()
+    sel.release()
 
     covered = patch_map.coverage = wsum > 0
     ws = np.where(covered, wsum, 1.0)

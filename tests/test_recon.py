@@ -17,6 +17,7 @@ from gaugerec import (
     GridMismatch,
     MDependent,
     ScalarField,
+    VanishingGauge,
     VanishingU1,
     build_M,
     build_frame,
@@ -323,42 +324,177 @@ def test_a_zero_of_u1_next_to_a_patch_is_a_coverage_failure(strip_fields, m, pat
 def test_candidate_windows_equal_the_engine_on_the_window(monkeypatch, shape, box):
     # the selector's full-grid fields, filled in slabs of 9 rows (33 rows
     # give three, and the first box crosses two of them), hold on a patch
-    # the bits the engine computes on that patch alone, and so does the
-    # unit-gauge triple the patch is blended with
+    # the bits the engine computes on that patch alone; so do the per-box
+    # tables the patch reads, and the unit-gauge triple it is blended with
     preset = PRESETS["constant-tensor-3d" if len(shape) == 3 else "smooth-complex-2d"]
     grid = square_grid(shape[0], len(shape))
     fields = synthesize(preset.coefficients(grid), preset.illumination(grid))
     caches, picked = {}, {}
 
-    def select(u, b, ratios, conds, candidate, gmax):
-        caches.update(conds=conds, candidate=candidate)  # callable after the run
+    def select(sel, k, b):
+        caches.update(sel=sel)  # callable after the run
         key = tuple((sl.start, sl.stop) for sl in b)
-        picked[key] = real_select(u, b, ratios, conds, candidate, gmax)
-        return picked[key]
+        picked[key] = (k, real_select(sel, k, b))
+        return picked[key][1]
 
     real_select = recon._select_on_patch
     monkeypatch.setattr(recon, "_select_on_patch", select)
     reconstruct_global(fields, EngineConfig(patch_size=9, overlap=4))
-    sel, _, triple = picked[tuple((sl.start, sl.stop) for sl in box)]
+    k, (sel, _, triple) = picked[tuple((sl.start, sl.stop) for sl in box)]
     i1 = sel["u1"]
     others = [j for j in range(len(fields)) if j != i1]
     win = build_ratios([fields[i1]] + [fields[j] for j in others]).window(box)
-    conds = caches["conds"](i1)
-    for frame in itertools.combinations(range(len(others)), grid.dim):
-        assert np.array_equal(conds[frame][box],
-                              build_frame(win, frame=frame).cond), frame
+    selector = caches["sel"]
+    conds = selector.cond_fields(i1)
+    for c, frame in enumerate(itertools.combinations(range(len(others)), grid.dim)):
+        cond = build_frame(win, frame=frame).cond
+        assert np.array_equal(conds[c][box], cond), frame
+        assert selector.conds(i1)[c, k] == cond.max(), frame
     frame = tuple(others.index(j) for j in sel["frame"])
     subset = tuple(others.index(j) for j in sel["generators"])
-    score, indep, ok = caches["candidate"](i1, frame, subset)[:3]
+    score, indep, ok = selector.candidate_fields(i1, frame, subset)[:3]
     fr = build_frame(win, frame=frame)
     mb = build_M(win, fr, generators=subset)
     margin = np.abs(win.u1) / np.abs(fields[i1].values).max()
     assert np.array_equal(indep[box], mb.indep)
     assert np.array_equal(ok[box], mb.ok & fr.ok)
     assert np.array_equal(score[box], margin / np.maximum(fr.cond, 1.0) * mb.indep)
+    tables = selector.candidate(i1, frame, subset)[:3]
+    assert [t[k] for t in tables] == [score[box].min(), indep[box].min(), ok[box].all()]
     ref = unit_gauge_triple(*reconstruct_class(win, fr, mb).triple_arrays())
     for got, want in zip(triple, ref):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape, patch_size", [
+    ((33, 33), 17),         # the last box starts at 33 - 17 = 16 on both axes
+    ((40, 12), 17),         # patch_size >= m on axis 1: one window of 12 there
+    ((97, 97), 17),
+    ((17, 17, 17), 9),
+    ((20, 9, 14), 9),       # patch_size = m on axis 1
+    ((21, 21), None),       # one patch
+])
+def test_box_tables_equal_the_window_reductions(shape, patch_size):
+    # every table entry is the literal reduction of its box, with NaN and
+    # inf entries read as the window reductions read them
+    cfg = EngineConfig(patch_size=patch_size, overlap=patch_size // 2 if patch_size else 8)
+    axes = recon._patch_axes(shape, cfg)
+    boxes = recon._patch_boxes(shape, cfg)
+    for sl, m in zip(boxes[-1], shape):
+        assert sl.stop == m and sl.start == max(m - (patch_size or m), 0)
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((2,) + shape)
+    nodes = rng.choice(x.size, size=9, replace=False)
+    x.reshape(-1)[nodes] = [np.nan] * 3 + [np.inf] * 3 + [-np.inf] * 3
+    flags = rng.random((2,) + shape) > 2e-3
+    tables = {"min": recon._box_reduce(x, axes, np.minimum),
+              "max": recon._box_reduce(x, axes, np.maximum),
+              "all": recon._box_reduce(flags, axes, np.logical_and),
+              "any": recon._box_reduce(~flags, axes, np.logical_or)}
+    assert all(t.shape == (2, len(boxes)) for t in tables.values())
+    for k, box in enumerate(boxes):
+        for j in range(2):
+            window, held = x[j][box], flags[j][box]
+            want = {"min": window.min(), "max": window.max(), "all": held.all(),
+                    "any": (~held).any()}
+            for name, value in want.items():
+                assert np.array_equal(tables[name][j, k], value, equal_nan=True), (name, k)
+    if patch_size:  # NaN, infinities and False each reach some boxes, not all
+        for table in (tables["min"], tables["max"]):
+            assert 0 < np.isnan(table).sum() < table.size
+        assert 0 < np.isinf(tables["max"]).sum() and 0 < np.isinf(tables["min"]).sum()
+        assert 0 < tables["all"].sum() < tables["all"].size
+
+
+@pytest.mark.parametrize("m, patch_size, overlap", [(65, 17, 14), (33, 31, 30)])
+def test_finite_table_equals_the_window_check(strip_fields, m, patch_size, overlap):
+    # x1 vanishes on the grid line x1 = 0, so with it as u_1 the ratio
+    # derivatives are not finite near that line; per box, the table reads
+    # what the literal check of the window's derivatives reads
+    grid = square_grid(m)
+    u = strip_fields(grid, redundant=False)
+    cfg = EngineConfig(patch_size=patch_size, overlap=overlap)
+    sel = recon._Selector(u, grid, cfg)
+    seen = set()
+    for i1 in range(len(u)):
+        rb = sel.ratios(i1)
+        for k, box in enumerate(recon._patch_boxes(grid.shape, cfg)):
+            win = rb.window(box)
+            want = bool(np.isfinite(win.grad_v).all() and np.isfinite(win.hess_v).all())
+            assert sel.finite(i1)[k] == want, (i1, box)
+            seen.add(want)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("name, m, patch_size, overlap", [
+    ("smooth-complex-2d", 97, 17, 8),
+    ("constant-tensor-3d", 17, 9, 4),
+])
+def test_unit_gauge_of_a_box_equals_the_gauge_of_its_window_copy(monkeypatch, name, m,
+                                                                 patch_size, overlap):
+    # a patch's unit gauge, its signs chained from the full-grid edge signs
+    # and flipped at its center, is bitwise unit_gauge_triple of a copy of
+    # its windows, on every admissible box with the triple that won it
+    preset = PRESETS[name]
+    grid = square_grid(m, preset.dim)
+    u = synthesize(preset.coefficients(grid), preset.illumination(grid))
+    seen = {}
+
+    def select(sel, k, box):
+        seen["sel"] = sel
+        return real_select(sel, k, box)
+
+    real_select = recon._select_on_patch
+    monkeypatch.setattr(recon, "_select_on_patch", select)
+    cfg = EngineConfig(patch_size=patch_size, overlap=overlap)
+    _, pm = reconstruct_global(u, cfg)
+    sel, checked = seen["sel"], 0
+    for k, box in enumerate(recon._patch_boxes(grid.shape, cfg)):
+        if not pm.admissible[k]:
+            continue
+        pick = pm.selections[k]
+        others = [j for j in range(len(u)) if j != pick["u1"]]
+        key = (pick["u1"], tuple(others.index(j) for j in pick["frame"]),
+               tuple(others.index(j) for j in pick["generators"]))
+        got = sel.unit(*key).window(k, box)
+        want = unit_gauge_triple(*(x[box].copy() for x in sel.candidate(*key)[3]))[:3]
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes(), (k, box)
+        checked += 1
+    assert checked == len(pm.boxes)
+
+
+@pytest.mark.parametrize("shape", [(33, 33), (17, 17, 17)])
+def test_unit_gauge_of_a_box_chains_planted_flips_and_refuses_vanishing_boxes(shape):
+    # random sign flips make about half the edges -1, so every box chains
+    # its own signs; Tr(a a) = 0 at one node fails exactly the boxes that
+    # hold it, as unit_gauge_triple fails on their windows
+    grid = square_grid(shape[0], len(shape))
+    n = grid.dim
+    rng = np.random.default_rng(8)
+    tau = (1.0 + 0.2 * grid.meshes[0]) * np.exp(1j * 1.2 * np.pi * sum(grid.meshes) / n)
+    a0 = np.diag(np.arange(1.0, n + 1.0)) + 0.1j * np.ones((n, n))
+    flips = rng.choice([-1.0, 1.0], size=grid.shape)
+    a = np.einsum("..., ij -> ...ij", tau * flips, a0)
+    zero = tuple(m // 3 for m in shape)
+    a[zero] = np.diag([1.0, 1j] + [0.0] * (n - 2))  # Tr(a a) = 1 - 1 = 0
+    triple = [a, rng.standard_normal(grid.shape + (n,)) * (1 + 0j),
+              rng.standard_normal(grid.shape) * (1 + 0j)]
+    cfg = EngineConfig(patch_size=9, overlap=4)
+    gauge = recon._UnitGauge(triple, recon._patch_axes(grid.shape, cfg))
+    refused = 0
+    for k, box in enumerate(recon._patch_boxes(grid.shape, cfg)):
+        window = [x[box].copy() for x in triple]
+        if all(sl.start <= z < sl.stop for sl, z in zip(box, zero)):
+            with pytest.raises(VanishingGauge):
+                unit_gauge_triple(*window)
+            with pytest.raises(VanishingGauge):
+                gauge.window(k, box)
+            refused += 1
+            continue
+        for g, w in zip(gauge.window(k, box), unit_gauge_triple(*window)[:3]):
+            assert g.tobytes() == w.tobytes(), (k, box)
+    assert refused >= 1
 
 
 @pytest.mark.parametrize("data, m, patch_size", [
@@ -598,6 +734,10 @@ def _preset_data(name, m):
     ("constant-tensor-2d", 33, 5.40e-16),
     ("bzero-2d", 33, 3.78e-16),
     ("smooth-complex-2d", 65, 3.89e-16),
+    # every term of some ratios' equations is roundoff at boundary nodes of
+    # the 3D constant class: their size is floored at eps max|M0| max|Hess v_m|
+    # (49 nodes read up to 1.0 without it; the interior reads 6.2e-16)
+    ("constant-tensor-3d", 17, 3.59e-13),
 ])
 def test_equation_residual_reads_roundoff_on_exact_data(name, m, measured):
     assert _eq_residual(_preset_data(name, m)).max() <= 1.25 * measured

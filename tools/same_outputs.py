@@ -121,6 +121,11 @@ def collect() -> dict:
     data = g.synthesize(preset.coefficients(grid), preset.illumination(grid))
     items["smooth-complex-2d 97 17/8: reconstruct_global"] = _attempt(
         lambda: _global(g, data, g.EngineConfig(patch_size=17, overlap=8)))
+    # 225 patches, 45 of them on the minority frame: a minority candidate at scale
+    grid = g.square_grid(257)
+    data = g.synthesize(preset.coefficients(grid), preset.illumination(grid))
+    items["smooth-complex-2d 257 33/16: reconstruct_global"] = _attempt(
+        lambda: _global(g, data, g.EngineConfig(patch_size=33, overlap=16)))
 
     # a 3D frame whose condition ranges from 10 to 288, so the 3 x 3 closed
     # form is compared on real work (constant-tensor-3d's frame has cond 3)
