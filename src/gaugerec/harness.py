@@ -299,6 +299,8 @@ class ExperimentConfig:
                                        ("noise", self.noise, Real, "a number"),
                                        ("inputs", self.inputs, str, "a path")):
             check(key, items, (list, tuple), f"a list, each item {what}")
+            if not items and key != "inputs":  # reconstruct mode names its own error
+                raise ConfigError(key, "must not be empty")
             for i, x in enumerate(items):
                 check(f"{key}[{i}]", x, (kind,), what)
         check("mollify_width", self.mollify_width, (Real,), "a number")

@@ -5,16 +5,17 @@ equation, forms ratios v_j = u_{j+1}/u_1, and recovers the class
 representative of the coefficient triple:
 
 1. ``build_ratios``: ratios and their first/second derivatives.
-2. ``build_frame``: gradient Gram matrix H of the first n ratios
-   (bilinear products, no conjugation), its pointwise inverse and its
-   condition number, all from one closed form in det H and the cofactors.
+2. ``build_frame``: the pointwise inverse and the condition number of the
+   gradient Gram matrix H of the first n ratios (bilinear products, no
+   conjugation), both from one closed form in det H and the cofactors.
 3. ``build_M``: for each remaining ratio w, coefficients theta with
    grad w + sum_j theta_j grad v_j = 0, the curvature matrices
-   M = sum_j theta_j Hess v_j, the independence score of (Id, M^1, ..) and
-   the normalized matrix M0 that pairs to delta_{0m} against them; in 2D
-   both come from closed forms of the per-node 3 x 3 problems.
-4. ``reconstruct_class``: the representative (a, b + div a, c) in the
-   u_1-normalized gauge a = M0 / u_1^2.
+   M = Hess w + sum_j theta_j Hess v_j, the independence score of
+   (Id, M^1, ..) and the normalized matrix M0 that pairs to delta_{0m}
+   against them, up to a sign per node; in 2D both come from closed forms
+   of the per-node 3 x 3 problems.
+4. ``reconstruct_class``: M0 oriented, and the representative
+   (a, b + div a, c) in the u_1-normalized gauge a = M0 / u_1^2.
 
 ``reconstruct_global`` selects u_1, frame, and generators per patch.  The
 engine is pointwise, so each candidate is evaluated once on the whole grid,
@@ -24,10 +25,12 @@ tables.  Frames are ranked from one Gram matrix of all ratio gradients per
 u_1 and slab: each frame's H is a sub-block of it, and its condition number
 comes from the closed form that ``build_frame`` uses.  In the same pass it
 blends each patch in the pointwise unit-Frobenius gauge, which does not
-depend on which u_1 the patch picked and fixes its class up to one sign: the
-sign that agrees with the blend so far, so the first admissible patch seeds
-+1.  The gauge's scale and neighbour signs are computed once on the whole
-grid per winning candidate, and a patch chains the signs inside its box.
+depend on which u_1 the patch picked, nor on the sign of M0, and fixes its
+class up to one sign: the sign that agrees with the blend so far, so the
+first admissible patch seeds +1.  One routine, ``_UnitGauge``, sets up that
+gauge: its scale and neighbour signs are computed once on the whole grid
+per winning candidate, and a patch chains the signs inside its box;
+``unit_gauge_triple`` is that routine on the one box of the whole grid.
 """
 
 from __future__ import annotations
@@ -144,15 +147,15 @@ class RatioBundle:
 
 @dataclass
 class FrameData:
-    """Gram data of the frame ratios (indices ``frame``): H, its inverse
-    adj H / det H (the identity where H is singular), the pointwise
-    Frobenius condition number cond = ||H|| ||adj H|| / |det H|
-    = ||H|| ||H^-1|| (``inf`` where H is singular), and ``ok`` where H is
-    regular.  All four come from the closed form of :func:`_sym_frame`, so
-    ``cond`` is the selector's ranking field, bit for bit."""
+    """Gram data of the frame ratios (indices ``frame``): the inverse
+    adj H / det H of their Gram matrix H (the identity where H is
+    singular), the pointwise Frobenius condition number
+    cond = ||H|| ||adj H|| / |det H| = ||H|| ||H^-1|| (``inf`` where H is
+    singular), and ``ok`` where H is regular.  All three come from the
+    closed form of :func:`_sym_frame`, so ``cond`` is the selector's ranking
+    field, bit for bit; H itself is not kept."""
 
     frame: tuple[int, ...]
-    H: np.ndarray
     Hinv: np.ndarray
     cond: np.ndarray
     ok: np.ndarray
@@ -162,19 +165,18 @@ class FrameData:
 class MBundle:
     """Curvature matrices and the normalized pairing solution M0.
 
-    ``theta`` holds, per generator, the full coefficient vector over all
-    ratios (frame entries carry the solved coefficients, the generator slot
-    carries 1, everything else 0).  ``indep`` is the smallest singular value
-    of the vectorized (Id, M^1, ..) stack, and ``ok`` flags nodes where the
-    pairing system was solvable.
+    ``M`` holds one curvature matrix per generator.  ``M0`` is normalized by
+    the principal square root and not oriented: its sign per node is fixed
+    by ``reconstruct_class``, the one stage whose output depends on it.
+    ``indep`` is the smallest singular value of the vectorized
+    (Id, M^1, ..) stack, and ``ok`` flags nodes where the pairing system was
+    solvable.
     """
 
-    theta: np.ndarray
     M: np.ndarray
     M0: np.ndarray
     indep: np.ndarray
     ok: np.ndarray
-    lincomb_residual: float
 
 
 @dataclass
@@ -268,8 +270,8 @@ def _ratios(grid: Grid, u: list[ScalarField]) -> RatioBundle:
 
 
 def build_frame(rb: RatioBundle, frame: tuple[int, ...] | None = None) -> FrameData:
-    """Gram matrix H_ij = grad v_i . grad v_j of the frame ratios, its
-    inverse and its condition number (:func:`_frame_from_gram`).
+    """Inverse and condition number of the Gram matrix
+    H_ij = grad v_i . grad v_j of the frame ratios (:func:`_frame_from_gram`).
 
     The product is bilinear (no conjugation).  ``frame`` selects which
     ratios form the frame (default: the first n).  ``cond`` is judged by
@@ -285,17 +287,15 @@ def build_frame(rb: RatioBundle, frame: tuple[int, ...] | None = None) -> FrameD
 
 def _frame_from_gram(h: dict, frame: tuple[int, ...]) -> FrameData:
     """The frame data of ``frame`` from the products ``h`` of its own
-    gradients (:func:`_gram`, keys 0..n-1).  H and H^-1 = cof / det are
-    unpacked in ``SYM_PAIRS`` order from the closed form of
-    :func:`_sym_frame`; the identity stands in for H^-1 where H is
-    singular."""
+    gradients (:func:`_gram`, keys 0..n-1).  H^-1 = cof / det is unpacked
+    in ``SYM_PAIRS`` order from the closed form of :func:`_sym_frame`; the
+    identity stands in for it where H is singular."""
     n = len(frame)
-    e, cof, det, ok, cond = _sym_frame(h, range(n))
+    _, cof, det, ok, cond = _sym_frame(h, range(n))
     d = np.where(ok, det, 1.0)
-    H = unpack_sym(np.stack([e[ab] for ab in SYM_PAIRS[n]], axis=-1), n)
     inv = unpack_sym(np.stack([cof[ab] / d for ab in SYM_PAIRS[n]], axis=-1), n)
     Hinv = np.where(ok[..., None, None], inv, np.eye(n, dtype=np.complex128))
-    return FrameData(frame, H, Hinv, cond, ok)
+    return FrameData(frame, Hinv, cond, ok)
 
 
 def _regular(det: np.ndarray, scale: np.ndarray, n: int) -> np.ndarray:
@@ -367,7 +367,8 @@ def build_M(rb: RatioBundle, fr: FrameData,
     grad w = - sum_j theta_j grad v_j is solved through the frame Gram
     inverse; the curvature matrix is M = Hess w + sum_j theta_j Hess v_j.
     M0 is the combination of (Id, M^1, ..) that pairs to delta_{0m},
-    normalized by the principal square root and oriented by ``_orientation``.
+    normalized by the principal square root but not oriented: the selector's
+    unit gauge does not see its sign, and ``reconstruct_class`` orients it.
     ``indep`` is the smallest singular value of the vectorized stack
     (:func:`_independence`); it is judged by ``reconstruct_class`` and the
     selector, not here.  In 2D both per-node 3 x 3 problems, the
@@ -387,27 +388,16 @@ def build_M(rb: RatioBundle, fr: FrameData,
 
     Gf = rb.grad_v[list(fr.frame)]
     Hf = rb.hess_v[list(fr.frame)]
-    theta = np.zeros((G_needed,) + grid.shape + (m_total,), dtype=np.complex128)
     M = np.empty((G_needed,) + grid.shape + (n, n), dtype=np.complex128)
-    worst_lincomb = 0.0
     for g, w in enumerate(generators):
         t = np.einsum("...k,j...k->...j", rb.grad_v[w], Gf)
         th = -np.einsum("...jk,...k->...j", fr.Hinv, t)
-        for j, fj in enumerate(fr.frame):
-            theta[g, ..., fj] = th[..., j]
-        theta[g, ..., w] = 1.0
         M[g] = rb.hess_v[w] + np.einsum("...j,j...kl->...kl", th, Hf)
-        resid = rb.grad_v[w] + np.einsum("...j,j...k->...k", th, Gf)
-        scale = np.abs(rb.grad_v[w]).max() + _TINY
-        worst_lincomb = max(worst_lincomb, float(np.abs(resid).max() / scale))
 
     eye = np.broadcast_to(np.eye(n, dtype=np.complex128), grid.shape + (n, n))
     stack = np.concatenate([eye[None], M], axis=0)
-
-    indep = _independence(_vectorize_sym(stack))
     M0, ok = _pair_M0(stack)
-    M0 *= _orientation(M0)[..., None, None]
-    return MBundle(theta, M, M0, indep, ok, worst_lincomb)
+    return MBundle(M, M0, _independence(_vectorize_sym(stack)), ok)
 
 
 def _vectorize_sym(stack: np.ndarray) -> np.ndarray:
@@ -604,44 +594,36 @@ def _pair_M0(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return raw / s[..., None, None], ok
 
 
-def _edge_prefix(W: np.ndarray, starts: list[list[int]]) -> list[np.ndarray]:
+def _edge_prefix(W: np.ndarray) -> list[np.ndarray]:
     """Per axis k of a field of matrices, the products of the edge signs
-    (:func:`_edge_sign`) along axis k from the start of each grid line, 1 at
-    its first node, on the lines a scan path (:func:`_scan_signs`) of a box
-    starting at ``starts`` runs along: those through coordinates
-    ``starts[j]`` on each axis j > k, indexed there by their position in
-    ``starts[j]``.  The sign change between two nodes of a line is the
+    (:func:`_edge_sign`) along axis k from the start of every grid line, 1
+    at its first node.  The sign change between two nodes of a line is the
     product of their entries, exact in +-1."""
-    d = W.ndim - 2
     out = []
-    for k in range(d):
-        lines = W[(slice(None),) * (k + 1) + np.ix_(*starts[k + 1:])] if k < d - 1 else W
+    for k in range(W.ndim - 2):
         head = (slice(None),) * k
-        p = np.ones(lines.shape[:-2])
-        np.multiply.accumulate(_edge_sign(lines[head + (slice(1, None),)],
-                                          lines[head + (slice(None, -1),)]),
+        p = np.ones(W.shape[:-2])
+        np.multiply.accumulate(_edge_sign(W[head + (slice(1, None),)],
+                                          W[head + (slice(None, -1),)]),
                                axis=k, out=p[head + (slice(1, None),)])
         out.append(p)
     return out
 
 
-def _scan_signs(prefix: list[np.ndarray], box: tuple[slice, ...],
-                position: tuple[int, ...]) -> np.ndarray:
+def _scan_signs(prefix: list[np.ndarray], box: tuple[slice, ...]) -> np.ndarray:
     """Carry a sign from the first node of ``box`` (+1) along its scan path.
 
     The path runs down axis 0 from the first node, then along axis 1 from
     every node reached so far, then along axis 2 in 3D.  The sign change
     along each leg is the product of the leg's two entries of ``prefix``
-    (:func:`_edge_prefix`), where ``position`` gives the box's start on each
-    axis as its index in the starts ``prefix`` was built for.  So a box of a
-    larger grid reads the signs its own windows would give.
+    (:func:`_edge_prefix`), so a box of a larger grid reads the signs its
+    own windows would give.
     """
     start = tuple(sl.start for sl in box)
     sgn = np.ones(())
     for k, p in enumerate(prefix):
         # leg k ends at the node's coordinates on axes <= k, the start beyond
-        leg = p[box[:k + 1] + position[k + 1:]] \
-            * p[box[:k] + (start[k],) + position[k + 1:]][..., None]
+        leg = p[box[:k + 1] + start[k + 1:]] * p[box[:k] + start[k:]][..., None]
         sgn = sgn[..., None] * leg
     return sgn
 
@@ -670,21 +652,22 @@ def _orientation(W: np.ndarray) -> np.ndarray:
     :func:`_flip_at_center`.
     """
     shape = W.shape[:-2]
-    sgn = _scan_signs(_edge_prefix(W, [[0]] * len(shape)),
-                      tuple(slice(0, m) for m in shape), (0,) * len(shape))
+    sgn = _scan_signs(_edge_prefix(W), tuple(slice(0, m) for m in shape))
     return _flip_at_center(sgn, W[tuple(m // 2 for m in shape)])
 
 
 def reconstruct_class(rb: RatioBundle, fr: FrameData, mb: MBundle) -> ClassRepresentative:
     """The u_1-normalized representative of ``_class_triple``, with diagnostics.
 
-    ``eq_residual`` is, per node, the largest over the ratios v_m of the
-    residual of M0 : Hess v_m + beta . grad v_m = 0 relative to the size of
-    its terms, sum_ij |M0_ij| |d_ij v_m| + sum_k |beta_k| |d_k v_m|, floored
-    at eps max|M0| max|Hess v_m|.  On exact data it reads roundoff also
-    where the summed terms cancel (the 2D constant classes); where every
-    term of a ratio's equation is itself roundoff, the floor keeps it small
-    (at most 3.6e-13, on boundary nodes of the 3D constant class at 17^3).
+    M0 is oriented here (:func:`_orientation`), the one stage whose output
+    depends on its sign.  ``eq_residual`` is, per node, the largest over the
+    ratios v_m of the residual of M0 : Hess v_m + beta . grad v_m = 0
+    relative to the size of its terms, sum_ij |M0_ij| |d_ij v_m| +
+    sum_k |beta_k| |d_k v_m|, floored at eps max|M0| max|Hess v_m|.  On
+    exact data it reads roundoff also where the summed terms cancel (the 2D
+    constant classes); where every term of a ratio's equation is itself
+    roundoff, the floor keeps it small (at most 3.6e-13, on boundary nodes
+    of the 3D constant class at 17^3).
     Raises FrameDegenerate where the frame condition exceeds ``COND_MAX``,
     else MDependent where the independence is below ``INDEP_MIN``."""
     bad = ~(fr.cond <= COND_MAX)
@@ -695,18 +678,19 @@ def reconstruct_class(rb: RatioBundle, fr: FrameData, mb: MBundle) -> ClassRepre
     if bad.any():
         raise MDependent(f"(Id, M^1, ..) fail pointwise independence at {INDEP_MIN:g}",
                          nodes=np.argwhere(bad))
-    a_arr, bpda, c, beta = _class_triple(rb, fr, mb.M0)
-    resid = np.einsum("...ij,m...ij->m...", mb.M0, rb.hess_v) \
+    M0 = mb.M0 * _orientation(mb.M0)[..., None, None]
+    a_arr, bpda, c, beta = _class_triple(rb, fr, M0)
+    resid = np.einsum("...ij,m...ij->m...", M0, rb.hess_v) \
         + np.einsum("...k,m...k->m...", beta, rb.grad_v)
     hess_mod = np.abs(rb.hess_v)
-    size = np.einsum("...ij,m...ij->m...", np.abs(mb.M0), hess_mod) \
+    size = np.einsum("...ij,m...ij->m...", np.abs(M0), hess_mod) \
         + np.einsum("...k,m...k->m...", np.abs(beta), np.abs(rb.grad_v))
     # where every term of a ratio's equation is roundoff, so is its size
-    floor = np.finfo(float).eps * np.abs(mb.M0).max() \
+    floor = np.finfo(float).eps * np.abs(M0).max() \
         * hess_mod.reshape(len(hess_mod), -1).max(axis=1)
     size = np.maximum(size, floor.reshape((-1,) + (1,) * rb.grid.dim)) + _TINY
     diagnostics = {"eq_residual": (np.abs(resid) / size).max(axis=0), "frame_cond": fr.cond,
-                   "pairing_indep": mb.indep, "lincomb_residual": mb.lincomb_residual}
+                   "pairing_indep": mb.indep}
     return _assemble_representative(rb.grid, a_arr, bpda, c,
                                     gauge="u1-normalized", diagnostics=diagnostics)
 
@@ -745,33 +729,18 @@ def _assemble_representative(grid: Grid, a_mat: np.ndarray, bpda: np.ndarray,
                                gauge=gauge, diagnostics=diagnostics)
 
 
-_NO_UNIT_GAUGE = "Tr(a a) vanishes; the unit gauge is undefined"
-
-
-def _trace_square(a_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The bilinear pairing Tr(a a) per node, and the flag of the nodes where
-    it vanishes (modulus below 1e-28), where the unit gauge is undefined."""
-    s2 = np.einsum("...ij,...ji->...", a_mat, a_mat)
-    return s2, np.abs(s2) < 1e-28
-
-
 def unit_gauge_triple(a_mat: np.ndarray, bpda: np.ndarray, c: np.ndarray):
-    """Rescale a gauge triple so that Tr(a a) = 1 pointwise.
+    """Rescale a gauge triple so that Tr(a a) = 1 pointwise: the unit gauge
+    of :class:`_UnitGauge` on the one box of the whole grid.
 
-    The scale is the principal square root of the bilinear pairing
-    Tr(a a), oriented by ``_orientation`` (neighbor continuity, then
-    Re Tr a > 0 at the center node).  Because (a, b + div a, c) transforms
-    multiplicatively along the gauge orbit, dividing all three by the same
-    scalar field stays on the orbit.  Returns (a, b + div a, c, scale) with
-    a = scale * a_unit exactly.
+    Because (a, b + div a, c) transforms multiplicatively along the gauge
+    orbit, dividing all three by the same scalar field stays on the orbit.
+    Returns (a, b + div a, c, scale) with a = scale * a_unit exactly; raises
+    VanishingGauge where Tr(a a) vanishes.
     """
-    s2, vanishing = _trace_square(a_mat)
-    if vanishing.any():
-        raise VanishingGauge(_NO_UNIT_GAUGE)
-    s = np.sqrt(s2)
-    scale = s * _orientation(a_mat / s[..., None, None])
-    return (a_mat / scale[..., None, None], bpda / scale[..., None],
-            c / scale, scale)
+    shape = a_mat.shape[:-2]
+    return _UnitGauge([a_mat, bpda, c], [([0], m) for m in shape]).window(
+        0, tuple(slice(0, m) for m in shape))
 
 
 # ---------------------------------------------------------------------------
@@ -875,17 +844,17 @@ def _candidate(rb: RatioBundle, frame, subset, u1_max: float) -> tuple[np.ndarra
 
 
 class _UnitGauge:
-    """``unit_gauge_triple`` of one full-grid triple, taken box by box.
+    """The unit gauge Tr(a a) = 1 of a full-grid triple (a, b + div a, c),
+    taken on the patch boxes of ``axes`` (:func:`_patch_axes`).
 
-    The scale s = sqrt(Tr(a a)) and the edge signs of the unit field a/s
-    on every line that a box's scan path runs along (:func:`_edge_prefix`)
-    are computed once on the whole grid.  A box chains the signs inside it
-    (:func:`_scan_signs`), flips them at its center node
-    (:func:`_flip_at_center`) and divides its windows of the triple by s
-    times them.  Each step is pointwise or exact, so a box gets the bits
-    ``unit_gauge_triple`` gives on a copy of its windows, and raises
-    VanishingGauge where that would: at a box that holds a node of
-    |Tr(a a)| < 1e-28.
+    The scale is the principal root s of the bilinear Tr(a a), oriented per
+    box: neighbour continuity of a/s along the box's scan path
+    (:func:`_scan_signs`), then Re Tr a > 0 at its center
+    (:func:`_flip_at_center`).  s and the edge signs of a/s on every grid
+    line (:func:`_edge_prefix`) are computed once on the whole grid.  Each
+    step is pointwise or exact, so a box gets the bits its windows give as
+    a grid of their own, and raises VanishingGauge at a box that holds a
+    node of |Tr(a a)| < 1e-28.
     """
 
     def __init__(self, triple: list[np.ndarray], axes: list[tuple[list[int], int]]):
@@ -893,21 +862,21 @@ class _UnitGauge:
         a = triple[0]
         # a triple need not be finite outside the boxes it wins
         with np.errstate(all="ignore"):
-            s2, vanishing = _trace_square(a)
-            self.vanishing = _box_reduce(vanishing, axes, np.logical_or)
+            s2 = np.einsum("...ij,...ji->...", a, a)
+            self.vanishing = _box_reduce(np.abs(s2) < 1e-28, axes, np.logical_or)
             self.s = np.sqrt(s2)
-            self.prefix = _edge_prefix(a / self.s[..., None, None], [st for st, _ in axes])
-        self.positions = list(itertools.product(*(range(len(st)) for st, _ in axes)))
+            self.prefix = _edge_prefix(a / self.s[..., None, None])
 
     def window(self, k: int, box: tuple[slice, ...]) -> tuple[np.ndarray, ...]:
-        """The unit-gauge (a, b + div a, c) on box ``k``, ``box``."""
+        """The unit-gauge (a, b + div a, c) on box ``k``, ``box``, and the
+        scale that divided them."""
         if self.vanishing[k]:
-            raise VanishingGauge(_NO_UNIT_GAUGE)
+            raise VanishingGauge("Tr(a a) vanishes; the unit gauge is undefined")
         center = tuple(sl.start + (sl.stop - sl.start) // 2 for sl in box)
-        sgn = _scan_signs(self.prefix, box, self.positions[k])
+        sgn = _scan_signs(self.prefix, box)
         scale = self.s[box] * _flip_at_center(sgn, self.triple[0][center] / self.s[center])
         a, bpda, c = (x[box] for x in self.triple)
-        return a / scale[..., None, None], bpda / scale[..., None], c / scale
+        return a / scale[..., None, None], bpda / scale[..., None], c / scale, scale
 
 
 class _Selector:
@@ -1037,7 +1006,7 @@ def _select_on_patch(sel: _Selector, k: int, box: tuple[slice, ...]):
             if top_ok is not None:
                 score, subset = top_ok
                 return (_selection(i1, others, combo, subset), score,
-                        sel.unit(i1, combo, subset).window(k, box))
+                        sel.unit(i1, combo, subset).window(k, box)[:3])
             if top is not None and (best is None or top[0] > best[1]):
                 best = (_selection(i1, others, combo, top[1]), top[0], None)
     return best

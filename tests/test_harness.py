@@ -382,6 +382,20 @@ def test_cli_refuses_a_negative_seed_and_numbers_that_are_not_finite(
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
 
 
+@pytest.mark.parametrize("mode, doc, field", [
+    ("synthesize", {"preset": "identity-2d", "grids": []}, "grids"),
+    ("qpat", {"preset": "qpat-demo", "grids": [17], "noise": []}, "noise"),
+    ("stability", {"preset": "smooth-complex-2d", "grids": [], "noise": [1e-4]}, "grids"),
+    ("roundtrip", {"preset": "identity-2d", "grids": [17], "noise": []}, "noise"),
+], ids=["synthesize-grids", "qpat-noise", "stability-grids", "roundtrip-noise"])
+def test_cli_refuses_empty_grids_and_noise_lists(tmp_path, capsys, mode, doc, field):
+    # an empty list ended in an IndexError traceback, or in a roundtrip
+    # report with no entries: exit 1 naming the field
+    path = write_config(tmp_path, "bad.json", doc)
+    assert cli_main([mode, "--config", path]) == 1
+    assert capsys.readouterr().err == f"error: {field}: must not be empty\n"
+
+
 def archive_without_extent(tmp_path):
     from gaugerec import save_field
     path = tmp_path / "u.json"

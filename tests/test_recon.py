@@ -47,14 +47,10 @@ def harmonic_fields(grid):
 
 def test_constant_class_pieces_are_exact():
     grid = square_grid(33)
-    x1, x2 = grid.meshes
     rb = build_ratios(harmonic_fields(grid))
     fr = build_frame(rb)
     assert tuple(fr.frame) == (0, 1)
     mb = build_M(rb, fr)
-    # transport coefficients of the product ratio x1*x2 against the frame
-    assert np.abs(mb.theta[0][..., 0] + x2).max() == 0.0
-    assert np.abs(mb.theta[0][..., 1] + x1).max() == 0.0
     off = np.array([[0.0, 1.0], [1.0, 0.0]])
     diag = np.array([[1.0, 0.0], [0.0, -1.0]])
     assert np.abs(mb.M[0] - off).max() == 0.0
@@ -143,7 +139,6 @@ def test_closed_form_inverse_matches_lapack(shape, n):
     H = n * np.eye(n) + 0.2 * (B + np.swapaxes(B, -1, -2))
     fr = _closed_form(H)
     Hinv, ok = fr.Hinv, fr.ok
-    assert np.array_equal(fr.H, H)
     assert ok.all() and np.array_equal(ok, _lapack_regular(H))
     ref = np.linalg.inv(H)
     err = np.abs(Hinv - ref).max(axis=(-2, -1)) / np.abs(ref).max(axis=(-2, -1))
@@ -188,8 +183,8 @@ def test_closed_form_inverse_flags_singular_nodes(n):
 
 @pytest.mark.parametrize("data", ["cgo 9^3", "smooth-complex-2d 17^2"])
 def test_frame_is_the_gram_block_and_inverts_it(data):
-    # on engine data H is the block of the bilinear products bit for bit,
-    # and H^-1 inverts it to roundoff wherever H is regular
+    # on engine data H^-1 inverts the block of the bilinear products to
+    # roundoff wherever H is regular
     if data.startswith("cgo"):
         u = cgo_family(square_grid(9, 3)).fields()
     else:
@@ -200,10 +195,11 @@ def test_frame_is_the_gram_block_and_inverts_it(data):
     fr = build_frame(rb)
     n = rb.grid.dim
     h = recon._gram(rb.grad_v[:n])
+    H = np.empty(rb.grid.shape + (n, n), dtype=complex)
     for i, j in itertools.product(range(n), repeat=2):
-        assert np.array_equal(fr.H[..., i, j], h[min(i, j), max(i, j)]), (i, j)
+        H[..., i, j] = h[min(i, j), max(i, j)]
     assert fr.ok.all()
-    assert np.abs(fr.H @ fr.Hinv - np.eye(n))[fr.ok].max() <= 1e-13
+    assert np.abs(H @ fr.Hinv - np.eye(n))[fr.ok].max() <= 1e-13
 
 
 def test_degenerate_frame_is_rejected():
@@ -495,6 +491,46 @@ def test_unit_gauge_of_a_box_chains_planted_flips_and_refuses_vanishing_boxes(sh
         for g, w in zip(gauge.window(k, box), unit_gauge_triple(*window)[:3]):
             assert g.tobytes() == w.tobytes(), (k, box)
     assert refused >= 1
+
+
+@pytest.mark.parametrize("name, m, patch_size, overlap", [
+    ("smooth-complex-2d", 97, 17, 8),
+    ("constant-tensor-3d", 17, 9, 4),
+])
+def test_outputs_do_not_depend_on_the_sign_of_M0(monkeypatch, name, m, patch_size, overlap):
+    # build_M leaves M0's sign per node as the pairing solve gives it: the
+    # selector's unit gauge does not see it, and reconstruct_class orients it
+    preset = PRESETS[name]
+    grid = square_grid(m, preset.dim)
+    u = synthesize(preset.coefficients(grid), preset.illumination(grid))
+    cfg = EngineConfig(patch_size=patch_size, overlap=overlap)
+    small = square_grid(33 if preset.dim == 2 else 9, preset.dim)
+    v = synthesize(preset.coefficients(small), preset.illumination(small))
+
+    def outputs():
+        rep, pm = reconstruct_global(u, cfg)
+        rb = build_ratios(v)
+        fr = build_frame(rb)
+        cls = reconstruct_class(rb, fr, build_M(rb, fr))
+        return ([f.values.tobytes() for f in (rep.a, rep.b_plus_diva, rep.c, rep.b)],
+                pm.boxes, pm.admissible, pm.selections, np.array(pm.scores).tobytes(),
+                pm.signs, pm.coverage.tobytes(),
+                [x.tobytes() for x in (*cls.triple_arrays(), cls.b.values,
+                                       *cls.diagnostics.values())])
+
+    real_pair = recon._pair_M0
+
+    def pair(stack):  # negate M0 at a seeded random half of the nodes
+        M0, ok = real_pair(stack)
+        flip = np.random.default_rng(4).random(M0.shape[:-2]) < 0.5
+        return np.where(flip[..., None, None], -M0, M0), ok
+
+    want = outputs()
+    monkeypatch.setattr(recon, "_pair_M0", pair)
+    rb = build_ratios(v)
+    flipped = build_M(rb, build_frame(rb)).M0
+    assert 0.4 < np.mean(flipped[..., 0, 0].real < 0) < 0.6  # the flips reach build_M
+    assert outputs() == want
 
 
 @pytest.mark.parametrize("data, m, patch_size", [

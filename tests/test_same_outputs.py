@@ -45,6 +45,21 @@ def test_first_difference_with_and_without_rtol():
     assert tool.largest_difference(tiny, {"r": tiny["r"] + 1e-16}) == \
         (0.5, "item.r", 1e-16, 2e-16)
 
+    # an eq_residual leaf is already relative to its equation's terms, so it
+    # is judged by max|a - b| alone: 1e-16 on a 4e-16 map passes
+    res = {"class": ({"eq_residual": np.array([4e-16, 1e-16, np.nan])},)}
+
+    def res_moved(step, nan=np.nan):
+        return {"class": ({"eq_residual": np.array([4e-16 + step, 1e-16, nan])},)}
+
+    assert tool.first_difference(res, res_moved(1e-16)) == "item.class[0].eq_residual: values"
+    assert tool.first_difference(res, res_moved(1e-16), rtol=1e-13) is None
+    assert tool.first_difference(res, res_moved(1e-12), rtol=1e-13) == (
+        "item.class[0].eq_residual: max|a - b| above 1e-13: relative difference "
+        "2.5e+03 (max|a - b| 1e-12, max|a| 4e-16)")
+    assert tool.first_difference(res, res_moved(0.0, nan=np.inf), rtol=1.0).endswith(
+        "(non-finite entries differ)")
+
     # non-finite entries must match in place and value
     b = moved()
     b["x"][0] = a.copy()

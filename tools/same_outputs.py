@@ -15,8 +15,10 @@ such; the exit status is 1 if any item differs, else 0.
 
 With ``--rtol R`` a float or complex leaf passes when its non-finite entries
 sit at the same positions with the same values and max|a - b| <= R max|a|
-over the rest; every other leaf (selections, boxes, signs, coverage, flags,
-raised exceptions, archive bytes) must still be equal.  An item that passes
+over the rest.  A leaf whose path ends in ``eq_residual`` is already
+relative to the terms of its equation, so it passes when max|a - b| <= R.
+Every other leaf (selections, boxes, signs, coverage, flags, raised
+exceptions, archive bytes) must still be equal.  An item that passes
 only within R is printed as ``WITHIN`` with its largest relative difference.
 
 An item that raises records the exception's type and message, so an error
@@ -175,8 +177,8 @@ def _stages(g, data) -> dict:
     fr = g.build_frame(rb)
     mb = g.build_M(rb, fr)
     rep = g.reconstruct_class(rb, fr, mb)
-    return {"frame": _arrays(fr, ("H", "Hinv", "cond", "ok")),
-            "M": _arrays(mb, ("theta", "M", "M0", "indep", "ok", "lincomb_residual")),
+    return {"frame": _arrays(fr, ("Hinv", "cond", "ok")),
+            "M": _arrays(mb, ("M", "M0", "indep", "ok")),
             "class": (rep.triple_arrays(), rep.diagnostics)}
 
 
@@ -323,10 +325,13 @@ def _figures(rel: float, diff: float, scale: float) -> str:
     return f"{rel:.3g} (max|a - b| {diff:.3g}, max|a| {scale:.3g})"
 
 
-def _leaf_difference(a, b, rtol: float | None) -> str | None:
+def _leaf_difference(a, b, rtol: float | None, where: str) -> str | None:
     pair = _inexact(a, b) if rtol is not None else None
     if pair is not None:
         figures = _relative_difference(*pair)
+        if where.endswith("eq_residual"):  # already relative to its equation's terms
+            return None if figures[1] <= rtol else \
+                f"max|a - b| above {rtol:g}: relative difference {_figures(*figures)}"
         return None if figures[0] <= rtol else \
             f"relative difference {_figures(*figures)} above {rtol:g}"
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
@@ -348,11 +353,12 @@ def first_difference(a, b, path: str = "item", rtol: float | None = None) -> str
 
     Without ``rtol`` every leaf must be equal bit for bit (NaN equal to NaN).
     With it, a float or complex leaf passes when its non-finite entries
-    match in position and value and max|a - b| <= rtol max|a| over the rest;
-    every other leaf must still be equal.
+    match in position and value and max|a - b| <= rtol max|a| over the rest,
+    or max|a - b| <= rtol for an ``eq_residual`` leaf; every other leaf must
+    still be equal.
     """
     for where, x, y in _leaves(a, b, path):
-        diff = x if y is _MISSING else _leaf_difference(x, y, rtol)
+        diff = x if y is _MISSING else _leaf_difference(x, y, rtol, where)
         if diff:
             return f"{where}: {diff}"
     return None
