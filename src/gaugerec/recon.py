@@ -18,16 +18,17 @@ representative of the coefficient triple:
    (a, b + div a, c) in the u_1-normalized gauge a = M0 / u_1^2.
 
 ``reconstruct_global`` selects u_1, frame, and generators per patch.  The
-engine is pointwise, so each candidate is evaluated once on the whole grid,
-in row slabs, and each of its fields is reduced at once over every patch box
-to the worst node a patch judges it by; a patch reads entries of these
-tables.  Frames are ranked from one Gram matrix of all ratio gradients per
-u_1 and slab: each frame's H is a sub-block of it, and its condition number
-comes from the closed form that ``build_frame`` uses.  In the same pass it
-blends each patch in the pointwise unit-Frobenius gauge, which does not
-depend on which u_1 the patch picked, nor on the sign of M0, and fixes its
-class up to one sign: the sign that agrees with the blend so far, so the
-first admissible patch seeds +1.  One routine, ``_UnitGauge``, sets up that
+engine is pointwise, so a candidate is evaluated only on the nodes of the
+boxes that name it, in rounds and row slabs (``_select_patches``,
+``_evaluate``), and each of its fields is reduced at once over every patch
+box to the worst node a patch judges it by; a patch reads entries of these
+tables.  Frames are ranked on the whole grid from one Gram matrix of all
+ratio gradients per u_1 and slab: each frame's H is a sub-block of it, and
+its condition number comes from the closed form that ``build_frame`` uses.
+Then it blends each patch in the pointwise unit-Frobenius gauge, which
+does not depend on which u_1 the patch picked, nor on the sign of M0, and
+fixes its class up to one sign: the sign that agrees with the blend so far,
+so the first admissible patch seeds +1.  One routine, ``_UnitGauge``, sets up that
 gauge: its scale and neighbour signs are computed once on the whole grid
 per winning candidate, and a patch chains the signs inside its box;
 ``unit_gauge_triple`` is that routine on the one box of the whole grid.
@@ -143,6 +144,15 @@ class RatioBundle:
         return RatioBundle(self.grid.subgrid(box), self.u1[box], self.v[m],
                            self.grad_v[m], self.hess_v[m], self.grad_u1[box],
                            self.hess_u1[box])
+
+    def gather(self, nodes: tuple[np.ndarray, ...]) -> "RatioBundle":
+        """The bundle on the nodes of the index arrays ``nodes`` (one per
+        axis, as from ``np.nonzero``), laid out on one axis; the arrays are
+        copies.  ``grid`` stays the grid the nodes come from, so only the
+        pointwise stages, which read its dimension, take such a bundle."""
+        m = (slice(None),) + nodes
+        return RatioBundle(self.grid, self.u1[nodes], self.v[m], self.grad_v[m],
+                           self.hess_v[m], self.grad_u1[nodes], self.hess_u1[nodes])
 
 
 @dataclass
@@ -375,8 +385,8 @@ def build_M(rb: RatioBundle, fr: FrameData,
     independence and the pairing solve (:func:`_pair_M0`), are closed forms;
     in 3D (6 x 6) they go to LAPACK.
     """
-    grid = rb.grid
-    n = grid.dim
+    n = rb.grid.dim
+    shape = rb.u1.shape  # the grid's, or one axis for a gathered bundle
     G_needed = num_generators(n)
     m_total = rb.v.shape[0]
     if generators is None:
@@ -388,13 +398,13 @@ def build_M(rb: RatioBundle, fr: FrameData,
 
     Gf = rb.grad_v[list(fr.frame)]
     Hf = rb.hess_v[list(fr.frame)]
-    M = np.empty((G_needed,) + grid.shape + (n, n), dtype=np.complex128)
+    M = np.empty((G_needed,) + shape + (n, n), dtype=np.complex128)
     for g, w in enumerate(generators):
         t = np.einsum("...k,j...k->...j", rb.grad_v[w], Gf)
         th = -np.einsum("...jk,...k->...j", fr.Hinv, t)
         M[g] = rb.hess_v[w] + np.einsum("...j,j...kl->...kl", th, Hf)
 
-    eye = np.broadcast_to(np.eye(n, dtype=np.complex128), grid.shape + (n, n))
+    eye = np.broadcast_to(np.eye(n, dtype=np.complex128), shape + (n, n))
     stack = np.concatenate([eye[None], M], axis=0)
     M0, ok = _pair_M0(stack)
     return MBundle(M, M0, _independence(_vectorize_sym(stack)), ok)
@@ -819,17 +829,44 @@ _MAX_FRAMES = 5    # frames tried per u_1 candidate, best conditioned first
 _MAX_SUBSETS = 30  # generator subsets scored per frame
 
 
-def _slabwise(rb: RatioBundle, size: int | None, kernel) -> tuple[np.ndarray, ...]:
-    """The pointwise ``kernel`` on slabs of ``size`` rows (all rows when None;
-    the last slab takes any shorter remainder), outputs joined along axis 0.
-    Slabs bound the temporaries; where u_1 vanishes the outputs are not finite."""
-    m = rb.grid.shape[0]
-    step = min(size or m, m)
-    edges = [*range(0, m - step + 1, step), m]
-    rest = (slice(None),) * (rb.grid.dim - 1)
-    with np.errstate(all="ignore"):
-        parts = [kernel(rb.window((slice(lo, hi),) + rest)) for lo, hi in zip(edges, edges[1:])]
-    return tuple(np.concatenate(p) for p in zip(*parts))
+def _evaluate(rb: RatioBundle, size: int | None, kernel, wanted: np.ndarray | None = None,
+              out: tuple[np.ndarray, ...] | None = None) -> tuple[np.ndarray, ...]:
+    """The pointwise ``kernel`` on the nodes that ``wanted`` flags (all nodes
+    when None), written into the full-grid arrays ``out``; when None, new
+    ones, NaN (False for a flag) on the nodes not evaluated.
+
+    The grid goes in slabs of ``size`` rows (all rows when None; the last
+    slab takes any shorter remainder), which bound the temporaries.  A slab
+    whose nodes are all wanted goes to ``kernel`` as a window of ``rb``
+    (views).  The wanted nodes of the other slabs go, in C order, as
+    bundles of at most a full slab's node count (:meth:`RatioBundle.gather`).
+    The kernel is elementwise over nodes, so a node gets the same bits
+    either way.  Where u_1 vanishes the outputs are not finite.
+    """
+    shape = rb.grid.shape
+    step = min(size or shape[0], shape[0])
+    edges = [*range(0, shape[0] - step + 1, step), shape[0]]
+    whole = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])
+             if wanted is None or wanted[lo:hi].all()]
+    calls = [(rb.window((rows,) + (slice(None),) * (len(shape) - 1)), rows) for rows in whole]
+    if wanted is not None:
+        rest = wanted.copy()
+        for rows in whole:
+            rest[rows] = False
+        nodes = np.nonzero(rest)
+        chunk = step * int(np.prod(shape[1:]))
+        ats = (tuple(i[lo:lo + chunk] for i in nodes) for lo in range(0, nodes[0].size, chunk))
+        calls = itertools.chain(calls, ((rb.gather(at), at) for at in ats))
+    for bundle, at in calls:
+        with np.errstate(all="ignore"):
+            parts = kernel(bundle)
+        if out is None:
+            lead = bundle.u1.ndim
+            out = tuple(np.full(shape + p.shape[lead:], False if p.dtype == bool else np.nan,
+                                dtype=p.dtype) for p in parts)
+        for o, p in zip(out, parts):
+            o[at] = p
+    return out
 
 
 def _candidate(rb: RatioBundle, frame, subset, u1_max: float) -> tuple[np.ndarray, ...]:
@@ -854,7 +891,10 @@ class _UnitGauge:
     line (:func:`_edge_prefix`) are computed once on the whole grid.  Each
     step is pointwise or exact, so a box gets the bits its windows give as
     a grid of their own, and raises VanishingGauge at a box that holds a
-    node of |Tr(a a)| < 1e-28.
+    node of |Tr(a a)| < 1e-28.  The triple may be NaN outside the boxes
+    that read it (a candidate evaluated only where it was named): an edge
+    with a NaN end reads +1, and a box multiplies only the +-1 signs of its
+    own edges, so it gets the same bits.
     """
 
     def __init__(self, triple: list[np.ndarray], axes: list[tuple[list[int], int]]):
@@ -880,23 +920,26 @@ class _UnitGauge:
 
 
 class _Selector:
-    """The selector's full-grid fields, each built when a patch first asks
-    for it, and their per-box tables.
+    """The selector's full-grid fields and their per-box tables.
 
-    A candidate is evaluated on the whole grid, in slabs of ``patch_size``
-    rows (:func:`_slabwise`), and so are the condition fields of all frames
-    of a u_1, from one Gram matrix of its ratio gradients per slab
-    (:func:`_gram`, :func:`_sym_frame`).  Each field is reduced at once over
-    every patch box (:func:`_box_reduce`) to the worst node that a patch
-    judges it by, and only these tables are kept, with the candidate's
-    triple.  The triple's unit gauge (:class:`_UnitGauge`) is set up when
-    the candidate first wins a patch.  Column k of a table is box k of
-    :func:`_patch_boxes`.
+    The condition fields of all frames of a u_1 are built on the whole grid
+    when a patch first asks for them, from one Gram matrix of its ratio
+    gradients per slab (:func:`_evaluate`, :func:`_gram`,
+    :func:`_sym_frame`), and reduced at once over every patch box
+    (:func:`_box_reduce`) to the worst node that a patch judges it by; only
+    these tables are kept.  A candidate is evaluated only on the nodes of
+    the boxes that have named it (:meth:`evaluate`), into full-grid fields
+    that are NaN elsewhere; they are kept with their tables, and a box reads
+    its entries once all its nodes are evaluated.  The triple's unit gauge
+    (:class:`_UnitGauge`) is set up from those fields when the candidate
+    first wins a patch.  Column k of a table is box k of ``boxes``
+    (:func:`_patch_boxes`).
     """
 
     def __init__(self, u: list[ScalarField], grid: Grid, cfg: EngineConfig):
         self.u, self.grid, self.cfg = u, grid, cfg
         self.axes = _patch_axes(grid.shape, cfg)
+        self.boxes = _patch_boxes(grid.shape, cfg)
         self.gmax = np.array([float(np.abs(f.values).max()) for f in u])
         self.combos = list(itertools.combinations(range(len(u) - 1), grid.dim))
         # min |u_i| over each box relative to max |u_i| on the grid
@@ -941,45 +984,64 @@ class _Selector:
         def frame_conds(rb):
             h = _gram(rb.grad_v)
             return tuple(_sym_frame(h, combo)[-1] for combo in self.combos)
-        return _slabwise(self.ratios(i1), self.cfg.patch_size, frame_conds)
+        return _evaluate(self.ratios(i1), self.cfg.patch_size, frame_conds)
 
     def conds(self, i1: int) -> np.ndarray:
         """Per frame of ``combos`` and box, the largest condition number."""
         return self._cached(("conds", i1), lambda: self._reduce(
             np.array(self.cond_fields(i1)), np.maximum))
 
+    def evaluate(self, i1: int, frame, subset, boxes: list[int]) -> None:
+        """Evaluate the fields of :func:`_candidate` on the nodes of
+        ``boxes`` (columns of the tables) that they do not hold yet
+        (:func:`_evaluate`), and reduce them again over every box."""
+        wanted = np.zeros(self.grid.shape, dtype=bool)
+        for k in boxes:
+            wanted[self.boxes[k]] = True
+        done, fields = self._built.get(("fields", i1, frame, subset),
+                                       (np.zeros_like(wanted), None))
+        wanted &= ~done
+        if not wanted.any():
+            return
+        fields = _evaluate(self.ratios(i1), self.cfg.patch_size,
+                           lambda rb: _candidate(rb, frame, subset, self.gmax[i1]),
+                           wanted, fields)
+        self._built["fields", i1, frame, subset] = (done | wanted, fields)
+        score, indep, ok, *triple = fields
+        self._built["candidate", i1, frame, subset] = (
+            *self._reduce(np.array([score, indep]), np.minimum),
+            self._reduce(ok, np.logical_and), triple)
+
     def candidate_fields(self, i1: int, frame, subset) -> tuple[np.ndarray, ...]:
-        """The fields of :func:`_candidate` (not kept)."""
-        return _slabwise(self.ratios(i1), self.cfg.patch_size,
-                         lambda rb: _candidate(rb, frame, subset, self.gmax[i1]))
+        """The full-grid fields of :func:`_candidate` evaluated so far, NaN
+        (``ok`` False) on the other nodes."""
+        return self._built["fields", i1, frame, subset][1]
 
     def candidate(self, i1: int, frame, subset) -> tuple:
         """Per box the least score, the least ``indep`` and whether ``ok``
-        holds throughout; then the full-grid triple."""
-        def build():
-            score, indep, ok, *triple = self.candidate_fields(i1, frame, subset)
-            return (*self._reduce(np.array([score, indep]), np.minimum),
-                    self._reduce(ok, np.logical_and), triple)
-        return self._cached(("candidate", i1, frame, subset), build)
+        holds throughout; then the full-grid triple.  An entry holds for a
+        box whose nodes have all been evaluated."""
+        return self._built["candidate", i1, frame, subset]
 
     def unit(self, i1: int, frame, subset) -> _UnitGauge:
         return self._cached(("unit", i1, frame, subset), lambda: _UnitGauge(
             self.candidate(i1, frame, subset)[3], self.axes))
 
 
-def _select_on_patch(sel: _Selector, k: int, box: tuple[slice, ...]):
-    """Choose (u1, frame, generators) on patch ``k``, ``box``.
+def _select_on_patch(sel: _Selector, k: int):
+    """Choose (u1, frame, generators) on patch ``k``, as a generator.
 
     The patch reads column ``k`` of the selector's per-box tables
-    (:class:`_Selector`), whose fields are built when a patch first asks for
-    them.  Frames go best conditioned first (worst node over the patch),
-    candidates are ranked by worst-node score, and a window that holds a
-    non-finite value is not admissible.  Frame by frame, the best-scoring
-    candidate that clears ``COND_MAX`` and ``INDEP_MIN`` on the patch wins
-    and is returned as (selection, score, (a, b + div a, c)), its triple in
-    the unit-Frobenius gauge (:class:`_UnitGauge`).  Otherwise the
-    best-scoring failed attempt is returned as (selection, score, None) so
-    the caller can report it.  None when no u_1 clears ``U1_FLOOR_REL``.
+    (:class:`_Selector`).  Frames go best conditioned first (worst node over
+    the patch), candidates are ranked by worst-node score, and a window that
+    holds a non-finite value is not admissible.  For each frame it tries,
+    the generator yields the keys (u1, frame, subset) of its candidates and
+    reads their tables once they are evaluated on the patch
+    (:func:`_select_patches`).  Frame by frame, the best-scoring candidate
+    that clears ``COND_MAX`` and ``INDEP_MIN`` on the patch wins and is
+    returned as (selection, score, key).  Otherwise the best-scoring failed
+    attempt is returned as (selection, score, None) so the caller can report
+    it.  None when no u_1 clears ``U1_FLOOR_REL``.
     """
     G_needed = num_generators(sel.grid.dim)
     margins = sel.margins[:, k]
@@ -994,7 +1056,10 @@ def _select_on_patch(sel: _Selector, k: int, box: tuple[slice, ...]):
         for worst_cond, combo in frame_scored[:_MAX_FRAMES]:
             top = top_ok = None
             pool = [j for j in range(len(others)) if j not in combo]
-            for subset in itertools.islice(itertools.combinations(pool, G_needed), _MAX_SUBSETS):
+            subsets = list(itertools.islice(itertools.combinations(pool, G_needed),
+                                            _MAX_SUBSETS))
+            yield [(i1, combo, subset) for subset in subsets]
+            for subset in subsets:
                 score_t, indep_t, ok_t, _ = sel.candidate(i1, combo, subset)
                 core_ok = bool(ok_t[k])
                 score = float(score_t[k]) if core_ok else 0.0
@@ -1005,11 +1070,35 @@ def _select_on_patch(sel: _Selector, k: int, box: tuple[slice, ...]):
                     top = (score, subset)
             if top_ok is not None:
                 score, subset = top_ok
-                return (_selection(i1, others, combo, subset), score,
-                        sel.unit(i1, combo, subset).window(k, box)[:3])
+                return _selection(i1, others, combo, subset), score, (i1, combo, subset)
             if top is not None and (best is None or top[0] > best[1]):
                 best = (_selection(i1, others, combo, top[1]), top[0], None)
     return best
+
+
+def _select_patches(sel: _Selector) -> list:
+    """The choice of :func:`_select_on_patch` on every patch, made in rounds.
+
+    In a round every patch still choosing names the candidates of its next
+    (u_1, frame), and each named candidate is evaluated once, on the union
+    of the nodes of the boxes that named it (:meth:`_Selector.evaluate`);
+    then each of those patches reads its tables.  A patch walks the order it
+    would walk alone, so the choices do not depend on the rounds.
+    """
+    walks = {k: _select_on_patch(sel, k) for k in range(len(sel.boxes))}
+    picks = [None] * len(sel.boxes)
+    while walks:
+        named = {}
+        for k, walk in list(walks.items()):
+            try:
+                for key in next(walk):
+                    named.setdefault(key, []).append(k)
+            except StopIteration as done:
+                picks[k] = done.value
+                del walks[k]
+        for key, boxes in named.items():
+            sel.evaluate(*key, boxes)
+    return picks
 
 
 def _selection(i1: int, others: list[int], combo, subset) -> dict:
@@ -1021,22 +1110,18 @@ def reconstruct_global(u: list[ScalarField], config: EngineConfig | None = None
                        ) -> tuple[ClassRepresentative, PatchMap]:
     """Patch-wise reconstruction with automatic member selection.
 
-    One pass over the patches: every patch picks its own u_1, frame, and
-    generator subset, and its representative, normalized to the pointwise
-    unit-Frobenius gauge (independent of the u_1 choice), is blended with a
-    smooth partition of unity as soon as it is selected.  A candidate is
-    evaluated on the whole grid, in slabs of ``patch_size`` rows, when a
-    patch first asks for it.  So are the condition fields of all frames of
-    a u_1, which are ranked from one Gram matrix of its ratio gradients per
-    slab, without building a frame.  Each field is reduced over every patch
-    box as it is built, and the patches read those per-box tables
-    (:class:`_Selector`); a winning candidate's unit gauge is set up once on
-    the whole grid (:class:`_UnitGauge`).  The unit gauge fixes the class up
-    to a sign per patch; that sign aligns the patch with the blend
-    accumulated so far, so the first admissible patch seeds +1.  Blend
-    weights are built once per box geometry.  Raises CoverageFailure,
-    carrying the partial result, when some node is covered by no admissible
-    patch.
+    Every patch picks its own u_1, frame, and generator subset from per-box
+    tables (:class:`_Selector`, :func:`_select_patches`): a candidate is
+    evaluated only on the nodes of the boxes that name it, and the condition
+    fields that rank the frames of a u_1 on the whole grid.  Then, in box
+    order, each patch's representative, normalized to the pointwise
+    unit-Frobenius gauge (independent of the u_1 choice; set up once on the
+    grid per winning candidate, :class:`_UnitGauge`), is blended with a
+    smooth partition of unity.  The unit gauge fixes the class up to a sign
+    per patch; that sign aligns the patch with the blend accumulated so far,
+    so the first admissible patch seeds +1.  Blend weights are built once
+    per box geometry.  Raises CoverageFailure, carrying the partial result,
+    when some node is covered by no admissible patch.
     """
     cfg = (config or EngineConfig()).validate()
     if not u:
@@ -1047,14 +1132,16 @@ def reconstruct_global(u: list[ScalarField], config: EngineConfig | None = None
         raise ValueError(f"need at least {num_solutions(n)} solutions, got {len(u)}")
 
     sel = _Selector(u, grid, cfg)
+    picks = _select_patches(sel)
     weights = {}
     wsum = np.zeros(grid.shape)
     acc_a = np.zeros(grid.shape + (n, n), dtype=np.complex128)
     acc_b = np.zeros(grid.shape + (n,), dtype=np.complex128)
     acc_c = np.zeros(grid.shape, dtype=np.complex128)
     patch_map = PatchMap([], [], [], [], [], coverage=None)  # set after the pass
-    for k, box in enumerate(_patch_boxes(grid.shape, cfg)):
-        selection, score, triple = _select_on_patch(sel, k, box) or (None, 0.0, None)
+    for k, box in enumerate(sel.boxes):
+        selection, score, key = picks[k] or (None, 0.0, None)
+        triple = None if key is None else sel.unit(*key).window(k, box)[:3]
         sign = 1
         if triple is not None:
             a_u, bpda_u, c_u = triple

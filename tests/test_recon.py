@@ -33,7 +33,9 @@ from gaugerec import (
 )
 from gaugerec import recon
 from gaugerec.errors import ConfigError
+from gaugerec.fields import Grid
 from gaugerec.harness import PRESETS, triple_errors, unit_truth
+from gaugerec.illum import num_generators
 from gaugerec.forward import synthesize
 
 
@@ -319,28 +321,30 @@ def test_a_zero_of_u1_next_to_a_patch_is_a_coverage_failure(strip_fields, m, pat
 ])
 def test_candidate_windows_equal_the_engine_on_the_window(monkeypatch, shape, box):
     # the selector's full-grid fields, filled in slabs of 9 rows (33 rows
-    # give three, and the first box crosses two of them), hold on a patch
-    # the bits the engine computes on that patch alone; so do the per-box
-    # tables the patch reads, and the unit-gauge triple it is blended with
+    # give three, and the first box crosses two of them) on the nodes of the
+    # boxes that named a candidate, hold on a patch the bits the engine
+    # computes on that patch alone; so do the per-box tables the patch
+    # reads, and the unit-gauge triple it is blended with
     preset = PRESETS["constant-tensor-3d" if len(shape) == 3 else "smooth-complex-2d"]
     grid = square_grid(shape[0], len(shape))
     fields = synthesize(preset.coefficients(grid), preset.illumination(grid))
-    caches, picked = {}, {}
+    caches = {}
 
-    def select(sel, k, b):
-        caches.update(sel=sel)  # callable after the run
-        key = tuple((sl.start, sl.stop) for sl in b)
-        picked[key] = (k, real_select(sel, k, b))
-        return picked[key][1]
+    def select(sel):
+        caches.update(sel=sel, picks=real_select(sel))
+        return caches["picks"]
 
-    real_select = recon._select_on_patch
-    monkeypatch.setattr(recon, "_select_on_patch", select)
+    real_select = recon._select_patches
+    monkeypatch.setattr(recon, "_select_patches", select)
+    monkeypatch.setattr(recon._Selector, "release", lambda self: None)  # readable after the run
     reconstruct_global(fields, EngineConfig(patch_size=9, overlap=4))
-    k, (sel, _, triple) = picked[tuple((sl.start, sl.stop) for sl in box)]
+    selector = caches["sel"]
+    k = selector.boxes.index(box)
+    sel, _, key = caches["picks"][k]
+    triple = selector.unit(*key).window(k, box)[:3]
     i1 = sel["u1"]
     others = [j for j in range(len(fields)) if j != i1]
     win = build_ratios([fields[i1]] + [fields[j] for j in others]).window(box)
-    selector = caches["sel"]
     conds = selector.cond_fields(i1)
     for c, frame in enumerate(itertools.combinations(range(len(others)), grid.dim)):
         cond = build_frame(win, frame=frame).cond
@@ -436,12 +440,13 @@ def test_unit_gauge_of_a_box_equals_the_gauge_of_its_window_copy(monkeypatch, na
     u = synthesize(preset.coefficients(grid), preset.illumination(grid))
     seen = {}
 
-    def select(sel, k, box):
+    def select(sel):
         seen["sel"] = sel
-        return real_select(sel, k, box)
+        return real_select(sel)
 
-    real_select = recon._select_on_patch
-    monkeypatch.setattr(recon, "_select_on_patch", select)
+    real_select = recon._select_patches
+    monkeypatch.setattr(recon, "_select_patches", select)
+    monkeypatch.setattr(recon._Selector, "release", lambda self: None)  # readable after the run
     cfg = EngineConfig(patch_size=patch_size, overlap=overlap)
     _, pm = reconstruct_global(u, cfg)
     sel, checked = seen["sel"], 0
@@ -460,22 +465,28 @@ def test_unit_gauge_of_a_box_equals_the_gauge_of_its_window_copy(monkeypatch, na
     assert checked == len(pm.boxes)
 
 
+def _planted_triple(grid, seed):
+    """A triple whose a has random sign flips at about half the nodes, so
+    every box chains its own unit-gauge signs."""
+    n = grid.dim
+    rng = np.random.default_rng(seed)
+    tau = (1.0 + 0.2 * grid.meshes[0]) * np.exp(1j * 1.2 * np.pi * sum(grid.meshes) / n)
+    a0 = np.diag(np.arange(1.0, n + 1.0)) + 0.1j * np.ones((n, n))
+    flips = rng.choice([-1.0, 1.0], size=grid.shape)
+    return [np.einsum("..., ij -> ...ij", tau * flips, a0),
+            rng.standard_normal(grid.shape + (n,)) * (1 + 0j),
+            rng.standard_normal(grid.shape) * (1 + 0j)]
+
+
 @pytest.mark.parametrize("shape", [(33, 33), (17, 17, 17)])
 def test_unit_gauge_of_a_box_chains_planted_flips_and_refuses_vanishing_boxes(shape):
     # random sign flips make about half the edges -1, so every box chains
     # its own signs; Tr(a a) = 0 at one node fails exactly the boxes that
     # hold it, as unit_gauge_triple fails on their windows
     grid = square_grid(shape[0], len(shape))
-    n = grid.dim
-    rng = np.random.default_rng(8)
-    tau = (1.0 + 0.2 * grid.meshes[0]) * np.exp(1j * 1.2 * np.pi * sum(grid.meshes) / n)
-    a0 = np.diag(np.arange(1.0, n + 1.0)) + 0.1j * np.ones((n, n))
-    flips = rng.choice([-1.0, 1.0], size=grid.shape)
-    a = np.einsum("..., ij -> ...ij", tau * flips, a0)
+    triple = _planted_triple(grid, 8)
     zero = tuple(m // 3 for m in shape)
-    a[zero] = np.diag([1.0, 1j] + [0.0] * (n - 2))  # Tr(a a) = 1 - 1 = 0
-    triple = [a, rng.standard_normal(grid.shape + (n,)) * (1 + 0j),
-              rng.standard_normal(grid.shape) * (1 + 0j)]
+    triple[0][zero] = np.diag([1.0, 1j] + [0.0] * (grid.dim - 2))  # Tr(a a) = 1 - 1 = 0
     cfg = EngineConfig(patch_size=9, overlap=4)
     gauge = recon._UnitGauge(triple, recon._patch_axes(grid.shape, cfg))
     refused = 0
@@ -491,6 +502,110 @@ def test_unit_gauge_of_a_box_chains_planted_flips_and_refuses_vanishing_boxes(sh
         for g, w in zip(gauge.window(k, box), unit_gauge_triple(*window)[:3]):
             assert g.tobytes() == w.tobytes(), (k, box)
     assert refused >= 1
+
+
+@pytest.mark.parametrize("shape, wanted", [
+    ((33, 33), "scattered"),    # nodes in every slab, none of them whole
+    ((33, 33), "whole slab"),   # the middle slab whole, scattered above, none below
+    ((27, 17, 17), "scattered"),
+    ((27, 17, 17), "whole slab"),
+])
+def test_gathered_candidate_equals_the_windows_by_bytes(shape, wanted):
+    # a candidate evaluated on a node set, in slabs of 9 rows, holds at
+    # each node of the set the bytes _candidate gives on that node's slab
+    # window, and NaN (ok False) elsewhere; a whole slab goes as a window,
+    # and the nodes of the other slabs as gathered bundles of at most a
+    # slab's node count, which cross slabs.  The 3D data are the
+    # constant-tensor family's own polynomials, no solve.
+    if len(shape) == 2:
+        preset = PRESETS["smooth-complex-2d"]
+        grid = square_grid(shape[0])
+        u = synthesize(preset.coefficients(grid), preset.illumination(grid))
+    else:
+        grid = Grid(shape, ((0.0, 1.0),) * 3)
+        u = PRESETS["constant-tensor-3d"].illumination(grid).fields()
+    rb = build_ratios(u)
+    n = grid.dim
+    frame, subset = tuple(range(n)), tuple(range(n, n + num_generators(n)))
+    u1_max = float(np.abs(u[0].values).max())
+    size = 9
+    slabs = [slice(0, size), slice(size, 2 * size), slice(2 * size, shape[0])]
+    mask = np.random.default_rng(2).random(shape) < 0.45
+    if wanted == "whole slab":
+        mask[slabs[1]] = True
+        mask[slabs[2]] = False
+    calls = []
+
+    def kernel(bundle):
+        calls.append((bundle.u1.ndim, bundle.u1.size))
+        return recon._candidate(bundle, frame, subset, u1_max)
+
+    got = recon._evaluate(rb, size, kernel, mask)
+    chunk = mask[slabs[0]].size
+    scattered = int(mask.sum()) - (chunk if wanted == "whole slab" else 0)
+    sizes = [min(chunk, scattered - lo) for lo in range(0, scattered, chunk)]
+    assert calls == [(n, chunk)] * (wanted == "whole slab") + [(1, m) for m in sizes]
+    assert len(sizes) == (2 if wanted == "scattered" else 1)
+    rest = (slice(None),) * (n - 1)
+    for sl in slabs:
+        with np.errstate(all="ignore"):
+            ref = recon._candidate(rb.window((sl,) + rest), frame, subset, u1_max)
+        held = mask[sl]
+        for g, w in zip(got, ref):
+            assert g[sl][held].tobytes() == w[held].tobytes()
+            unset = g[sl][~held]
+            assert not unset.any() if g.dtype == bool else np.isnan(unset).all()
+
+
+@pytest.mark.parametrize("shape", [(33, 33), (17, 17, 17)])
+def test_unit_gauge_of_a_nan_filled_triple_equals_the_full_triple_on_its_boxes(shape):
+    # outside the union of some boxes the triple is NaN: the edge signs
+    # across NaN read +1, and a box chains only the signs inside itself, so
+    # each of those boxes gets the bytes the full triple gives it
+    grid = square_grid(shape[0], len(shape))
+    triple = _planted_triple(grid, 8)
+    cfg = EngineConfig(patch_size=9, overlap=4)
+    axes, boxes = recon._patch_axes(grid.shape, cfg), recon._patch_boxes(grid.shape, cfg)
+    chosen = list(range(0, len(boxes), 3))
+    union = np.zeros(grid.shape, dtype=bool)
+    for k in chosen:
+        union[boxes[k]] = True
+    assert 0.3 < union.mean() < 1.0
+    partial = [np.where(union.reshape(union.shape + (1,) * (x.ndim - union.ndim)), x, np.nan)
+               for x in triple]
+    full, holed = recon._UnitGauge(triple, axes), recon._UnitGauge(partial, axes)
+    for k in chosen:
+        for g, w in zip(holed.window(k, boxes[k]), full.window(k, boxes[k])):
+            assert g.tobytes() == w.tobytes(), k
+
+
+@pytest.mark.parametrize("m, patch_size, most", [(97, 17, 1.15), (65, None, 1.0)])
+def test_candidates_are_evaluated_only_on_the_boxes_that_name_them(monkeypatch, m,
+                                                                   patch_size, most):
+    # at 97^2 17/8 the majority candidate's boxes cover 91.7% of the nodes
+    # and the minority's 20.6%, where a full-grid evaluation of both would
+    # cost twice the grid; a single patch evaluates its one candidate once,
+    # in whole slabs, on every node
+    preset = PRESETS["smooth-complex-2d"]
+    grid = square_grid(m)
+    u = synthesize(preset.coefficients(grid), preset.illumination(grid))
+    calls = []
+
+    def candidate(rb, *args):
+        calls.append((rb.u1.size, rb.u1.ndim))
+        return real_candidate(rb, *args)
+
+    real_candidate = recon._candidate
+    monkeypatch.setattr(recon, "_candidate", candidate)
+    _, pm = reconstruct_global(u, EngineConfig(patch_size=patch_size, overlap=8))
+    assert all(pm.admissible)
+    nodes = sum(size for size, _ in calls)
+    assert grid.num_nodes <= nodes <= most * grid.num_nodes
+    if patch_size is None:
+        assert nodes == grid.num_nodes and all(ndim == 2 for _, ndim in calls)
+    else:
+        assert len({tuple(sorted(s.items())) for s in pm.selections}) == 2
+        assert any(ndim == 1 for _, ndim in calls)
 
 
 @pytest.mark.parametrize("name, m, patch_size, overlap", [
@@ -892,8 +1007,8 @@ def test_ratio_bundles_are_released_before_the_blend(monkeypatch):
         refs.append(weakref.ref(rb.hess_v))
         return rb
 
-    def slabwise(*args):
-        out = real_slabwise(*args)
+    def evaluate(*args):
+        out = real_evaluate(*args)
         filled.append(len(out))
         refs.extend(weakref.ref(x) for x in out)
         return out
@@ -904,9 +1019,9 @@ def test_ratio_bundles_are_released_before_the_blend(monkeypatch):
         return real_assemble(*args, **kwargs)
 
     real_ratios, real_assemble = recon._ratios, recon._assemble_representative
-    real_slabwise = recon._slabwise
+    real_evaluate = recon._evaluate
     monkeypatch.setattr(recon, "_ratios", ratios)
-    monkeypatch.setattr(recon, "_slabwise", slabwise)
+    monkeypatch.setattr(recon, "_evaluate", evaluate)
     monkeypatch.setattr(recon, "_assemble_representative", assemble)
     grid = square_grid(33)
     data = synthesize(PRESETS["smooth-complex-2d"].coefficients(grid),
@@ -941,6 +1056,47 @@ def test_coverage_failure_carries_partial_output(strip_fields):
     assert rep.grid.shape == grid.shape
     assert not pm.coverage.all()
     assert np.all(np.isfinite(rep.a.values[pm.coverage]))
+
+
+def _smooth_perturbation(u, eps):
+    """Each u_j plus eps max|u_j| phi_j, phi_j = amp sin(pi k x + ph) cos(pi l y)
+    with k, l in {1, 2, 3}, a phase ph and a complex amplitude (seed 0)."""
+    rng = np.random.default_rng(0)
+    x, y = u[0].grid.meshes[:2]
+    out = []
+    for f in u:
+        k, l = rng.integers(1, 4, size=2)
+        ph = rng.uniform(0.0, 2.0 * np.pi)
+        amp = complex(*rng.standard_normal(2))
+        phi = amp * np.sin(np.pi * k * x + ph) * np.cos(np.pi * l * y)
+        out.append(ScalarField(f.grid, f.values + eps * np.abs(f.values).max() * phi))
+    return out
+
+
+@pytest.mark.parametrize("name, sizes, measured", [
+    ("smooth-complex-2d", (33, 65), (203.6, 196.6)),
+    ("constant-tensor-3d", (9,), (188.6,)),
+])
+def test_class_is_lipschitz_in_smooth_data(name, sizes, measured):
+    # the paper's stability: the class changes by at most a constant times
+    # the C^2 size of a data change.  The modulus, sup|class change| over
+    # the class's sup per unit eps, is linear in eps and the same on both
+    # grids; each pin sits 25% above its measured value
+    preset = PRESETS[name]
+    moduli = []
+    for m, pin in zip(sizes, measured):
+        grid = square_grid(m, preset.dim)
+        u = synthesize(preset.coefficients(grid), preset.illumination(grid))
+        ref = reconstruct_global(u)[0].triple_arrays()
+        scale = max(float(np.abs(x).max()) for x in ref)
+        at = []
+        for eps in (1e-6, 1e-5):
+            got = reconstruct_global(_smooth_perturbation(u, eps))[0].triple_arrays()
+            at.append(max(float(np.abs(g - r).max()) for g, r in zip(got, ref)) / scale / eps)
+        assert abs(at[1] - at[0]) <= 0.01 * at[0], (m, at)
+        assert at[0] <= 1.25 * pin, (m, at)
+        moduli.append(at[0])
+    assert max(moduli) <= 1.1 * min(moduli), moduli
 
 
 # ---------------------------------------------------------------------------

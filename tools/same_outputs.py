@@ -129,6 +129,16 @@ def collect() -> dict:
     items["smooth-complex-2d 257 33/16: reconstruct_global"] = _attempt(
         lambda: _global(g, data, g.EngineConfig(patch_size=33, overlap=16)))
 
+    # criterion 11's strips at 65^2 and 17/12, where boxes walk several
+    # frames and generator subsets before one wins, or none does
+    grid = g.square_grid(65)
+    strip = g.EngineConfig(patch_size=17, overlap=12)
+    for redundant in (True, False):
+        data = [g.ScalarField(grid, v.astype(complex))
+                for v in _strip(*grid.meshes, redundant=redundant)]
+        items[f"strip {'redundant' if redundant else 'minimal'} 65 17/12: "
+              "reconstruct_global"] = _attempt(lambda: _global(g, data, strip))
+
     # a 3D frame whose condition ranges from 10 to 288, so the 3 x 3 closed
     # form is compared on real work (constant-tensor-3d's frame has cond 3)
     items["cgo 3D 9^3: stages"] = _attempt(
@@ -182,14 +192,23 @@ def _stages(g, data) -> dict:
             "class": (rep.triple_arrays(), rep.diagnostics)}
 
 
+def _strip(x1, x2, redundant=False) -> list:
+    """Criterion 11's data on the meshes x1, x2: the minimal five fields,
+    whose (Id, M^1, M^2) are dependent on the column x1 = 0.5, and with
+    ``redundant`` two more, which let a patch route around it."""
+    w = (x1 + 1j * x2) - (0.5 - 0.3j)
+    values = [np.ones_like(x1), x1, x2, x1 * x2, np.real(w ** 3) / 6]
+    if redundant:
+        values += [(x1**2 - x2**2) / 2, np.imag(w ** 3) / 6]
+    return values
+
+
 # name -> (grid size, the fields' values on its meshes)
 _INADMISSIBLE = {
     # the ratios x1 and x1 make a singular frame Gram matrix everywhere
     "duplicated frame": (17, lambda x1, x2: [np.ones_like(x1), x1, x1, x1 * x2,
                                              (x1**2 - x2**2) / 2]),
-    # criterion 11's minimal strip: (Id, M^1, M^2) dependent on the column x1 = 0.5
-    "minimal strip": (33, lambda x1, x2: [np.ones_like(x1), x1, x2, x1 * x2, np.real(
-        ((x1 + 1j * x2) - (0.5 - 0.3j)) ** 3) / 6]),
+    "minimal strip": (33, _strip),
 }
 
 
@@ -212,11 +231,18 @@ def _stage_errors(g) -> dict:
 
 
 def _global(g, data, engine) -> dict:
-    rep, pm = g.reconstruct_global(data, engine)
+    """The representative and patch map of ``reconstruct_global``; on a
+    ``CoverageFailure``, the partial ones, and the error's type, message and
+    uncovered nodes."""
+    try:
+        (rep, pm), failure = g.reconstruct_global(data, engine), {}
+    except g.CoverageFailure as exc:
+        (rep, pm) = exc.partial
+        failure = {"raised": (type(exc).__name__, str(exc), exc.uncovered)}
     return {"representative": (rep.a.values, rep.b_plus_diva.values, rep.c.values,
                                rep.b.values),
             "patch_map": (pm.boxes, pm.admissible, pm.selections, pm.scores, pm.signs,
-                          pm.coverage)}
+                          pm.coverage), **failure}
 
 
 def _gauge_items(g) -> dict:
