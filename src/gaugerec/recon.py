@@ -97,7 +97,9 @@ INDEP_MIN = 1e-8     # floor on the least singular value of vectorized (Id, M^1,
 class EngineConfig:
     """Patching controls for the reconstruction engine.
 
-    ``patch_size = None`` treats the whole grid as a single patch; patches
+    ``patch_size = None`` treats the whole grid as a single patch; its
+    candidate is still evaluated in slabs of whole rows within a fixed node
+    budget, so the engine's temporaries do not grow with the grid.  Patches
     overlap by ``overlap`` nodes per axis.  The thresholds are constants.
     """
 
@@ -145,11 +147,14 @@ class RatioBundle:
                            self.grad_v[m], self.hess_v[m], self.grad_u1[box],
                            self.hess_u1[box])
 
-    def gather(self, nodes: tuple[np.ndarray, ...]) -> "RatioBundle":
-        """The bundle on the nodes of the index arrays ``nodes`` (one per
-        axis, as from ``np.nonzero``), laid out on one axis; the arrays are
-        copies.  ``grid`` stays the grid the nodes come from, so only the
-        pointwise stages, which read its dimension, take such a bundle."""
+    def gather(self, nodes: tuple) -> "RatioBundle":
+        """The bundle on the nodes that the index ``nodes`` picks from the
+        grid's axes: index arrays, one per axis as from ``np.nonzero``, lay
+        them out on one axis as copies; slices, such as a slab of rows, keep
+        their axes as views.  ``grid`` stays the grid the nodes come from,
+        so only the pointwise stages, which read its dimension, take such a
+        bundle; unlike :meth:`window`, a slab may be shorter than a grid's
+        ``MIN_NODES_PER_AXIS``."""
         m = (slice(None),) + nodes
         return RatioBundle(self.grid, self.u1[nodes], self.v[m], self.grad_v[m],
                            self.hess_v[m], self.grad_u1[nodes], self.hess_u1[nodes])
@@ -829,35 +834,65 @@ _MAX_FRAMES = 5    # frames tried per u_1 candidate, best conditioned first
 _MAX_SUBSETS = 30  # generator subsets scored per frame
 
 
-def _evaluate(rb: RatioBundle, size: int | None, kernel, wanted: np.ndarray | None = None,
+def _row_slabs(rows: int, size: int | None) -> list[slice]:
+    """Slabs of ``size`` rows of a grid of ``rows`` rows (all rows when
+    None); the last slab takes any shorter remainder."""
+    step = min(size or rows, rows)
+    edges = [*range(0, rows - step + 1, step), rows]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
+# The node budget of a single patch's candidate calls, in complex entries of
+# the (K, *slab, n, n) pairing stack, K = num_generators + 1: 5461 nodes in 2D,
+# 1213 in 3D.  Chosen by measurement: at 17^3 it takes the traced peak of a
+# run from 27.9 to 14.7 MiB, where the whole-grid frame ranking sets it, and
+# a smaller budget lowers it no further.
+_SLAB_ENTRIES = 2 ** 16
+
+
+def _budget_slabs(shape: tuple[int, ...]) -> list[slice]:
+    """The fewest slabs of whole rows that hold at most the
+    ``_SLAB_ENTRIES`` budget's nodes each (one row where a row holds more),
+    as even in length as whole rows allow."""
+    n = len(shape)
+    row = int(np.prod(shape[1:]))
+    per = max(_SLAB_ENTRIES // ((num_generators(n) + 1) * n * n * row), 1)
+    count = -(-shape[0] // per)
+    edges = [shape[0] * k // count for k in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
+def _evaluate(rb: RatioBundle, slabs: list[slice], kernel, wanted: np.ndarray | None = None,
               out: tuple[np.ndarray, ...] | None = None) -> tuple[np.ndarray, ...]:
     """The pointwise ``kernel`` on the nodes that ``wanted`` flags (all nodes
     when None), written into the full-grid arrays ``out``; when None, new
     ones, NaN (False for a flag) on the nodes not evaluated.
 
-    The grid goes in slabs of ``size`` rows (all rows when None; the last
-    slab takes any shorter remainder), which bound the temporaries.  A slab
-    whose nodes are all wanted goes to ``kernel`` as a window of ``rb``
-    (views).  The wanted nodes of the other slabs go, in C order, as
-    bundles of at most a full slab's node count (:meth:`RatioBundle.gather`).
-    The kernel is elementwise over nodes, so a node gets the same bits
-    either way.  Where u_1 vanishes the outputs are not finite.
+    The grid goes in ``slabs``, slices of its rows in order, which bound the
+    kernel's temporaries: a patch's rows (:func:`_row_slabs`), or, for a
+    single patch's candidate, at most the ``_SLAB_ENTRIES`` node budget
+    (:func:`_budget_slabs`).  A slab whose nodes are all wanted goes to
+    ``kernel`` as views of ``rb`` on its rows.  These keep the parent grid
+    (:meth:`RatioBundle.gather`): a slab may hold fewer rows than a grid
+    needs, and the pointwise kernel reads only the grid's dimension.  The
+    wanted nodes of the other slabs go, in C order, as bundles of at most
+    the first slab's node count.  The kernel is elementwise over nodes, so
+    a node gets the same bits either way.  Where u_1 vanishes the outputs
+    are not finite.
     """
     shape = rb.grid.shape
-    step = min(size or shape[0], shape[0])
-    edges = [*range(0, shape[0] - step + 1, step), shape[0]]
-    whole = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])
-             if wanted is None or wanted[lo:hi].all()]
-    calls = [(rb.window((rows,) + (slice(None),) * (len(shape) - 1)), rows) for rows in whole]
+    whole = [rows for rows in slabs if wanted is None or wanted[rows].all()]
+    calls = [(rows,) for rows in whole]
     if wanted is not None:
         rest = wanted.copy()
         for rows in whole:
             rest[rows] = False
         nodes = np.nonzero(rest)
-        chunk = step * int(np.prod(shape[1:]))
-        ats = (tuple(i[lo:lo + chunk] for i in nodes) for lo in range(0, nodes[0].size, chunk))
-        calls = itertools.chain(calls, ((rb.gather(at), at) for at in ats))
-    for bundle, at in calls:
+        chunk = (slabs[0].stop - slabs[0].start) * int(np.prod(shape[1:]))
+        calls += [tuple(i[lo:lo + chunk] for i in nodes)
+                  for lo in range(0, nodes[0].size, chunk)]
+    for at in calls:
+        bundle = rb.gather(at)
         with np.errstate(all="ignore"):
             parts = kernel(bundle)
         if out is None:
@@ -933,13 +968,20 @@ class _Selector:
     its entries once all its nodes are evaluated.  The triple's unit gauge
     (:class:`_UnitGauge`) is set up from those fields when the candidate
     first wins a patch.  Column k of a table is box k of ``boxes``
-    (:func:`_patch_boxes`).
+    (:func:`_patch_boxes`).  Both kernels go in slabs of a patch's rows;
+    with one patch, the frame ranking goes on the whole grid and a
+    candidate in slabs of the node budget (:func:`_budget_slabs`).
     """
 
     def __init__(self, u: list[ScalarField], grid: Grid, cfg: EngineConfig):
         self.u, self.grid, self.cfg = u, grid, cfg
         self.axes = _patch_axes(grid.shape, cfg)
         self.boxes = _patch_boxes(grid.shape, cfg)
+        # in slabs, a single patch's frame ranking would pay the fixed cost
+        # of every frame per slab, and its peak is below the candidate's
+        self.frame_slabs = _row_slabs(grid.shape[0], cfg.patch_size)
+        self.candidate_slabs = self.frame_slabs if cfg.patch_size \
+            else _budget_slabs(grid.shape)
         self.gmax = np.array([float(np.abs(f.values).max()) for f in u])
         self.combos = list(itertools.combinations(range(len(u) - 1), grid.dim))
         # min |u_i| over each box relative to max |u_i| on the grid
@@ -984,7 +1026,7 @@ class _Selector:
         def frame_conds(rb):
             h = _gram(rb.grad_v)
             return tuple(_sym_frame(h, combo)[-1] for combo in self.combos)
-        return _evaluate(self.ratios(i1), self.cfg.patch_size, frame_conds)
+        return _evaluate(self.ratios(i1), self.frame_slabs, frame_conds)
 
     def conds(self, i1: int) -> np.ndarray:
         """Per frame of ``combos`` and box, the largest condition number."""
@@ -994,7 +1036,8 @@ class _Selector:
     def evaluate(self, i1: int, frame, subset, boxes: list[int]) -> None:
         """Evaluate the fields of :func:`_candidate` on the nodes of
         ``boxes`` (columns of the tables) that they do not hold yet
-        (:func:`_evaluate`), and reduce them again over every box."""
+        (:func:`_evaluate`, in ``candidate_slabs``), and reduce them again
+        over every box."""
         wanted = np.zeros(self.grid.shape, dtype=bool)
         for k in boxes:
             wanted[self.boxes[k]] = True
@@ -1003,7 +1046,7 @@ class _Selector:
         wanted &= ~done
         if not wanted.any():
             return
-        fields = _evaluate(self.ratios(i1), self.cfg.patch_size,
+        fields = _evaluate(self.ratios(i1), self.candidate_slabs,
                            lambda rb: _candidate(rb, frame, subset, self.gmax[i1]),
                            wanted, fields)
         self._built["fields", i1, frame, subset] = (done | wanted, fields)

@@ -48,6 +48,9 @@ RUNS = {
     "roundtrip constant-tensor-3d 17": dict(
         mode="roundtrip", preset="constant-tensor-3d", grids=[17]),
     "roundtrip isotropic-c 33": dict(mode="roundtrip", preset="isotropic-c", grids=[33]),
+    # a single patch whose candidate kernel runs in several slabs
+    "roundtrip smooth-complex-2d 129": dict(
+        mode="roundtrip", preset="smooth-complex-2d", grids=[129]),
     "roundtrip real-2d 33 17/8": dict(
         mode="roundtrip", preset="real-2d", grids=[33],
         engine={"patch_size": 17, "overlap": 8}),
