@@ -27,7 +27,6 @@ from .fields import (
     common_grid,
     divergence,
     grad_values,
-    second_derivative_values,
 )
 from .forward import BoundaryTrace, CoefficientSet, DirichletSystem, _residual_gate
 from .recon import ClassRepresentative
@@ -226,13 +225,6 @@ def recover_tau_b_zero(rep: ClassRepresentative, anchor,
     return ScalarField(grid, tau)
 
 
-def _laplacian_values(vals: np.ndarray, spacing) -> np.ndarray:
-    out = np.zeros_like(vals, dtype=np.complex128)
-    for k in range(len(spacing)):
-        out += second_derivative_values(vals, spacing[k], k)
-    return out
-
-
 def recover_tau_known_phi(rep: ClassRepresentative, phi: ScalarField,
                           boundary_tau: BoundaryTrace) -> ScalarField:
     """Recover tau when the true drift is b = a grad(phi) with known phi.
@@ -245,7 +237,10 @@ def recover_tau_known_phi(rep: ClassRepresentative, phi: ScalarField,
     """
     grid = common_grid([rep, phi, boundary_tau])
     g = _transport_target(rep)
-    rhs = divergence(g).values - _laplacian_values(phi.values, grid.spacing)
+    # _exp_poisson reads only the interior of its source, where _five_point
+    # is its Laplacian
+    rhs = divergence(g).values.copy()
+    rhs[(slice(1, -1),) * grid.dim] -= _five_point(phi.values, grid.spacing)
     return ScalarField(grid, _exp_poisson(grid, rhs, boundary_tau))
 
 

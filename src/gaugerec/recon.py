@@ -18,13 +18,15 @@ representative of the coefficient triple:
    (a, b + div a, c) in the u_1-normalized gauge a = M0 / u_1^2.
 
 ``reconstruct_global`` selects u_1, frame, and generators per patch.  The
-engine is pointwise, so a candidate is evaluated only on the nodes of the
-boxes that name it, in rounds and row slabs (``_select_patches``,
-``_evaluate``), and each of its fields is reduced at once over every patch
-box to the worst node a patch judges it by; a patch reads entries of these
-tables.  Frames are ranked on the whole grid from one Gram matrix of all
-ratio gradients per u_1 and slab: each frame's H is a sub-block of it, and
-its condition number comes from the closed form that ``build_frame`` uses.
+engine is pointwise, so one rule cuts the grid into kernel calls in every
+run, with or without patches: frames are ranked on the whole grid from one
+Gram matrix of all ratio gradients per u_1 (each frame's H is a sub-block
+of it, and its condition number comes from the closed form that
+``build_frame`` uses), and a candidate is evaluated in slabs of whole rows
+within a fixed node budget, only on the nodes of the boxes that name it,
+in rounds (``_select_patches``, ``_evaluate``).
+Each field is reduced at once over every patch box to the worst node a
+patch judges it by; a patch reads entries of these tables.
 Then it blends each patch in the pointwise unit-Frobenius gauge, which
 does not depend on which u_1 the patch picked, nor on the sign of M0, and
 fixes its class up to one sign: the sign that agrees with the blend so far,
@@ -97,10 +99,11 @@ INDEP_MIN = 1e-8     # floor on the least singular value of vectorized (Id, M^1,
 class EngineConfig:
     """Patching controls for the reconstruction engine.
 
-    ``patch_size = None`` treats the whole grid as a single patch; its
-    candidate is still evaluated in slabs of whole rows within a fixed node
-    budget, so the engine's temporaries do not grow with the grid.  Patches
-    overlap by ``overlap`` nodes per axis.  The thresholds are constants.
+    ``patch_size = None`` treats the whole grid as a single patch.  Patches
+    overlap by ``overlap`` nodes per axis.  Neither sets how the engine's
+    kernels cut the grid: a candidate is evaluated in slabs of whole rows
+    within a fixed node budget in every run, so the engine's temporaries do
+    not grow with the grid.  The thresholds are constants.
     """
 
     patch_size: int | None = None
@@ -834,26 +837,19 @@ _MAX_FRAMES = 5    # frames tried per u_1 candidate, best conditioned first
 _MAX_SUBSETS = 30  # generator subsets scored per frame
 
 
-def _row_slabs(rows: int, size: int | None) -> list[slice]:
-    """Slabs of ``size`` rows of a grid of ``rows`` rows (all rows when
-    None); the last slab takes any shorter remainder."""
-    step = min(size or rows, rows)
-    edges = [*range(0, rows - step + 1, step), rows]
-    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
-
-
-# The node budget of a single patch's candidate calls, in complex entries of
-# the (K, *slab, n, n) pairing stack, K = num_generators + 1: 5461 nodes in 2D,
+# The node budget of every candidate call, in complex entries of the
+# (K, *slab, n, n) pairing stack, K = num_generators + 1: 5461 nodes in 2D,
 # 1213 in 3D.  Chosen by measurement: at 17^3 it takes the traced peak of a
-# run from 27.9 to 14.7 MiB, where the whole-grid frame ranking sets it, and
-# a smaller budget lowers it no further.
+# single patch from 27.9 to 14.7 MiB, where the whole-grid frame ranking
+# sets it, and a smaller budget lowers it no further.
 _SLAB_ENTRIES = 2 ** 16
 
 
 def _budget_slabs(shape: tuple[int, ...]) -> list[slice]:
     """The fewest slabs of whole rows that hold at most the
     ``_SLAB_ENTRIES`` budget's nodes each (one row where a row holds more),
-    as even in length as whole rows allow."""
+    as even in length as whole rows allow: the slabs of every candidate,
+    whatever the patch size."""
     n = len(shape)
     row = int(np.prod(shape[1:]))
     per = max(_SLAB_ENTRIES // ((num_generators(n) + 1) * n * n * row), 1)
@@ -862,35 +858,31 @@ def _budget_slabs(shape: tuple[int, ...]) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
-def _evaluate(rb: RatioBundle, slabs: list[slice], kernel, wanted: np.ndarray | None = None,
+def _evaluate(rb: RatioBundle, slabs: list[slice], kernel, wanted: np.ndarray,
               out: tuple[np.ndarray, ...] | None = None) -> tuple[np.ndarray, ...]:
-    """The pointwise ``kernel`` on the nodes that ``wanted`` flags (all nodes
-    when None), written into the full-grid arrays ``out``; when None, new
-    ones, NaN (False for a flag) on the nodes not evaluated.
+    """The pointwise ``kernel`` on the nodes that ``wanted`` flags, written
+    into the full-grid arrays ``out``; when None, new ones, NaN (False for a
+    flag) on the nodes not evaluated.
 
     The grid goes in ``slabs``, slices of its rows in order, which bound the
-    kernel's temporaries: a patch's rows (:func:`_row_slabs`), or, for a
-    single patch's candidate, at most the ``_SLAB_ENTRIES`` node budget
-    (:func:`_budget_slabs`).  A slab whose nodes are all wanted goes to
-    ``kernel`` as views of ``rb`` on its rows.  These keep the parent grid
-    (:meth:`RatioBundle.gather`): a slab may hold fewer rows than a grid
-    needs, and the pointwise kernel reads only the grid's dimension.  The
-    wanted nodes of the other slabs go, in C order, as bundles of at most
-    the first slab's node count.  The kernel is elementwise over nodes, so
-    a node gets the same bits either way.  Where u_1 vanishes the outputs
-    are not finite.
+    kernel's temporaries (the node budget, :func:`_budget_slabs`).  A slab
+    whose nodes are all wanted goes to ``kernel`` as views of ``rb`` on its
+    rows.  These keep the parent grid (:meth:`RatioBundle.gather`): a slab
+    may hold fewer rows than a grid needs, and the pointwise kernel reads
+    only the grid's dimension.  The wanted nodes of the other slabs go, in
+    C order, as bundles of at most the first slab's node count.  The kernel
+    is elementwise over nodes, so a node gets the same bits either way.
+    Where u_1 vanishes the outputs are not finite.
     """
     shape = rb.grid.shape
-    whole = [rows for rows in slabs if wanted is None or wanted[rows].all()]
-    calls = [(rows,) for rows in whole]
-    if wanted is not None:
-        rest = wanted.copy()
-        for rows in whole:
-            rest[rows] = False
-        nodes = np.nonzero(rest)
-        chunk = (slabs[0].stop - slabs[0].start) * int(np.prod(shape[1:]))
-        calls += [tuple(i[lo:lo + chunk] for i in nodes)
-                  for lo in range(0, nodes[0].size, chunk)]
+    whole = [rows for rows in slabs if wanted[rows].all()]
+    rest = wanted.copy()
+    for rows in whole:
+        rest[rows] = False
+    nodes = np.nonzero(rest)
+    chunk = (slabs[0].stop - slabs[0].start) * int(np.prod(shape[1:]))
+    calls = [(rows,) for rows in whole] + [tuple(i[lo:lo + chunk] for i in nodes)
+                                           for lo in range(0, nodes[0].size, chunk)]
     for at in calls:
         bundle = rb.gather(at)
         with np.errstate(all="ignore"):
@@ -957,31 +949,26 @@ class _UnitGauge:
 class _Selector:
     """The selector's full-grid fields and their per-box tables.
 
-    The condition fields of all frames of a u_1 are built on the whole grid
-    when a patch first asks for them, from one Gram matrix of its ratio
-    gradients per slab (:func:`_evaluate`, :func:`_gram`,
-    :func:`_sym_frame`), and reduced at once over every patch box
-    (:func:`_box_reduce`) to the worst node that a patch judges it by; only
-    these tables are kept.  A candidate is evaluated only on the nodes of
-    the boxes that have named it (:meth:`evaluate`), into full-grid fields
+    The condition fields of all frames of a u_1 are built in one call on
+    the whole grid when a patch first asks for them, from one Gram matrix of
+    its ratio gradients (:func:`_gram`, :func:`_sym_frame`), and reduced at
+    once over every patch box (:func:`_box_reduce`) to the worst node that a
+    patch judges it by; only these tables are kept.  A candidate is
+    evaluated only on the nodes of the boxes that have named it
+    (:meth:`evaluate`), in ``slabs``, the slabs of the node budget
+    (:func:`_budget_slabs`), whatever the patch size, into full-grid fields
     that are NaN elsewhere; they are kept with their tables, and a box reads
     its entries once all its nodes are evaluated.  The triple's unit gauge
     (:class:`_UnitGauge`) is set up from those fields when the candidate
     first wins a patch.  Column k of a table is box k of ``boxes``
-    (:func:`_patch_boxes`).  Both kernels go in slabs of a patch's rows;
-    with one patch, the frame ranking goes on the whole grid and a
-    candidate in slabs of the node budget (:func:`_budget_slabs`).
+    (:func:`_patch_boxes`).
     """
 
     def __init__(self, u: list[ScalarField], grid: Grid, cfg: EngineConfig):
-        self.u, self.grid, self.cfg = u, grid, cfg
+        self.u, self.grid = u, grid
         self.axes = _patch_axes(grid.shape, cfg)
         self.boxes = _patch_boxes(grid.shape, cfg)
-        # in slabs, a single patch's frame ranking would pay the fixed cost
-        # of every frame per slab, and its peak is below the candidate's
-        self.frame_slabs = _row_slabs(grid.shape[0], cfg.patch_size)
-        self.candidate_slabs = self.frame_slabs if cfg.patch_size \
-            else _budget_slabs(grid.shape)
+        self.slabs = _budget_slabs(grid.shape)
         self.gmax = np.array([float(np.abs(f.values).max()) for f in u])
         self.combos = list(itertools.combinations(range(len(u) - 1), grid.dim))
         # min |u_i| over each box relative to max |u_i| on the grid
@@ -1022,11 +1009,11 @@ class _Selector:
         return self._cached(("finite", i1), build)
 
     def cond_fields(self, i1: int) -> tuple[np.ndarray, ...]:
-        """The condition field of each frame of ``combos`` (not kept)."""
-        def frame_conds(rb):
-            h = _gram(rb.grad_v)
+        """The condition field of each frame of ``combos`` on the whole grid
+        (not kept)."""
+        with np.errstate(all="ignore"):
+            h = _gram(self.ratios(i1).grad_v)
             return tuple(_sym_frame(h, combo)[-1] for combo in self.combos)
-        return _evaluate(self.ratios(i1), self.frame_slabs, frame_conds)
 
     def conds(self, i1: int) -> np.ndarray:
         """Per frame of ``combos`` and box, the largest condition number."""
@@ -1036,7 +1023,7 @@ class _Selector:
     def evaluate(self, i1: int, frame, subset, boxes: list[int]) -> None:
         """Evaluate the fields of :func:`_candidate` on the nodes of
         ``boxes`` (columns of the tables) that they do not hold yet
-        (:func:`_evaluate`, in ``candidate_slabs``), and reduce them again
+        (:func:`_evaluate`, in ``slabs``), and reduce them again
         over every box."""
         wanted = np.zeros(self.grid.shape, dtype=bool)
         for k in boxes:
@@ -1046,7 +1033,7 @@ class _Selector:
         wanted &= ~done
         if not wanted.any():
             return
-        fields = _evaluate(self.ratios(i1), self.candidate_slabs,
+        fields = _evaluate(self.ratios(i1), self.slabs,
                            lambda rb: _candidate(rb, frame, subset, self.gmax[i1]),
                            wanted, fields)
         self._built["fields", i1, frame, subset] = (done | wanted, fields)

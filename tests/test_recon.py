@@ -666,6 +666,29 @@ def test_a_single_patch_candidate_stays_within_the_node_budget(monkeypatch, name
         assert calls == [grid.num_nodes]
 
 
+@pytest.mark.parametrize("name, m, patch_size, overlap", [("constant-tensor-3d", 17, 9, 4),
+                                                          ("smooth-complex-2d", 97, 17, 8)])
+def test_a_patched_candidate_stays_within_the_node_budget(monkeypatch, name, m, patch_size,
+                                                          overlap):
+    # patches do not change how a candidate is cut: every kernel call, a
+    # slab of whole rows or a gathered bundle, holds at most the budget's
+    # nodes (1213 in 3D, 5461 in 2D)
+    u = _preset_data(name, m)
+    grid = u[0].grid
+    budget = recon._SLAB_ENTRIES // ((num_generators(grid.dim) + 1) * grid.dim ** 2)
+    calls = []
+
+    def candidate(rb, *args):
+        calls.append(rb.u1.size)
+        return real_candidate(rb, *args)
+
+    real_candidate = recon._candidate
+    monkeypatch.setattr(recon, "_candidate", candidate)
+    _, pm = reconstruct_global(u, EngineConfig(patch_size=patch_size, overlap=overlap))
+    assert len(pm.boxes) > 1 and all(pm.admissible)
+    assert calls and max(calls) <= budget
+
+
 @pytest.mark.parametrize("name, m, pin_mib", [("constant-tensor-3d", 17, 18.4),
                                               ("smooth-complex-2d", 129, 21.4)])
 def test_the_single_patch_working_set_is_pinned(name, m, pin_mib):
@@ -677,6 +700,26 @@ def test_the_single_patch_working_set_is_pinned(name, m, pin_mib):
     tracemalloc.start()
     try:
         reconstruct_global(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= pin_mib * 2 ** 20
+
+
+@pytest.mark.parametrize("name, m, patch_size, overlap, pin_mib", [
+    ("constant-tensor-3d", 17, 9, 4, 18.4),
+    ("smooth-complex-2d", 97, 17, 8, 18.2),
+])
+def test_the_patched_working_set_is_pinned(name, m, patch_size, overlap, pin_mib):
+    # the traced peak of one patched reconstruction read 14.74 MiB at 17^3
+    # 9/4 and 14.56 MiB at 97^2 17/8, with candidates in slabs of the node
+    # budget; in slabs of a patch's rows it read 28.03 and 10.56 MiB.  The
+    # pins sit 25% above the budgeted readings.
+    u = _preset_data(name, m)
+    cfg = EngineConfig(patch_size=patch_size, overlap=overlap)
+    tracemalloc.start()
+    try:
+        reconstruct_global(u, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -131,6 +131,13 @@ def collect() -> dict:
     data = g.synthesize(preset.coefficients(grid), preset.illumination(grid))
     items["smooth-complex-2d 257 33/16: reconstruct_global"] = _attempt(
         lambda: _global(g, data, g.EngineConfig(patch_size=33, overlap=16)))
+    # 3D patches at 25^3, where a row holds 625 nodes and so each slab of a
+    # candidate's node budget is a single row
+    grid = g.square_grid(25, 3)
+    preset = g.PRESETS["constant-tensor-3d"]
+    data = g.synthesize(preset.coefficients(grid), preset.illumination(grid))
+    items["constant-tensor-3d 25 13/4: reconstruct_global"] = _attempt(
+        lambda: _global(g, data, g.EngineConfig(patch_size=13, overlap=4)))
 
     # criterion 11's strips at 65^2 and 17/12, where boxes walk several
     # frames and generator subsets before one wins, or none does
