@@ -68,6 +68,8 @@ def main(argv=None) -> int:
     try:
         cfg = ExperimentConfig.from_dict(raw)
         report = run(cfg, out_dir=out_dir)
+        if out_dir is not None:
+            write_manifest(out_dir, report.config_echo, cfg.inputs)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -81,9 +83,11 @@ def main(argv=None) -> int:
     except ToolkitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # such as a file where --out names a directory
+        print(f"error: writing outputs: {exc}", file=sys.stderr)
+        return 1
 
     if out_dir is not None:
-        write_manifest(out_dir, report.config_echo, cfg.inputs)
         print(f"report written to {out_dir / 'report.json'}")
     else:
         json.dump(report.to_dict(), sys.stdout, indent=2)

@@ -126,12 +126,15 @@ class VanishingU1(_NodeError):
 
 class FrameDegenerate(_NodeError):
     """The gradient Gram matrix of the frame ratios is too ill conditioned
-    (``reconstruct_class``: condition above ``recon.COND_MAX``)."""
+    at ``nodes``: reason 1 of ``recon._reasons``, a condition number above
+    ``recon.COND_MAX`` or not a number (raised by ``reconstruct_class``)."""
 
 
 class MDependent(_NodeError):
     """The candidate M-matrices fail pointwise linear independence from Id
-    (``reconstruct_class``: independence below ``recon.INDEP_MIN``)."""
+    at ``nodes``: reason 2 of ``recon._reasons``, an independence below
+    ``recon.INDEP_MIN`` or not a number (raised by ``reconstruct_class``
+    where no node has reason 1)."""
 
 
 class CoverageFailure(ToolkitError):

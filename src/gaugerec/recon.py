@@ -25,8 +25,10 @@ of it, and its condition number comes from the closed form that
 ``build_frame`` uses), and a candidate is evaluated in slabs of whole rows
 within a fixed node budget, only on the nodes of the boxes that name it,
 in rounds (``_select_patches``, ``_evaluate``).
-Each field is reduced at once over every patch box to the worst node a
-patch judges it by; a patch reads entries of these tables.
+One rule, ``_reasons``, judges admissibility per node: a patch is
+admissible where every node passes, and ``reconstruct_class`` raises at the
+nodes that fail.  Each field is reduced at once over every patch box; a
+patch reads entries of these tables.
 Then it blends each patch in the pointwise unit-Frobenius gauge, which
 does not depend on which u_1 the patch picked, nor on the sign of M0, and
 fixes its class up to one sign: the sign that agrees with the blend so far,
@@ -88,8 +90,8 @@ _TINY = 1e-300
 # Config
 # ---------------------------------------------------------------------------
 
-# The admissibility rule, judged per patch by the selector and on the whole
-# grid by ``reconstruct_class``:
+# The admissibility rule: the selector's box pre-filter on u_1, then the two
+# bounds that ``_reasons`` alone compares, per node:
 U1_FLOOR_REL = 1e-3  # floor on min |u_1| over a patch / max |u_1| on the grid
 COND_MAX = 1e6       # ceiling on the Frobenius condition number of H
 INDEP_MIN = 1e-8     # floor on the least singular value of vectorized (Id, M^1, ..)
@@ -292,15 +294,23 @@ def build_frame(rb: RatioBundle, frame: tuple[int, ...] | None = None) -> FrameD
     H_ij = grad v_i . grad v_j of the frame ratios (:func:`_frame_from_gram`).
 
     The product is bilinear (no conjugation).  ``frame`` selects which
-    ratios form the frame (default: the first n).  ``cond`` is judged by
-    ``reconstruct_class`` and the selector, not here.
+    distinct ratios form the frame (default: the first n; ValueError names
+    a bad index).  ``cond`` is judged by :func:`_reasons`, not here.
     """
     n = rb.grid.dim
-    if frame is None:
-        frame = tuple(range(n))
+    frame = tuple(range(n)) if frame is None else _indices("frame", frame, rb.v.shape[0])
     if len(frame) != n:
         raise ValueError(f"frame needs exactly {n} ratios")
-    return _frame_from_gram(_gram(rb.grad_v[list(frame)]), tuple(frame))
+    return _frame_from_gram(_gram(rb.grad_v[list(frame)]), frame)
+
+
+def _indices(name: str, idx, m: int) -> tuple:
+    """``idx`` as a tuple; a ValueError names an index outside 0..m-1 or repeated."""
+    for k, j in enumerate(idx):
+        if not 0 <= j < m or j in idx[:k]:
+            why = "repeated" if j in idx[:k] else "out of range"
+            raise ValueError(f"{name} index {j} is {why} for {m} ratios")
+    return tuple(idx)
 
 
 def _frame_from_gram(h: dict, frame: tuple[int, ...]) -> FrameData:
@@ -388,8 +398,8 @@ def build_M(rb: RatioBundle, fr: FrameData,
     normalized by the principal square root but not oriented: the selector's
     unit gauge does not see its sign, and ``reconstruct_class`` orients it.
     ``indep`` is the smallest singular value of the vectorized stack
-    (:func:`_independence`); it is judged by ``reconstruct_class`` and the
-    selector, not here.  In 2D both per-node 3 x 3 problems, the
+    (:func:`_independence`), judged by :func:`_reasons`; indices are checked
+    as in ``build_frame``.  In 2D both per-node 3 x 3 problems, the
     independence and the pairing solve (:func:`_pair_M0`), are closed forms;
     in 3D (6 x 6) they go to LAPACK.
     """
@@ -397,8 +407,8 @@ def build_M(rb: RatioBundle, fr: FrameData,
     shape = rb.u1.shape  # the grid's, or one axis for a gathered bundle
     G_needed = num_generators(n)
     m_total = rb.v.shape[0]
-    if generators is None:
-        generators = tuple(j for j in range(m_total) if j not in fr.frame)[:G_needed]
+    generators = (tuple(j for j in range(m_total) if j not in fr.frame)[:G_needed]
+                  if generators is None else _indices("generators", generators, m_total))
     if len(generators) != G_needed:
         raise ValueError(f"need exactly {G_needed} generator ratios")
     if set(generators) & set(fr.frame):
@@ -674,6 +684,14 @@ def _orientation(W: np.ndarray) -> np.ndarray:
     return _flip_at_center(sgn, W[tuple(m // 2 for m in shape)])
 
 
+def _reasons(cond: np.ndarray, indep: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """The admissibility rule, per node: the first condition that fails, as a
+    uint8 code: 0 none, 1 frame condition above ``COND_MAX``, 2 independence
+    below ``INDEP_MIN`` (NaN fails both), 3 unsolvable frame or pairing."""
+    return np.select([~(cond <= COND_MAX), ~(indep >= INDEP_MIN), ~ok],
+                     [np.uint8(1), np.uint8(2), np.uint8(3)], np.uint8(0))
+
+
 def reconstruct_class(rb: RatioBundle, fr: FrameData, mb: MBundle) -> ClassRepresentative:
     """The u_1-normalized representative of ``_class_triple``, with diagnostics.
 
@@ -686,16 +704,15 @@ def reconstruct_class(rb: RatioBundle, fr: FrameData, mb: MBundle) -> ClassRepre
     constant classes); where every term of a ratio's equation is itself
     roundoff, the floor keeps it small (at most 3.6e-13, on boundary nodes
     of the 3D constant class at 17^3).
-    Raises FrameDegenerate where the frame condition exceeds ``COND_MAX``,
-    else MDependent where the independence is below ``INDEP_MIN``."""
-    bad = ~(fr.cond <= COND_MAX)
-    if bad.any():
+    Raises FrameDegenerate at the nodes of reason 1 (:func:`_reasons`), else
+    MDependent at those of reason 2; reason 3 is not judged here."""
+    reason = _reasons(fr.cond, mb.indep, mb.ok & fr.ok)
+    if (reason == 1).any():
         raise FrameDegenerate(f"frame Gram matrix condition exceeds {COND_MAX:g}",
-                              nodes=np.argwhere(bad))
-    bad = ~(mb.indep >= INDEP_MIN)
-    if bad.any():
+                              nodes=np.argwhere(reason == 1))
+    if (reason == 2).any():
         raise MDependent(f"(Id, M^1, ..) fail pointwise independence at {INDEP_MIN:g}",
-                         nodes=np.argwhere(bad))
+                         nodes=np.argwhere(reason == 2))
     M0 = mb.M0 * _orientation(mb.M0)[..., None, None]
     a_arr, bpda, c, beta = _class_triple(rb, fr, M0)
     resid = np.einsum("...ij,m...ij->m...", M0, rb.hess_v) \
@@ -861,8 +878,8 @@ def _budget_slabs(shape: tuple[int, ...]) -> list[slice]:
 def _evaluate(rb: RatioBundle, slabs: list[slice], kernel, wanted: np.ndarray,
               out: tuple[np.ndarray, ...] | None = None) -> tuple[np.ndarray, ...]:
     """The pointwise ``kernel`` on the nodes that ``wanted`` flags, written
-    into the full-grid arrays ``out``; when None, new ones, NaN (False for a
-    flag) on the nodes not evaluated.
+    into the full-grid arrays ``out``; when None, new ones, NaN (255 for a
+    uint8 reason) on the nodes not evaluated.
 
     The grid goes in ``slabs``, slices of its rows in order, which bound the
     kernel's temporaries (the node budget, :func:`_budget_slabs`).  A slab
@@ -889,7 +906,7 @@ def _evaluate(rb: RatioBundle, slabs: list[slice], kernel, wanted: np.ndarray,
             parts = kernel(bundle)
         if out is None:
             lead = bundle.u1.ndim
-            out = tuple(np.full(shape + p.shape[lead:], False if p.dtype == bool else np.nan,
+            out = tuple(np.full(shape + p.shape[lead:], 255 if p.dtype == np.uint8 else np.nan,
                                 dtype=p.dtype) for p in parts)
         for o, p in zip(out, parts):
             o[at] = p
@@ -897,14 +914,15 @@ def _evaluate(rb: RatioBundle, slabs: list[slice], kernel, wanted: np.ndarray,
 
 
 def _candidate(rb: RatioBundle, frame, subset, u1_max: float) -> tuple[np.ndarray, ...]:
-    """Pointwise (score, indep, ok, a, b + div a, c) of a frame and generator
-    subset: the score is |u_1|/``u1_max`` / cond(H) * indep, ``ok`` flags a
-    solvable frame and pairing, and the triple is u_1-normalized."""
+    """Pointwise (score, reason, a, b + div a, c) of a frame and generator
+    subset: the score |u_1|/``u1_max`` / cond(H) * indep (0 where the frame
+    or pairing is unsolvable), :func:`_reasons`, and the u_1-normalized triple."""
     fr = build_frame(rb, frame=frame)
     mb = build_M(rb, fr, generators=subset)
-    margin = np.abs(rb.u1) / max(u1_max, _TINY)
-    return (margin / np.maximum(fr.cond, 1.0) * mb.indep, mb.indep, mb.ok & fr.ok,
-            *_class_triple(rb, fr, mb.M0)[:3])
+    ok = mb.ok & fr.ok
+    score = np.where(ok, np.abs(rb.u1) / max(u1_max, _TINY) / np.maximum(fr.cond, 1.0)
+                     * mb.indep, 0.0)
+    return score, _reasons(fr.cond, mb.indep, ok), *_class_triple(rb, fr, mb.M0)[:3]
 
 
 class _UnitGauge:
@@ -949,19 +967,18 @@ class _UnitGauge:
 class _Selector:
     """The selector's full-grid fields and their per-box tables.
 
-    The condition fields of all frames of a u_1 are built in one call on
-    the whole grid when a patch first asks for them, from one Gram matrix of
-    its ratio gradients (:func:`_gram`, :func:`_sym_frame`), and reduced at
-    once over every patch box (:func:`_box_reduce`) to the worst node that a
-    patch judges it by; only these tables are kept.  A candidate is
-    evaluated only on the nodes of the boxes that have named it
-    (:meth:`evaluate`), in ``slabs``, the slabs of the node budget
-    (:func:`_budget_slabs`), whatever the patch size, into full-grid fields
-    that are NaN elsewhere; they are kept with their tables, and a box reads
-    its entries once all its nodes are evaluated.  The triple's unit gauge
-    (:class:`_UnitGauge`) is set up from those fields when the candidate
-    first wins a patch.  Column k of a table is box k of ``boxes``
-    (:func:`_patch_boxes`).
+    The condition fields that rank the frames of a u_1 are built in one
+    call on the whole grid when a patch first asks for them, from one Gram
+    matrix of its ratio gradients (:func:`_gram`, :func:`_sym_frame`), and
+    reduced at once over every patch box (:func:`_box_reduce`) to their
+    worst node; only these tables are kept.  A candidate is evaluated only
+    on the nodes of the boxes that have named it (:meth:`evaluate`), in the
+    node budget's ``slabs`` (:func:`_budget_slabs`), into full-grid fields
+    that are NaN (reason 255) elsewhere, kept in one entry with its per-box
+    tables; a box reads them once all its nodes are evaluated.  The
+    triple's unit gauge (:class:`_UnitGauge`) is set up from those fields
+    when the candidate first wins a patch.  Column k of a table is box k
+    of ``boxes`` (:func:`_patch_boxes`).
     """
 
     def __init__(self, u: list[ScalarField], grid: Grid, cfg: EngineConfig):
@@ -1021,57 +1038,49 @@ class _Selector:
             np.array(self.cond_fields(i1)), np.maximum))
 
     def evaluate(self, i1: int, frame, subset, boxes: list[int]) -> None:
-        """Evaluate the fields of :func:`_candidate` on the nodes of
-        ``boxes`` (columns of the tables) that they do not hold yet
-        (:func:`_evaluate`, in ``slabs``), and reduce them again
-        over every box."""
+        """Evaluate the fields of :func:`_candidate` on the nodes of ``boxes``
+        (columns of the tables) that they do not hold yet (:func:`_evaluate`,
+        in ``slabs``), and reduce them again over every box."""
         wanted = np.zeros(self.grid.shape, dtype=bool)
         for k in boxes:
             wanted[self.boxes[k]] = True
-        done, fields = self._built.get(("fields", i1, frame, subset),
-                                       (np.zeros_like(wanted), None))
+        done, fields = self._built.get(("candidate", i1, frame, subset),
+                                       (np.zeros_like(wanted), None))[:2]
         wanted &= ~done
         if not wanted.any():
             return
         fields = _evaluate(self.ratios(i1), self.slabs,
                            lambda rb: _candidate(rb, frame, subset, self.gmax[i1]),
                            wanted, fields)
-        self._built["fields", i1, frame, subset] = (done | wanted, fields)
-        score, indep, ok, *triple = fields
         self._built["candidate", i1, frame, subset] = (
-            *self._reduce(np.array([score, indep]), np.minimum),
-            self._reduce(ok, np.logical_and), triple)
-
-    def candidate_fields(self, i1: int, frame, subset) -> tuple[np.ndarray, ...]:
-        """The full-grid fields of :func:`_candidate` evaluated so far, NaN
-        (``ok`` False) on the other nodes."""
-        return self._built["fields", i1, frame, subset][1]
+            done | wanted, fields, self._reduce(fields[0], np.minimum),
+            self._reduce(fields[1] == 0, np.logical_and))
 
     def candidate(self, i1: int, frame, subset) -> tuple:
-        """Per box the least score, the least ``indep`` and whether ``ok``
-        holds throughout; then the full-grid triple.  An entry holds for a
-        box whose nodes have all been evaluated."""
+        """The evaluated nodes, the full-grid fields of :func:`_candidate`,
+        and per box the least score and whether every node is admissible.
+        An entry holds for a box whose nodes have all been evaluated."""
         return self._built["candidate", i1, frame, subset]
 
     def unit(self, i1: int, frame, subset) -> _UnitGauge:
         return self._cached(("unit", i1, frame, subset), lambda: _UnitGauge(
-            self.candidate(i1, frame, subset)[3], self.axes))
+            self.candidate(i1, frame, subset)[1][2:], self.axes))
 
 
 def _select_on_patch(sel: _Selector, k: int):
     """Choose (u1, frame, generators) on patch ``k``, as a generator.
 
     The patch reads column ``k`` of the selector's per-box tables
-    (:class:`_Selector`).  Frames go best conditioned first (worst node over
-    the patch), candidates are ranked by worst-node score, and a window that
-    holds a non-finite value is not admissible.  For each frame it tries,
-    the generator yields the keys (u1, frame, subset) of its candidates and
-    reads their tables once they are evaluated on the patch
+    (:class:`_Selector`).  A u_1 is tried where it clears ``U1_FLOOR_REL``
+    and its ratio derivatives are finite on the patch; frames go best
+    conditioned first, candidates by worst-node score.  For each frame it
+    tries, the generator yields the keys (u1, frame, subset) of its
+    candidates and reads their tables once they are evaluated on the patch
     (:func:`_select_patches`).  Frame by frame, the best-scoring candidate
-    that clears ``COND_MAX`` and ``INDEP_MIN`` on the patch wins and is
+    with reason 0 (:func:`_reasons`) on every node of the patch wins and is
     returned as (selection, score, key).  Otherwise the best-scoring failed
     attempt is returned as (selection, score, None) so the caller can report
-    it.  None when no u_1 clears ``U1_FLOOR_REL``.
+    it.  None when no u_1 passes.
     """
     G_needed = num_generators(sel.grid.dim)
     margins = sel.margins[:, k]
@@ -1083,17 +1092,16 @@ def _select_on_patch(sel: _Selector, k: int):
             continue
         others = [j for j in range(len(sel.u)) if j != i1]
         frame_scored = sorted(zip(sel.conds(i1)[:, k].tolist(), sel.combos))
-        for worst_cond, combo in frame_scored[:_MAX_FRAMES]:
+        for _, combo in frame_scored[:_MAX_FRAMES]:
             top = top_ok = None
             pool = [j for j in range(len(others)) if j not in combo]
             subsets = list(itertools.islice(itertools.combinations(pool, G_needed),
                                             _MAX_SUBSETS))
             yield [(i1, combo, subset) for subset in subsets]
             for subset in subsets:
-                score_t, indep_t, ok_t, _ = sel.candidate(i1, combo, subset)
-                core_ok = bool(ok_t[k])
-                score = float(score_t[k]) if core_ok else 0.0
-                if core_ok and worst_cond <= COND_MAX and float(indep_t[k]) >= INDEP_MIN:
+                *_, score_t, admissible_t = sel.candidate(i1, combo, subset)
+                score = float(score_t[k])
+                if admissible_t[k]:
                     if top_ok is None or score > top_ok[0]:
                         top_ok = (score, subset)
                 elif top is None or score > top[0]:

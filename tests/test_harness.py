@@ -442,6 +442,19 @@ def test_cli_refuses_fewer_archives_than_the_engine_needs(tmp_path, capsys):
         "error: inputs: a 2D grid needs at least 5 solution archives, got 2\n"
 
 
+@pytest.mark.parametrize("out", ["taken", "taken/sub"])
+def test_cli_reports_an_output_directory_it_cannot_write(tmp_path, capsys, out):
+    # a file where --out names a directory, or one of its parents, ended in
+    # a traceback: exit 1 with the error
+    (tmp_path / "taken").write_text("")
+    cfg = write_config(tmp_path, "syn.json",
+                       {"mode": "synthesize", "preset": "identity-2d", "grids": [17]})
+    assert cli_main(["synthesize", "--config", cfg, "--out", str(tmp_path / out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: writing outputs: ") and "taken" in err
+    assert (tmp_path / "taken").read_text() == ""
+
+
 def test_cli_rejects_a_config_that_is_not_an_object(tmp_path, capsys):
     path = write_config(tmp_path, "list.json", [1])
     assert cli_main(["roundtrip", "--config", path, "--seed", "3"]) == 1

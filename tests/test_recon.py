@@ -1,10 +1,13 @@
 """The pointwise class engine: identities, failure modes, patching."""
 
+import ast
 import functools
 import gc
 import itertools
+import re
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,6 +248,75 @@ def test_one_independence_threshold_governs_selector_and_class(monkeypatch):
     assert len(info.value.nodes) == 17 * 17
 
 
+def _literal_reason(cond, indep, ok):
+    """The admissibility rule of one node, written out."""
+    if not cond <= recon.COND_MAX:
+        return 1
+    if not indep >= recon.INDEP_MIN:
+        return 2
+    return 0 if ok else 3
+
+
+def test_reasons_name_the_first_failing_condition_at_planted_nodes():
+    # the bounds are inclusive; NaN and inf fail; where several conditions
+    # fail the first is named; every other node of a random field reads
+    # what the literal rule reads
+    cmax, imin = recon.COND_MAX, recon.INDEP_MIN
+    rng = np.random.default_rng(4)
+    cond = cmax * 10.0 ** rng.uniform(-6, 0.5, (9, 9))
+    indep = imin * 10.0 ** rng.uniform(-0.5, 8, (9, 9))
+    ok = rng.random((9, 9)) > 0.1
+    planted = {(0, 0): (cmax, imin, True, 0), (0, 1): (np.nan, 1.0, True, 1),
+               (0, 2): (np.inf, 1.0, True, 1), (0, 3): (1.0, np.nan, True, 2),
+               (0, 4): (np.nan, np.nan, False, 1), (0, 5): (2 * cmax, 0.0, True, 1),
+               (0, 6): (1.0, 1.0, False, 3), (0, 7): (1.0, 0.0, False, 2)}
+    for node, (c, i, o, _) in planted.items():
+        cond[node], indep[node], ok[node] = c, i, o
+    got = recon._reasons(cond, indep, ok)
+    assert got.dtype == np.uint8
+    assert {node: int(got[node]) for node in planted} == \
+        {node: want for node, (*_, want) in planted.items()}
+    literal = [[_literal_reason(*args) for args in zip(*rows)] for rows in zip(cond, indep, ok)]
+    assert got.tolist() == literal
+    assert set(got.flat) == {0, 1, 2, 3}
+
+
+def test_the_admissibility_bounds_are_compared_only_in_reasons():
+    # one rule: COND_MAX and INDEP_MIN meet a comparison in recon._reasons
+    # and nowhere else in the module, so the selector and reconstruct_class
+    # cannot judge a node differently
+    bounds, found = {"COND_MAX", "INDEP_MIN"}, []
+
+    def walk(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        if isinstance(node, ast.Compare):
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} & bounds
+            found.extend((where, name) for name in sorted(names))
+        for child in ast.iter_child_nodes(node):
+            walk(child, where)
+
+    walk(ast.parse(Path(recon.__file__).read_text()), None)
+    assert sorted(found) == [("_reasons", "COND_MAX"), ("_reasons", "INDEP_MIN")]
+
+
+@pytest.mark.parametrize("frame, generators, message", [
+    ((0, -1), (1, 3), "frame index -1 is out of range for 4 ratios"),
+    ((0, 4), (1, 2), "frame index 4 is out of range for 4 ratios"),
+    ((1, 1), (2, 3), "frame index 1 is repeated"),
+    ((0, 1), (2, 2), "generators index 2 is repeated"),
+    ((0, 1), (2, 4), "generators index 4 is out of range"),
+    ((0, 1), (-2, 3), "generators index -2 is out of range"),
+])
+def test_frame_and_generator_indices_are_checked(frame, generators, message):
+    # a negative index was taken from the end, so frame (0, -1) was (0, 3)
+    # and generators (1, 3) passed the overlap check; a repeated generator
+    # failed later as MDependent, and one past the end as numpy's IndexError
+    rb = build_ratios(harmonic_fields(square_grid(17)))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_M(rb, build_frame(rb, frame), generators)
+
+
 def test_fields_on_grids_of_different_shape_are_rejected():
     fields = harmonic_fields(square_grid(33))[:3] + harmonic_fields(square_grid(41))[3:]
     with pytest.raises(GridMismatch) as info:
@@ -353,18 +425,43 @@ def test_candidate_windows_equal_the_engine_on_the_window(monkeypatch, shape, bo
         assert selector.conds(i1)[c, k] == cond.max(), frame
     frame = tuple(others.index(j) for j in sel["frame"])
     subset = tuple(others.index(j) for j in sel["generators"])
-    score, indep, ok = selector.candidate_fields(i1, frame, subset)[:3]
+    _, (score, reason, *_), *tables = selector.candidate(i1, frame, subset)
     fr = build_frame(win, frame=frame)
     mb = build_M(win, fr, generators=subset)
     margin = np.abs(win.u1) / np.abs(fields[i1].values).max()
-    assert np.array_equal(indep[box], mb.indep)
-    assert np.array_equal(ok[box], mb.ok & fr.ok)
-    assert np.array_equal(score[box], margin / np.maximum(fr.cond, 1.0) * mb.indep)
-    tables = selector.candidate(i1, frame, subset)[:3]
-    assert [t[k] for t in tables] == [score[box].min(), indep[box].min(), ok[box].all()]
+    ok = mb.ok & fr.ok
+    assert np.array_equal(reason[box], recon._reasons(fr.cond, mb.indep, ok))
+    assert np.array_equal(score[box],
+                          np.where(ok, margin / np.maximum(fr.cond, 1.0) * mb.indep, 0.0))
+    assert [t[k] for t in tables] == [score[box].min(), (reason[box] == 0).all()]
     ref = unit_gauge_triple(*reconstruct_class(win, fr, mb).triple_arrays())
     for got, want in zip(triple, ref):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ["smooth-complex-2d", "isotropic-c"])
+def test_candidate_frame_condition_equals_the_ranking_field_by_bytes(name):
+    # a box's frame ranking reads the whole-grid condition fields, its
+    # admissibility the candidate's own cond, computed in the node budget's
+    # slabs or on gathered chunks.  At 129^2 a whole-grid complex temporary
+    # (266 kB) passes numpy's 256 kB elision size and a slab's does not;
+    # every frame of every u_1 still reads the same bytes on both paths.
+    preset = PRESETS[name]
+    grid = square_grid(129)
+    u = synthesize(preset.coefficients(grid), preset.illumination(grid))
+    sel = recon._Selector(u, grid, EngineConfig())
+    assert len(sel.slabs) > 1
+    nodes = np.nonzero(np.random.default_rng(6).random(grid.shape) < 0.3)
+    chunk = (sel.slabs[0].stop - sel.slabs[0].start) * grid.shape[1]
+    calls = [(rows,) for rows in sel.slabs] + [tuple(i[lo:lo + chunk] for i in nodes)
+                                               for lo in range(0, nodes[0].size, chunk)]
+    with np.errstate(all="ignore"):
+        for i1 in range(len(u)):
+            rb = sel.ratios(i1)
+            for frame, field in zip(sel.combos, sel.cond_fields(i1)):
+                for at in calls:
+                    cond = build_frame(rb.gather(at), frame).cond
+                    assert cond.tobytes() == field[at].tobytes(), (i1, frame)
 
 
 @pytest.mark.parametrize("shape, patch_size", [
@@ -459,7 +556,7 @@ def test_unit_gauge_of_a_box_equals_the_gauge_of_its_window_copy(monkeypatch, na
         key = (pick["u1"], tuple(others.index(j) for j in pick["frame"]),
                tuple(others.index(j) for j in pick["generators"]))
         got = sel.unit(*key).window(k, box)
-        want = unit_gauge_triple(*(x[box].copy() for x in sel.candidate(*key)[3]))[:3]
+        want = unit_gauge_triple(*(x[box].copy() for x in sel.candidate(*key)[1][2:]))[:3]
         for g, w in zip(got, want):
             assert g.shape == w.shape and g.tobytes() == w.tobytes(), (k, box)
         checked += 1
@@ -514,7 +611,7 @@ def test_unit_gauge_of_a_box_chains_planted_flips_and_refuses_vanishing_boxes(sh
 def test_gathered_candidate_equals_the_windows_by_bytes(shape, wanted):
     # a candidate evaluated on a node set, in slabs of 9 rows, holds at
     # each node of the set the bytes _candidate gives on that node's slab
-    # window, and NaN (ok False) elsewhere; a whole slab goes as views of
+    # window, and NaN (reason 255) elsewhere; a whole slab goes as views of
     # its rows, and the nodes of the other slabs as gathered bundles of at
     # most a slab's node count, which cross slabs.  The 3D data are the
     # constant-tensor family's own polynomials, no solve.
@@ -555,7 +652,7 @@ def test_gathered_candidate_equals_the_windows_by_bytes(shape, wanted):
         for g, w in zip(got, ref):
             assert g[sl][held].tobytes() == w[held].tobytes()
             unset = g[sl][~held]
-            assert not unset.any() if g.dtype == bool else np.isnan(unset).all()
+            assert (unset == 255).all() if g.dtype == np.uint8 else np.isnan(unset).all()
 
 
 @pytest.mark.parametrize("shape", [(33, 33), (17, 17, 17)])
