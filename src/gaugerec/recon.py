@@ -10,10 +10,11 @@ representative of the coefficient triple:
    conjugation), both from one closed form in det H and the cofactors.
 3. ``build_M``: for each remaining ratio w, coefficients theta with
    grad w + sum_j theta_j grad v_j = 0, the curvature matrices
-   M = Hess w + sum_j theta_j Hess v_j, the independence score of
-   (Id, M^1, ..) and the normalized matrix M0 that pairs to delta_{0m}
-   against them, up to a sign per node; in 2D both come from closed forms
-   of the per-node 3 x 3 problems.
+   M = Hess w + sum_j theta_j Hess v_j, then one per-node problem on the
+   vectorized stack V of (Id, M^1, ..) (``_pairing``): its independence
+   score and the normalized matrix M0 that pairs to delta_{0m} against it,
+   up to a sign per node; closed forms in 2D, one SVD and one solve of V
+   in 3D.
 4. ``reconstruct_class``: M0 oriented, and the representative
    (a, b + div a, c) in the u_1-normalized gauge a = M0 / u_1^2.
 
@@ -190,7 +191,8 @@ class MBundle:
     by ``reconstruct_class``, the one stage whose output depends on it.
     ``indep`` is the smallest singular value of the vectorized
     (Id, M^1, ..) stack, and ``ok`` flags nodes where the pairing system was
-    solvable.
+    solvable; M0 is the identity where it was not.  All three come from one
+    per-node problem (``_pairing``).
     """
 
     M: np.ndarray
@@ -331,7 +333,8 @@ def _regular(det: np.ndarray, scale: np.ndarray, n: int) -> np.ndarray:
     determinants ``det`` and largest entry moduli ``scale`` = max|A| the
     caller computed: a node is singular where |det| <= (1e-14 max|A|)^n, or
     where ``det`` or an entry of A is NaN or A holds an infinity.  The one
-    singular-node rule of the frame and the pairing solve."""
+    singular-node rule of the frame and the pairing; the 3D pairing passes
+    (sigma_min, sigma_max, 1), a bound on V's condition number."""
     return np.abs(det) > (1e-14 * np.maximum(scale, _TINY)) ** n
 
 
@@ -397,11 +400,10 @@ def build_M(rb: RatioBundle, fr: FrameData,
     M0 is the combination of (Id, M^1, ..) that pairs to delta_{0m},
     normalized by the principal square root but not oriented: the selector's
     unit gauge does not see its sign, and ``reconstruct_class`` orients it.
-    ``indep`` is the smallest singular value of the vectorized stack
-    (:func:`_independence`), judged by :func:`_reasons`; indices are checked
-    as in ``build_frame``.  In 2D both per-node 3 x 3 problems, the
-    independence and the pairing solve (:func:`_pair_M0`), are closed forms;
-    in 3D (6 x 6) they go to LAPACK.
+    M0, ``ok`` and ``indep``, the smallest singular value of the vectorized
+    stack V judged by :func:`_reasons`, come from one per-node problem on V
+    (:func:`_pairing`): closed forms in 2D (3 x 3), one batched SVD and one
+    batched solve in 3D (6 x 6).  Indices are checked as in ``build_frame``.
     """
     n = rb.grid.dim
     shape = rb.u1.shape  # the grid's, or one axis for a gathered bundle
@@ -423,9 +425,8 @@ def build_M(rb: RatioBundle, fr: FrameData,
         M[g] = rb.hess_v[w] + np.einsum("...j,j...kl->...kl", th, Hf)
 
     eye = np.broadcast_to(np.eye(n, dtype=np.complex128), shape + (n, n))
-    stack = np.concatenate([eye[None], M], axis=0)
-    M0, ok = _pair_M0(stack)
-    return MBundle(M, M0, _independence(_vectorize_sym(stack)), ok)
+    indep, M0, ok = _pairing(np.concatenate([eye[None], M], axis=0))
+    return MBundle(M, M0, indep, ok)
 
 
 def _vectorize_sym(stack: np.ndarray) -> np.ndarray:
@@ -448,25 +449,52 @@ def _vectorize_sym(stack: np.ndarray) -> np.ndarray:
 _CHUNK = 2048
 
 
-def _independence(rows: np.ndarray) -> np.ndarray:
-    """Smallest singular value, per node, of the p x p matrix whose rows are
-    ``rows`` (K = p, p, *shape), the vectorized stack.
+def _pairing(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-node problem of the stack B = (Id, M^1, ..) (K, *shape, n, n)
+    on the K x K matrix V whose rows are the vectorized B_k
+    (:func:`_vectorize_sym`): (indep, M0, ok).
 
-    In 2D (p = 3) this is the closed form of :func:`_least_singular_3x3`,
-    ``_CHUNK`` nodes at a time; in 3D (p = 6) the batched SVD, with the rows
-    moved last.  Nodes with a non-finite entry get NaN (the batched SVD
-    would raise on them).
+    ``indep`` is the smallest singular value of V (NaN where an entry is not
+    finite).  M0 solves Tr(M0 B_m) = delta_0m and is normalized by the
+    principal root of y_0 = Tr(M0 M0) before it (bilinear), not oriented.
+    ``ok`` flags the nodes where V is regular (:func:`_regular`) and
+    |y_0| > 1e-28; elsewhere M0 = Id.  In 2D (K = 3) ``indep`` is the
+    closed form of :func:`_least_singular_3x3` (``_CHUNK`` nodes a call), and
+    M0 = sum_k y_k B_k / sqrt(y_0) with y = cof(P)[0, :] / det P from the
+    closed form of the Gram matrix P = V V^T (:func:`_sym_frame`).  In 3D one
+    batched SVD gives ``indep`` and ``ok``, sigma_6 > 1e-14 sigma_1 (which
+    implies |det V| > (1e-14 max|V|)^6, a bound that two equal rows pass),
+    and one batched solve x = V^-1 e_0 gives M0 = unvec(x) / sqrt(x^T x),
+    the 2D formula in exact arithmetic without squaring V's condition.
     """
-    if rows.shape[1] == 3:
+    K, n = stack.shape[0], stack.shape[-1]
+    rows = _vectorize_sym(stack)
+    shape = rows.shape[2:]
+    if K == 3:
         flat = rows.reshape(3, 3, -1)
-        out = np.empty(flat.shape[-1])
-        for lo in range(0, out.size, _CHUNK):
-            out[lo:lo + _CHUNK] = _least_singular_3x3(flat[..., lo:lo + _CHUNK])
-        return out.reshape(rows.shape[2:])
-    A = np.moveaxis(rows, (0, 1), (-2, -1))
-    finite = np.isfinite(A).all(axis=(-2, -1))
-    sv = np.linalg.svd(np.where(finite[..., None, None], A, 0.0), compute_uv=False)
-    return np.where(finite, sv[..., -1], np.nan)
+        indep = np.empty(flat.shape[-1])
+        for lo in range(0, indep.size, _CHUNK):
+            indep[lo:lo + _CHUNK] = _least_singular_3x3(flat[..., lo:lo + _CHUNK])
+        indep = indep.reshape(shape)
+        _, cof, det, ok, _ = _sym_frame(_gram(np.moveaxis(rows, 1, -1)), range(K))
+        d = np.where(ok, det, 1.0)
+        y = np.stack([np.where(ok, cof[0, k] / d, float(k == 0)) for k in range(K)], axis=-1)
+        raw, y0 = np.einsum("...k,k...ij->...ij", y, stack), y[..., 0]
+    else:
+        A = np.moveaxis(rows, (0, 1), (-2, -1))
+        finite = np.isfinite(A).all(axis=(-2, -1))
+        sv = np.linalg.svd(np.where(finite[..., None, None], A, 0.0), compute_uv=False)
+        indep = np.where(finite, sv[..., -1], np.nan)
+        ok = _regular(sv[..., -1], sv[..., 0], 1)
+        e0 = np.zeros(shape + (K, 1), dtype=np.complex128)
+        e0[..., 0, 0] = 1.0
+        x = np.linalg.solve(np.where(ok[..., None, None], A, np.eye(K)), e0)[..., 0]
+        raw = unpack_sym(x / np.array([1.0 if i == j else np.sqrt(2.0)
+                                       for i, j in SYM_PAIRS[n]]), n)
+        y0 = np.einsum("...k,...k->...", x, x)
+    ok = ok & (np.abs(y0) > 1e-28)
+    M0 = raw / np.sqrt(np.where(ok, y0, 1.0))[..., None, None]
+    return indep, np.where(ok[..., None, None], M0, np.eye(n)), ok
 
 
 def _cross(x, y) -> tuple:
@@ -488,7 +516,8 @@ def _unit(x) -> tuple:
 
 def _least_singular_3x3(A: np.ndarray) -> np.ndarray:
     """Smallest singular value of 3 x 3 complex matrices A (row, column,
-    *shape) in closed form: sigma_3 = |det A| / ||adj A||_2.
+    *shape) in closed form: sigma_3 = |det A| / ||adj A||_2, the 2D
+    independence of :func:`_pairing`.
 
     The cofactor matrix C has the rows r1 x r2, r2 x r0 and r0 x r1 of the
     rows r of A (:func:`_cross`), det A = r0 . (r1 x r2), and
@@ -587,39 +616,6 @@ def _largest(c0, c1, c2, n0, n1, n2) -> tuple:
     k0 = (n0 >= n1) & (n0 >= n2)
     k1 = ~k0 & (n1 >= n2)
     return tuple(np.where(k0, s, np.where(k1, t, u)) for s, t, u in zip(c0, c1, c2))
-
-
-def _pair_M0(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the pairing conditions Tr(M0 B_m) = delta_0m over the stack
-    B = (Id, M^1, ..) and normalize.
-
-    P_km = Tr(B_k B_m), y = P^-1 e_0, M0 = sum y_k B_k / sqrt(y_0) (the
-    constraints for m >= 1 hold by construction and the normalization
-    Tr(M0 M0) = 1 follows from y^T P y = y_0).  In 2D P is the bilinear
-    Gram matrix of the vectorized stack (:func:`_vectorize_sym`), a complex
-    symmetric 3 x 3, and y = cof(P)[0, :] / det P comes from the frame's
-    closed form (:func:`_sym_frame`); in 3D from LAPACK's det and solve.
-    Where P is singular, y = e_0, so M0 = Id.  Returns M0 and the flag of
-    the nodes where P is regular (:func:`_regular`) and y_0 does not vanish.
-    """
-    K = stack.shape[0]
-    if K == 3:
-        h = _gram(np.moveaxis(_vectorize_sym(stack), 1, -1))
-        _, cof, det, ok, _ = _sym_frame(h, range(K))
-        d = np.where(ok, det, 1.0)
-        y = np.stack([np.where(ok, cof[0, k] / d, float(k == 0)) for k in range(K)], axis=-1)
-    else:
-        P = np.einsum("k...ij,m...ji->...km", stack, stack)
-        ok = _regular(np.linalg.det(P), np.abs(P).max(axis=(-2, -1)), K)
-        safe = np.where(ok[..., None, None], P, np.eye(K, dtype=np.complex128))
-        e0 = np.zeros(ok.shape + (K,), dtype=np.complex128)
-        e0[..., 0] = 1.0
-        y = np.linalg.solve(safe, e0[..., None])[..., 0]
-    raw = np.einsum("...k,k...ij->...ij", y, stack)
-    s2 = y[..., 0]
-    ok = ok & (np.abs(s2) > 1e-28)
-    s = np.sqrt(np.where(ok, s2, 1.0))
-    return raw / s[..., None, None], ok
 
 
 def _edge_prefix(W: np.ndarray) -> list[np.ndarray]:

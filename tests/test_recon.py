@@ -848,15 +848,15 @@ def test_outputs_do_not_depend_on_the_sign_of_M0(monkeypatch, name, m, patch_siz
                 [x.tobytes() for x in (*cls.triple_arrays(), cls.b.values,
                                        *cls.diagnostics.values())])
 
-    real_pair = recon._pair_M0
+    real_pairing = recon._pairing
 
-    def pair(stack):  # negate M0 at a seeded random half of the nodes
-        M0, ok = real_pair(stack)
+    def pairing(stack):  # negate M0 at a seeded random half of the nodes
+        indep, M0, ok = real_pairing(stack)
         flip = np.random.default_rng(4).random(M0.shape[:-2]) < 0.5
-        return np.where(flip[..., None, None], -M0, M0), ok
+        return indep, np.where(flip[..., None, None], -M0, M0), ok
 
     want = outputs()
-    monkeypatch.setattr(recon, "_pair_M0", pair)
+    monkeypatch.setattr(recon, "_pairing", pairing)
     rb = build_ratios(v)
     flipped = build_M(rb, build_frame(rb)).M0
     assert 0.4 < np.mean(flipped[..., 0, 0].real < 0) < 0.6  # the flips reach build_M
@@ -927,6 +927,15 @@ def _preset_stack(name, m):
     return np.concatenate([eye[None], mb.M])
 
 
+def _stack_of_rows(rows):
+    """Symmetric 2 x 2 matrices (3, *shape, 2, 2) whose vectorized rows
+    (``recon._vectorize_sym``) are ``rows`` (3, 3, *shape) up to the
+    rounding of the off-diagonal weight sqrt 2."""
+    off = rows[:, 1] / np.sqrt(2.0)
+    return np.stack([np.stack([rows[:, 0], off], axis=-1),
+                     np.stack([off, rows[:, 2]], axis=-1)], axis=-2)
+
+
 def _random_rows(m, seed):
     """Random complex 3 x 3 matrices on an m x m grid, as rows (3, 3, m, m).
     Every 7th node has sigma_3 = 1e-9 sigma_1.  Node 1 has sigma_2 = sigma_3,
@@ -954,9 +963,13 @@ def test_closed_form_independence_matches_the_svd(data):
     # |det A| / ||adj A||_2 is within 4 eps sigma_1 of LAPACK's sigma_3 at
     # every node, NaN at exactly the non-finite ones; where sigma_2 is tiny
     # too, the stated bound is eps sigma_1 (sigma_1 / sigma_2)
-    rows = _random_rows(129, 5) if data == "random" \
-        else recon._vectorize_sym(_preset_stack(data, 33))
-    got = recon._independence(rows)
+    # the random matrices as a stack whose rows are theirs to roundoff; the
+    # non-finite and scaled nodes raise floating-point warnings on the way
+    with np.errstate(all="ignore"):
+        stack = _stack_of_rows(_random_rows(129, 5)) if data == "random" \
+            else _preset_stack(data, 33)
+        rows = recon._vectorize_sym(stack)
+        got = recon._pairing(stack)[0]
     want, s1 = _svd_least(rows)
     assert np.array_equal(np.isnan(got), np.isnan(want))
     assert np.isnan(want).sum() == (3 if data == "random" else 0)
@@ -1036,15 +1049,18 @@ def test_closed_form_independence_ranks_generators_like_the_svd(strip_fields, mo
                 break
     assert tried >= 121
 
-    def selections(variant):
-        monkeypatch.setattr(recon, "_independence", variant)
+    real_pairing = recon._pairing
+
+    def selections(independence):
+        monkeypatch.setattr(recon, "_pairing", lambda stack: (
+            independence(stack), *real_pairing(stack)[1:]))
         try:
             return reconstruct_global(u, cfg)[1].selections
         except CoverageFailure as exc:
             return exc.partial[1].selections
 
-    closed = recon._independence
-    assert selections(lambda rows: _svd_least(rows)[0]) == selections(closed)
+    assert selections(lambda stack: _svd_least(recon._vectorize_sym(stack))[0]) \
+        == selections(lambda stack: real_pairing(stack)[0])
 
 
 @pytest.mark.parametrize("name, m, pin", [
@@ -1061,7 +1077,7 @@ def test_pairing_solve_matches_an_extended_precision_reference(name, m, pin):
     # against the same formula with P, its cofactors and M0 in extended
     # precision; the flags are LAPACK's rule (det, then solve) on the same P
     stack = _preset_stack(name, m)
-    M0, ok = recon._pair_M0(stack)
+    M0, ok = recon._pairing(stack)[1:]
 
     P = np.einsum("k...ij,m...ji->...km", stack, stack)
     y = np.linalg.solve(P, np.broadcast_to(np.eye(3)[0], P.shape[:-1])[..., None])[..., 0]
@@ -1079,6 +1095,99 @@ def test_pairing_solve_matches_an_extended_precision_reference(name, m, pin):
     ref = sum(yk[..., None, None] * Bk for yk, Bk in zip(y, B)) / np.sqrt(y[0])[..., None, None]
     err = np.abs(M0 - ref).max(axis=(-2, -1)) / np.abs(ref).max(axis=(-2, -1))
     assert err.max() <= pin
+
+
+def _pairing_data(name, m):
+    if name == "cgo":
+        return cgo_family(square_grid(m, 3)).fields()
+    return _preset_data(name, m)
+
+
+@pytest.mark.parametrize("name, m, pair_pin, norm_pin", [
+    # pins 25% above the measured worst node: Tr(M0 M^g) 7.22e-16, 8.09e-16,
+    # 2.39e-15 and 4.54e-16; Tr(M0 M0) - 1 7.75e-16, 6.64e-16, 6.32e-16 and
+    # 1.11e-15
+    ("constant-tensor-3d", 9, 9.0e-16, 9.7e-16),
+    ("constant-tensor-3d", 17, 1.0e-15, 8.3e-16),
+    ("cgo", 9, 3.0e-15, 7.9e-16),  # the 3D stack of the cgo family at 9^3
+    ("smooth-complex-2d", 65, 5.7e-16, 1.4e-15),
+])
+def test_M0_pairs_to_delta_at_every_node(name, m, pair_pin, norm_pin):
+    # Tr(M0 M^g) = 0 for every generator and Tr(M0 M0) = 1, each relative to
+    # the size of its terms, sum_ij |M0_ij| |B_ji|; where every term is 0 the
+    # trace must be 0
+    rb = build_ratios(_pairing_data(name, m))
+    mb = build_M(rb, build_frame(rb))
+    assert mb.ok.all()
+    for B, target, pin in ((mb.M, 0.0, pair_pin), (mb.M0[None], 1.0, norm_pin)):
+        t = np.abs(np.einsum("...ij,g...ji->g...", mb.M0, B) - target)
+        size = np.einsum("...ij,g...ji->g...", np.abs(mb.M0), np.abs(B))
+        assert (t[size == 0] == 0).all()
+        assert np.divide(t, size, out=np.zeros_like(t), where=size > 0).max() <= pin
+
+
+@pytest.mark.parametrize("name, m", [("smooth-complex-2d", 17), ("cgo", 9)])
+def test_a_dependent_stack_pairs_to_the_identity(name, m):
+    # M^2 = M^1 at planted nodes and a NaN at one more: there the pairing is
+    # not solvable, M0 is exactly Id and the node fails the admissibility
+    # rule for independence or solvability; every other node reads the bytes
+    # of the stack without the plant.  The identity is set, not solved for:
+    # V's solve on the identity at such a node gives diag(1, 0, ..), the
+    # unvectorized e_0.
+    rb = build_ratios(_pairing_data(name, m))
+    mb = build_M(rb, build_frame(rb))
+    n = rb.grid.dim
+    eye = np.broadcast_to(np.eye(n, dtype=complex), mb.M.shape[1:])
+    stack = np.concatenate([eye[None], mb.M])
+    planted = np.zeros(rb.grid.shape, dtype=bool)
+    for node in [(0,) * n, (m // 2,) * n, (m - 1, 2) + (5,) * (n - 2),
+                 (3, m - 1) + (0,) * (n - 2)]:
+        planted[node] = True
+    nan_node = (1, 4) + (6,) * (n - 2)
+    planted[nan_node] = True
+    bad = stack.copy()
+    bad[2][planted] = bad[1][planted]
+    bad[1][nan_node + (0, 1)] = np.nan
+    with np.errstate(invalid="ignore"):  # the NaN node
+        got = recon._pairing(bad)
+    want = recon._pairing(stack)
+    indep, M0, ok = got
+    assert not ok[planted].any()
+    assert np.array_equal(M0[planted], np.broadcast_to(np.eye(n), (planted.sum(), n, n)))
+    assert np.isnan(indep[nan_node])
+    reason = recon._reasons(np.ones(planted.shape), indep, ok)
+    assert set(reason[planted].tolist()) <= {2, 3}
+    for g, w in zip(got, want):
+        assert g[~planted].tobytes() == w[~planted].tobytes()
+
+
+def test_build_M_calls_lapack_once_for_each_3d_problem_and_never_in_2d(monkeypatch):
+    # one slab of the node budget: in 3D one batched SVD gives the
+    # independence and the solvable nodes, one batched solve gives M0, and
+    # no determinant is taken; the 2D closed forms make no LAPACK call
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    bundles = []
+    for name, m in (("constant-tensor-3d", 17), ("smooth-complex-2d", 129)):
+        rb = build_ratios(_preset_data(name, m))
+        slab = rb.gather((recon._budget_slabs(rb.grid.shape)[0],))
+        bundles.append((slab, build_frame(slab)))
+    for name in dir(np.linalg):
+        fn = getattr(np.linalg, name)
+        if callable(fn) and not isinstance(fn, type):
+            monkeypatch.setattr(np.linalg, name, counted(name, fn))
+    (slab3, fr3), (slab2, fr2) = bundles
+    build_M(slab3, fr3)
+    assert sorted(calls) == ["solve", "svd"]
+    calls.clear()
+    build_M(slab2, fr2)
+    assert calls == []
 
 
 def _eq_residual(u):

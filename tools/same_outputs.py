@@ -30,6 +30,7 @@ alone.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import pickle
 import subprocess
@@ -153,6 +154,9 @@ def collect() -> dict:
     # form is compared on real work (constant-tensor-3d's frame has cond 3)
     items["cgo 3D 9^3: stages"] = _attempt(
         lambda: _stages(g, g.cgo_family(g.square_grid(9, 3)).fields()))
+    # the same stack with M^2 = M^1 at planted nodes and a NaN at one more,
+    # so the pairing's fallback for an unsolvable node is compared too
+    items["cgo 3D 9^3, M^2 = M^1 planted: stages"] = _attempt(lambda: _planted_stages(g))
 
     items["stage errors"] = _stage_errors(g)
     items.update(_gauge_items(g))
@@ -200,6 +204,29 @@ def _stages(g, data) -> dict:
     return {"frame": _arrays(fr, ("Hinv", "cond", "ok")),
             "M": _arrays(mb, ("M", "M0", "indep", "ok")),
             "class": (rep.triple_arrays(), rep.diagnostics)}
+
+
+def _planted_stages(g) -> dict:
+    """``build_M`` on the cgo 3D ratios at 9^3 where the ratio of M^2 takes
+    the derivatives of M^1's ratio at four nodes, so M^2 = M^1 there, and a
+    NaN enters M^1 at a fifth; then the error ``reconstruct_class`` ends in
+    (type, message, nodes)."""
+    rb = g.build_ratios(g.cgo_family(g.square_grid(9, 3)).fields())
+    fr = g.build_frame(rb)
+    w1, w2 = [j for j in range(len(rb.v)) if j not in fr.frame][:2]
+    grad, hess = rb.grad_v.copy(), rb.hess_v.copy()
+    for node in ((0, 0, 0), (4, 4, 4), (8, 2, 5), (3, 8, 0)):
+        grad[(w2,) + node] = grad[(w1,) + node]
+        hess[(w2,) + node] = hess[(w1,) + node]
+    hess[w1, 1, 4, 6, 0, 1] = hess[w1, 1, 4, 6, 1, 0] = np.nan
+    rb = dataclasses.replace(rb, grad_v=grad, hess_v=hess)
+    mb = g.build_M(rb, fr)
+    try:
+        g.reconstruct_class(rb, fr, mb)
+        error = "not raised"
+    except g.ToolkitError as exc:
+        error = (type(exc).__name__, str(exc), getattr(exc, "nodes", None))
+    return {"M": _arrays(mb, ("M", "M0", "indep", "ok")), "class": error}
 
 
 def _strip(x1, x2, redundant=False) -> list:
