@@ -46,7 +46,6 @@ from .fields import (
     load_field,
     mollify,
     save_field,
-    second_derivative_values,
 )
 from .forward import (
     BoundaryTrace,

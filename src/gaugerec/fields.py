@@ -9,20 +9,22 @@ Conventions
   construction (the backing array is marked read-only).  Vector components
   live on the trailing axis; symmetric tensors are packed row-major over the
   upper triangle, see ``SYM_PAIRS``.
-* First derivatives: 2nd-order central differences in the interior and
-  2nd-order one-sided differences at the boundary (this is exactly
-  ``np.gradient`` with ``edge_order=2``).
-* Pure second derivatives: compact 3-point stencil in the interior and the
-  4-point one-sided stencil (2, -5, 4, -1)/h^2 at the boundary; both are
-  exact on cubic polynomials.
-* Mixed second derivatives: composition of the first-derivative operators
-  along the two axes.  The two orders commute up to roundoff and are
-  averaged.
+* Every dense finite difference is one of three private routines, shared by
+  the field wrappers, ``recon._ratios`` and ``gauge._gradient_operator``
+  (``_d1`` applied to the identity).  ``_d1``, first derivatives: 2nd-order
+  central differences inside and 2nd-order one-sided ones at the boundary
+  (``np.gradient`` with ``edge_order=2``).  ``_d2``, pure second
+  derivatives: compact 3-point stencil inside and the one-sided
+  (2, -5, 4, -1)/h^2 at the boundary, exact on cubics.  ``_derivatives``,
+  gradient and Hessian of stacked arrays: each mixed derivative
+  differentiates the stored first derivatives in both orders, which commute
+  up to roundoff, and averages the two.
 """
 
 from __future__ import annotations
 
 import base64
+import itertools
 import json
 import math
 import operator
@@ -42,7 +44,6 @@ __all__ = [
     "SymTensorField",
     "unpack_sym",
     "grad_values",
-    "second_derivative_values",
     "hess_values",
     "gradient",
     "hessian",
@@ -286,14 +287,13 @@ def unpack_sym(packed: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def grad_values(vals: np.ndarray, spacing) -> np.ndarray:
-    """All first partials of a node array; result has a trailing axis."""
-    comps = [np.gradient(vals, spacing[k], axis=k, edge_order=2)
-             for k in range(len(spacing))]
-    return np.stack(comps, axis=-1)
+def _d1(vals: np.ndarray, h: float, axis: int) -> np.ndarray:
+    """First derivative along one axis: central inside, 2nd-order one-sided
+    at the two boundary slabs.  Exact on quadratics."""
+    return np.gradient(vals, h, axis=axis, edge_order=2)
 
 
-def second_derivative_values(vals: np.ndarray, h: float, axis: int) -> np.ndarray:
+def _d2(vals: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Pure second derivative along one axis.
 
     Compact 3-point stencil inside, one-sided (2, -5, 4, -1)/h^2 at the two
@@ -308,21 +308,45 @@ def second_derivative_values(vals: np.ndarray, h: float, axis: int) -> np.ndarra
     return np.moveaxis(out, 0, axis)
 
 
+def _check_axes(shape: tuple[int, ...], spacing) -> None:
+    """ValueError unless ``spacing`` has one entry per axis and each axis at least 4 nodes."""
+    if len(spacing) != len(shape):
+        raise ValueError(f"{len(spacing)} spacing(s) for {len(shape)} grid axes")
+    for k, m in enumerate(shape):
+        if m < 4:
+            raise ValueError(f"axis {k}: the stencils need at least 4 nodes, got {m}")
+
+
+def _derivatives(vals: np.ndarray, spacing, lead: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient ``(..., n)`` and complex Hessian ``(..., n, n)`` of node arrays
+    stacked on ``lead`` leading axes, with the checks of ``grad_values``."""
+    _check_axes(np.shape(vals)[lead:], spacing)
+    n = len(spacing)
+    grad = np.empty(np.shape(vals) + (n,), dtype=np.result_type(vals, 1.0))
+    hess = np.empty(np.shape(vals) + (n, n), dtype=np.complex128)
+    for k in range(n):
+        grad[..., k] = _d1(vals, spacing[k], lead + k)
+        hess[..., k, k] = _d2(vals, spacing[k], lead + k)
+    for i, j in itertools.combinations(range(n), 2):
+        dij = _d1(grad[..., i], spacing[j], lead + j)
+        dji = _d1(grad[..., j], spacing[i], lead + i)
+        hess[..., i, j] = hess[..., j, i] = 0.5 * (dij + dji)
+    return grad, hess
+
+
+def grad_values(vals: np.ndarray, spacing) -> np.ndarray:
+    """All first partials of a node array; result has a trailing axis.
+    ValueError unless ``spacing`` has one entry per axis of ``vals`` and each
+    axis has at least 4 nodes."""
+    _check_axes(np.shape(vals), spacing)
+    return np.stack([_d1(vals, spacing[k], k) for k in range(len(spacing))], axis=-1)
+
+
 def hess_values(vals: np.ndarray, spacing) -> np.ndarray:
     """Packed second derivatives of a node array, trailing axis of length
-    n(n+1)/2 ordered as in ``SYM_PAIRS``."""
-    n = len(spacing)
-    comps = []
-    for i, j in SYM_PAIRS[n]:
-        if i == j:
-            comps.append(second_derivative_values(vals, spacing[i], i))
-        else:
-            di = np.gradient(vals, spacing[i], axis=i, edge_order=2)
-            dij = np.gradient(di, spacing[j], axis=j, edge_order=2)
-            dj = np.gradient(vals, spacing[j], axis=j, edge_order=2)
-            dji = np.gradient(dj, spacing[i], axis=i, edge_order=2)
-            comps.append(0.5 * (dij + dji))
-    return np.stack(comps, axis=-1)
+    n(n+1)/2 ordered as in ``SYM_PAIRS``; the checks of ``grad_values``."""
+    hess = _derivatives(vals, spacing)[1]
+    return np.stack([hess[..., i, j] for i, j in SYM_PAIRS[len(spacing)]], axis=-1)
 
 
 def gradient(f: ScalarField) -> VectorField:
@@ -338,7 +362,7 @@ def divergence(v: VectorField) -> ScalarField:
     sp = v.grid.spacing
     out = np.zeros(v.grid.shape, dtype=np.complex128)
     for k in range(v.grid.dim):
-        out += np.gradient(v.values[..., k], sp[k], axis=k, edge_order=2)
+        out += _d1(v.values[..., k], sp[k], k)
     return ScalarField(v.grid, out)
 
 
@@ -350,7 +374,7 @@ def divergence_tensor(a: SymTensorField) -> VectorField:
     out = np.zeros(a.grid.shape + (n,), dtype=np.complex128)
     for i in range(n):
         for j in range(n):
-            out[..., i] += np.gradient(mat[..., i, j], sp[j], axis=j, edge_order=2)
+            out[..., i] += _d1(mat[..., i, j], sp[j], j)
     return VectorField(a.grid, out)
 
 
@@ -360,12 +384,13 @@ def mollify(f: ScalarField, width: float) -> ScalarField:
     ``width`` is the kernel standard deviation in units of the node spacing;
     the kernel is truncated at 4 sigma.  Near the boundary the filter output
     is divided by the filtered indicator function so that constants are
-    reproduced exactly.  ``width = 0`` returns the field unchanged.
+    reproduced exactly.  ``width = 0`` returns the field unchanged; a
+    negative or non-finite width raises ValueError.
     """
     from scipy.ndimage import gaussian_filter
 
-    if width < 0:
-        raise ValueError("width must be nonnegative")
+    if not (math.isfinite(width) and width >= 0):
+        raise ValueError(f"width must be finite and nonnegative, got {width}")
     if width == 0:
         return f
     kw = dict(sigma=width, mode="constant", cval=0.0, truncate=4.0)

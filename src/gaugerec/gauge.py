@@ -24,6 +24,7 @@ from .fields import (
     ScalarField,
     SymTensorField,
     VectorField,
+    _d1,
     common_grid,
     divergence,
     grad_values,
@@ -44,33 +45,18 @@ __all__ = [
 # Discrete potential recovery
 # ---------------------------------------------------------------------------
 
-def _diff_matrix_1d(m: int, h: float) -> sp.csr_matrix:
-    """First-derivative matrix matching the gradient stencil contract."""
-    import scipy.sparse as sp
-
-    main = np.zeros(m)
-    main[0] = -1.5
-    main[-1] = 1.5
-    lower = np.full(m - 1, -0.5)
-    upper = np.full(m - 1, 0.5)
-    D = sp.diags([lower, main, upper], [-1, 0, 1], format="lil")
-    D[0, 1] = 2.0
-    D[0, 2] = -0.5
-    D[-1, -2] = -2.0
-    D[-1, -3] = 0.5
-    return (D / h).tocsr()
-
-
 def _gradient_operator(grid: Grid) -> sp.csr_matrix:
-    """Sparse (n N, N) matrix applying all n first derivatives."""
+    """Sparse (n N, N) matrix applying all n first derivatives.  Each 1D
+    factor is ``fields._d1`` applied to the identity, so ``G @ phi`` is
+    ``grad_values`` of phi to roundoff, boundary slabs included."""
     import scipy.sparse as sp
 
     blocks = []
     for k in range(grid.dim):
         op = None
         for ax in range(grid.dim):
-            m = grid.shape[ax]
-            piece = _diff_matrix_1d(m, grid.spacing[ax]) if ax == k else sp.identity(m, format="csr")
+            m, h = grid.shape[ax], grid.spacing[ax]
+            piece = sp.csr_matrix(_d1(np.eye(m), h, 0)) if ax == k else sp.identity(m, format="csr")
             op = piece if op is None else sp.kron(op, piece, format="csr")
         blocks.append(op)
     return sp.vstack(blocks, format="csr")

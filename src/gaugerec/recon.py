@@ -62,9 +62,9 @@ from .fields import (
     ScalarField,
     SymTensorField,
     VectorField,
+    _derivatives,
     common_grid,
     divergence_tensor,
-    second_derivative_values,
     unpack_sym,
 )
 from .illum import num_generators, num_solutions
@@ -266,28 +266,17 @@ def _ratios(grid: Grid, u: list[ScalarField]) -> RatioBundle:
     """``build_ratios`` without its checks: where u_1 vanishes, the ratios
     and the derivatives that reach them are not finite.
 
-    u_1 and the m ratios share one (m+1, *shape) stack, differentiated along
-    axis k+1 as a whole; each mixed second derivative is the symmetrized
-    derivative of the stored first derivatives, as in ``hess_values``.  The
-    bundle's arrays are views of that stack and its derivatives.
+    u_1 and the m ratios share one (m+1, *shape) stack, differentiated as a
+    whole by ``fields._derivatives``, the stencils of ``grad_values`` and
+    ``hess_values``.  The bundle's arrays are views of that stack and its
+    derivatives.
     """
     u1 = u[0].values
-    sp = grid.spacing
-    n = grid.dim
     w = np.empty((len(u),) + grid.shape, dtype=np.complex128)
     w[0] = u1
     for k, f in enumerate(u[1:], start=1):
         np.divide(f.values, u1, out=w[k])
-    grad = np.empty(w.shape + (n,), dtype=np.complex128)
-    hess = np.empty(w.shape + (n, n), dtype=np.complex128)
-    for k in range(n):
-        grad[..., k] = np.gradient(w, sp[k], axis=k + 1, edge_order=2)
-        hess[..., k, k] = second_derivative_values(w, sp[k], k + 1)
-    for i, j in SYM_PAIRS[n]:
-        if i != j:
-            dij = np.gradient(grad[..., i], sp[j], axis=j + 1, edge_order=2)
-            dji = np.gradient(grad[..., j], sp[i], axis=i + 1, edge_order=2)
-            hess[..., i, j] = hess[..., j, i] = 0.5 * (dij + dji)
+    grad, hess = _derivatives(w, grid.spacing, lead=1)
     return RatioBundle(grid, u1, w[1:], grad[1:], hess[1:], grad[0], hess[0])
 
 

@@ -18,16 +18,23 @@ from gaugerec import (
     ScalarField,
     SymTensorField,
     VectorField,
+    build_ratios,
     divergence,
     divergence_tensor,
+    grad_values,
     gradient,
+    hess_values,
     hessian,
     load_field,
     mollify,
     save_field,
     square_grid,
+    synthesize,
 )
 from gaugerec.cli import main as cli_main
+from gaugerec.fields import _derivatives, unpack_sym
+from gaugerec.gauge import _gradient_operator
+from gaugerec.harness import PRESETS
 
 
 def grid2(n=33):
@@ -152,14 +159,22 @@ def test_gradient_exact_on_quadratic_second_order_on_cubic():
 
 
 def test_hessian_exact_and_symmetric():
-    g = grid2(33)
-    x1, x2 = g.meshes
-    f = ScalarField(g, x1**3 + x1 * x2 + 0.5 * x2**2)
-    H = hessian(f).as_matrix()
-    assert np.abs(H[..., 0, 0] - 6 * x1).max() < 1e-10
-    assert np.abs(H[..., 0, 1] - 1.0).max() < 1e-10
-    assert np.abs(H[..., 1, 1] - 1.0).max() < 1e-10
-    assert np.array_equal(H[..., 0, 1], H[..., 1, 0])
+    # 2D: x^3 + xy + y^2/2; 3D: x^3 + xy + z^2/2 + xyz, whose mixed
+    # derivatives differentiate stored first derivatives on a stacked lead
+    # axis.  The 3D pin sits above the 4.7e-13 read at 13^3 (0 at 9^3).
+    cases = [
+        (grid2(33), lambda x, y: x**3 + x * y + 0.5 * y**2,
+         lambda x, y: [[6 * x, 1.0], [1.0, 1.0]], 1e-10),
+        (square_grid(13, 3), lambda x, y, z: x**3 + x * y + 0.5 * z**2 + x * y * z,
+         lambda x, y, z: [[6 * x, 1 + z, y], [1 + z, 0.0, x], [y, x, 1.0]], 1e-12),
+    ]
+    for g, f, exact, pin in cases:
+        H = hessian(ScalarField(g, f(*g.meshes))).as_matrix()
+        truth = exact(*g.meshes)
+        for i in range(g.dim):
+            for j in range(g.dim):
+                assert np.abs(H[..., i, j] - truth[i][j]).max() < pin, (g.dim, i, j)
+                assert np.array_equal(H[..., i, j], H[..., j, i])
 
 
 def test_divergence_exact_on_quadratic():
@@ -185,6 +200,59 @@ def test_divergence_tensor_matches_columnwise():
 
 
 # ---------------------------------------------------------------------------
+# One stencil contract: the engine's ratio bundle and the sparse gradient
+# operator of the gauge routes differentiate exactly as the field wrappers.
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name, m", [("smooth-complex-2d", 33), ("constant-tensor-3d", 9)])
+def test_ratio_derivatives_are_the_field_stencils_bit_for_bit(name, m):
+    preset = PRESETS[name]
+    g = square_grid(m, preset.dim)
+    rb = build_ratios(synthesize(preset.coefficients(g), preset.illumination(g)))
+    members = [(rb.u1, rb.grad_u1, rb.hess_u1), *zip(rb.v, rb.grad_v, rb.hess_v)]
+    assert len(members) == len(preset.illumination(g).traces)
+    for vals, grad, hess in members:
+        f = ScalarField(g, vals)
+        assert grad_values(f.values, g.spacing).tobytes() == grad.tobytes()
+        assert unpack_sym(hess_values(f.values, g.spacing), g.dim).tobytes() == hess.tobytes()
+
+
+@pytest.mark.parametrize("g", [Grid((17, 33), ((0.0, 1.0), (-1.0, 2.0))),
+                               Grid((9, 11, 13), ((0.0, 1.0), (0.0, 2.0), (-1.0, 0.5)))],
+                         ids=["2d", "3d"])
+def test_the_sparse_gradient_operator_is_the_field_stencil(g):
+    x = g.meshes
+    phi = np.exp(1j * sum((k + 1) * xk for k, xk in enumerate(x))) * (1.0 + x[0] * x[-1] ** 2)
+    want = grad_values(phi, g.spacing)
+    got = np.moveaxis((_gradient_operator(g) @ phi.reshape(-1)).reshape((g.dim,) + g.shape), 0, -1)
+    err = np.abs(got - want).max(axis=-1) / np.abs(want).max()
+    assert err.max() < 1e-12
+    assert g.boundary_mask.any() and err[g.boundary_mask].max() < 1e-12
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: grad_values(np.ones((9, 9)), (0.1,)), r"1 spacing\(s\) for 2 grid axes"),
+    (lambda: hess_values(np.ones((9, 9, 9)), (0.1, 0.1)), r"2 spacing\(s\) for 3 grid axes"),
+    (lambda: hess_values(np.ones((3, 9)), (0.1, 0.1)), "axis 0: .* at least 4 nodes, got 3"),
+    (lambda: grad_values(np.ones((9, 2)), (0.1, 0.1)), "axis 1: .* at least 4 nodes, got 2"),
+    (lambda: _derivatives(np.ones((5, 9, 9)), (0.1,) * 3, lead=1),
+     r"3 spacing\(s\) for 2 grid axes"),
+    (lambda: _derivatives(np.ones((5, 9, 3)), (0.1, 0.1), lead=1),
+     "axis 1: .* at least 4 nodes, got 3"),
+], ids=["grad-short-spacing", "hess-short-spacing", "hess-3-nodes", "grad-2-nodes",
+        "stacked-long-spacing", "stacked-3-nodes"])
+def test_stencils_refuse_a_wrong_spacing_or_a_short_axis(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_stencils_accept_four_nodes_per_axis():
+    g, h = _derivatives(np.ones((2, 4, 4)), (0.1, 0.1), lead=1)
+    assert g.shape == (2, 4, 4, 2) and h.shape == (2, 4, 4, 2, 2)
+    assert not h.any() and not hess_values(np.ones((4, 4)), (0.1, 0.1)).any()
+
+
+# ---------------------------------------------------------------------------
 # Mollifier
 # ---------------------------------------------------------------------------
 
@@ -192,6 +260,13 @@ def test_mollify_width_zero_is_identity():
     g = grid2(17)
     f = ScalarField(g, np.sin(3 * g.meshes[0]))
     assert mollify(f, 0.0) is f
+
+
+@pytest.mark.parametrize("width", [np.nan, np.inf, -np.inf, -1.0])
+def test_mollify_refuses_a_negative_or_non_finite_width(width):
+    g = grid2(17)
+    with pytest.raises(ValueError, match="width must be finite and nonnegative"):
+        mollify(ScalarField(g, np.sin(3 * g.meshes[0])), width)
 
 
 def test_mollify_smooths_noise():

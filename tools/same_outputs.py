@@ -159,6 +159,7 @@ def collect() -> dict:
     items["cgo 3D 9^3, M^2 = M^1 planted: stages"] = _attempt(lambda: _planted_stages(g))
 
     items["stage errors"] = _stage_errors(g)
+    items["derivatives"] = _attempt(lambda: _difference_operators(g))
     items.update(_gauge_items(g))
     items["archive bytes"], items["archive values"] = _archives(g)
 
@@ -176,6 +177,30 @@ def collect() -> dict:
     except g.EllipticityViolation as exc:
         items["EllipticityViolation 9^2"] = (str(exc), exc.nodes)
     return items
+
+
+def _difference_operators(g) -> dict:
+    """The public difference operators on fixed smooth complex fields at
+    33^2 and 9^3: a stencil change shows on the nodes it moves."""
+    out = {}
+    for grid in (g.square_grid(33), g.square_grid(9, 3)):
+        x, n, sp = grid.meshes, grid.dim, grid.spacing
+        phi = np.exp(0.5j * sum((k + 1) * xk for k, xk in enumerate(x))) \
+            * (1.0 + 0.3 * x[0] * x[-1]) + x[1] ** 3
+        comps = [np.cos(x[(k + 1) % n]) * phi + 1j * x[k] ** 2 for k in range(n)]
+        v = g.VectorField(grid, np.stack(comps, axis=-1))
+        amat = np.einsum("i...,j...->...ij", comps, comps) + phi[..., None, None] * np.eye(n)
+        gphi = g.gradient(g.ScalarField(grid, phi))
+        out[grid.shape] = {
+            "grad_values": g.grad_values(phi, sp),
+            "hess_values": g.hess_values(phi, sp),
+            "divergence": g.divergence(v).values,
+            "divergence_tensor": g.divergence_tensor(
+                g.SymTensorField.from_matrix(grid, amat)).values,
+            "curl_residual": (g.curl_residual(v), g.curl_residual(gphi)),
+            "integrate_gradient": g.integrate_gradient(gphi).values,
+        }
+    return out
 
 
 def _archives(g) -> tuple[list, list]:
