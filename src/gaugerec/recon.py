@@ -12,9 +12,9 @@ representative of the coefficient triple:
    grad w + sum_j theta_j grad v_j = 0, the curvature matrices
    M = Hess w + sum_j theta_j Hess v_j, then one per-node problem on the
    vectorized stack V of (Id, M^1, ..) (``_pairing``): its independence
-   score and the normalized matrix M0 that pairs to delta_{0m} against it,
-   up to a sign per node; closed forms in 2D, one SVD and one solve of V
-   in 3D.
+   score and M0 = unvec(x) / sqrt(x^T x), x = V^-1 e_0, which pairs to
+   delta_{0m} against it, up to a sign per node; V's cofactor row in 2D,
+   one SVD and one solve of V in 3D.
 4. ``reconstruct_class``: M0 oriented, and the representative
    (a, b + div a, c) in the u_1-normalized gauge a = M0 / u_1^2.
 
@@ -189,10 +189,10 @@ class MBundle:
     ``M`` holds one curvature matrix per generator.  ``M0`` is normalized by
     the principal square root and not oriented: its sign per node is fixed
     by ``reconstruct_class``, the one stage whose output depends on it.
-    ``indep`` is the smallest singular value of the vectorized
-    (Id, M^1, ..) stack, and ``ok`` flags nodes where the pairing system was
-    solvable; M0 is the identity where it was not.  All three come from one
-    per-node problem (``_pairing``).
+    ``indep`` is the smallest singular value of the vectorized stack V of
+    (Id, M^1, ..), and ``ok`` flags nodes where V x = e_0 was solved; M0 is
+    the identity where it was not.  All three come from one per-node
+    problem on V in 2D and 3D alike (``_pairing``).
     """
 
     M: np.ndarray
@@ -322,8 +322,8 @@ def _regular(det: np.ndarray, scale: np.ndarray, n: int) -> np.ndarray:
     determinants ``det`` and largest entry moduli ``scale`` = max|A| the
     caller computed: a node is singular where |det| <= (1e-14 max|A|)^n, or
     where ``det`` or an entry of A is NaN or A holds an infinity.  The one
-    singular-node rule of the frame and the pairing; the 3D pairing passes
-    (sigma_min, sigma_max, 1), a bound on V's condition number."""
+    singular-node rule of the frame and the pairing, which passes
+    (sigma_min, max|V| in 2D or sigma_max in 3D, 1) of its stack V."""
     return np.abs(det) > (1e-14 * np.maximum(scale, _TINY)) ** n
 
 
@@ -343,7 +343,7 @@ def _gram(G: np.ndarray) -> dict:
 
 
 def _sym_frame(h: dict, frame) -> tuple[dict, dict, np.ndarray, np.ndarray, np.ndarray]:
-    """The one closed form of a frame's Gram matrix.
+    """The one closed form of a frame's Gram matrix, for frames and their ranking.
 
     For the symmetric 2 x 2 or 3 x 3 matrices H_ab = h[frame_a, frame_b]
     (``h`` as from :func:`_gram`) returns (e, cof, det, ok, cond): the
@@ -391,7 +391,7 @@ def build_M(rb: RatioBundle, fr: FrameData,
     unit gauge does not see its sign, and ``reconstruct_class`` orients it.
     M0, ``ok`` and ``indep``, the smallest singular value of the vectorized
     stack V judged by :func:`_reasons`, come from one per-node problem on V
-    (:func:`_pairing`): closed forms in 2D (3 x 3), one batched SVD and one
+    (:func:`_pairing`): a 3 x 3 closed form in 2D, one batched SVD and one
     batched solve in 3D (6 x 6).  Indices are checked as in ``build_frame``.
     """
     n = rb.grid.dim
@@ -443,45 +443,39 @@ def _pairing(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     on the K x K matrix V whose rows are the vectorized B_k
     (:func:`_vectorize_sym`): (indep, M0, ok).
 
-    ``indep`` is the smallest singular value of V (NaN where an entry is not
-    finite).  M0 solves Tr(M0 B_m) = delta_0m and is normalized by the
-    principal root of y_0 = Tr(M0 M0) before it (bilinear), not oriented.
-    ``ok`` flags the nodes where V is regular (:func:`_regular`) and
-    |y_0| > 1e-28; elsewhere M0 = Id.  In 2D (K = 3) ``indep`` is the
-    closed form of :func:`_least_singular_3x3` (``_CHUNK`` nodes a call), and
-    M0 = sum_k y_k B_k / sqrt(y_0) with y = cof(P)[0, :] / det P from the
-    closed form of the Gram matrix P = V V^T (:func:`_sym_frame`).  In 3D one
-    batched SVD gives ``indep`` and ``ok``, sigma_6 > 1e-14 sigma_1 (which
-    implies |det V| > (1e-14 max|V|)^6, a bound that two equal rows pass),
-    and one batched solve x = V^-1 e_0 gives M0 = unvec(x) / sqrt(x^T x),
-    the 2D formula in exact arithmetic without squaring V's condition.
+    ``indep`` is sigma_min(V) (NaN where an entry is not finite).
+    x = V^-1 e_0 solves Tr(M0 B_m) = delta_0m for M0 = unvec(x), normalized
+    by the principal root of x^T x (bilinear), not oriented.  ``ok`` flags
+    where sigma_min > 1e-14 times the size of V (:func:`_regular`), which an
+    exactly dependent stack fails, and |x^T x| > 1e-28; elsewhere M0 = Id.
+    In 2D (K = 3) :func:`_least_singular_3x3` gives sigma_min, the size
+    max|V| and x in closed form, ``_CHUNK`` nodes a call; in 3D one batched
+    SVD gives sigma_min and the size sigma_max, and one batched solve x.
+    Neither forms V V^T, which would square V's condition number.
     """
     K, n = stack.shape[0], stack.shape[-1]
     rows = _vectorize_sym(stack)
     shape = rows.shape[2:]
     if K == 3:
         flat = rows.reshape(3, 3, -1)
-        indep = np.empty(flat.shape[-1])
-        for lo in range(0, indep.size, _CHUNK):
-            indep[lo:lo + _CHUNK] = _least_singular_3x3(flat[..., lo:lo + _CHUNK])
-        indep = indep.reshape(shape)
-        _, cof, det, ok, _ = _sym_frame(_gram(np.moveaxis(rows, 1, -1)), range(K))
-        d = np.where(ok, det, 1.0)
-        y = np.stack([np.where(ok, cof[0, k] / d, float(k == 0)) for k in range(K)], axis=-1)
-        raw, y0 = np.einsum("...k,k...ij->...ij", y, stack), y[..., 0]
+        nodes = flat.shape[-1]
+        indep, size, x = np.empty(nodes), np.empty(nodes), np.empty((3, nodes), np.complex128)
+        for lo in range(0, nodes, _CHUNK):
+            c = slice(lo, lo + _CHUNK)
+            indep[c], size[c], x[:, c] = _least_singular_3x3(flat[..., c])
+        indep, size, x = indep.reshape(shape), size.reshape(shape), x.T.reshape(shape + (3,))
     else:
         A = np.moveaxis(rows, (0, 1), (-2, -1))
         finite = np.isfinite(A).all(axis=(-2, -1))
         sv = np.linalg.svd(np.where(finite[..., None, None], A, 0.0), compute_uv=False)
-        indep = np.where(finite, sv[..., -1], np.nan)
-        ok = _regular(sv[..., -1], sv[..., 0], 1)
-        e0 = np.zeros(shape + (K, 1), dtype=np.complex128)
-        e0[..., 0, 0] = 1.0
-        x = np.linalg.solve(np.where(ok[..., None, None], A, np.eye(K)), e0)[..., 0]
-        raw = unpack_sym(x / np.array([1.0 if i == j else np.sqrt(2.0)
-                                       for i, j in SYM_PAIRS[n]]), n)
-        y0 = np.einsum("...k,...k->...", x, x)
+        indep, size = np.where(finite, sv[..., -1], np.nan), sv[..., 0]
+    ok = _regular(indep, size, 1)
+    if K != 3:
+        x = np.linalg.solve(np.where(ok[..., None, None], A, np.eye(K)), np.eye(K)[:, :1])[..., 0]
+    x = np.where(ok[..., None], x, 0.0)
+    y0 = np.einsum("...k,...k->...", x, x)
     ok = ok & (np.abs(y0) > 1e-28)
+    raw = unpack_sym(x / np.array([1.0 if i == j else np.sqrt(2.0) for i, j in SYM_PAIRS[n]]), n)
     M0 = raw / np.sqrt(np.where(ok, y0, 1.0))[..., None, None]
     return indep, np.where(ok[..., None, None], M0, np.eye(n)), ok
 
@@ -503,22 +497,22 @@ def _unit(x) -> tuple:
     return tuple(t * inv for t in x)
 
 
-def _least_singular_3x3(A: np.ndarray) -> np.ndarray:
-    """Smallest singular value of 3 x 3 complex matrices A (row, column,
-    *shape) in closed form: sigma_3 = |det A| / ||adj A||_2, the 2D
-    independence of :func:`_pairing`.
+def _least_singular_3x3(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 2D pairing of :func:`_pairing` in closed form for 3 x 3 complex
+    matrices A (row, column, *shape): (sigma_3, max|A|, x = A^-1 e_0).
 
     The cofactor matrix C has the rows r1 x r2, r2 x r0 and r0 x r1 of the
-    rows r of A (:func:`_cross`), det A = r0 . (r1 x r2), and
+    rows r of A (:func:`_cross`), det A = r0 . (r1 x r2), x = C[0] / det A
+    (0 where det A vanishes) and sigma_3 = |det A| / ||adj A||_2, where
     ||adj A||_2^2 = sigma_1^2 sigma_2^2 is the largest eigenvalue of the
     Hermitian C C^H (:func:`_top_eigenvalue`); 0 where that vanishes.  A is
-    first scaled per node by a power of two, which is exact, so that no
-    product overflows anywhere in the double range.  The result is capped
-    by sigma_2 <= sqrt(3) ||adj A||_2 / ||A||_F, so a node of rank 1 reads
-    roundoff, not a ratio of two roundoffs.  The absolute error is about
-    eps sigma_1 (sigma_1/sigma_2), against the SVD's eps sigma_1: the two
-    differ only where sigma_2 is small too, and there sigma_3 <= sigma_2.
-    Nodes with a non-finite entry get NaN.
+    scaled per node by a power of two, so that no product overflows in the
+    double range, and sigma_3 and x are unscaled exactly by the same power.
+    sigma_3 is capped by sigma_2 <= sqrt(3) ||adj A||_2 / ||A||_F, so a
+    node of rank 1 reads roundoff, not a ratio of two roundoffs.  Its
+    absolute error is about eps sigma_1 (sigma_1/sigma_2), against the SVD's
+    eps sigma_1: the two differ only where sigma_2 is small too, and there
+    sigma_3 <= sigma_2.  Nodes with a non-finite entry get NaN.
     """
     big = np.abs(A).max(axis=(0, 1))
     finite = np.isfinite(big)
@@ -534,7 +528,10 @@ def _least_singular_3x3(A: np.ndarray) -> np.ndarray:
         smin = np.divide(np.abs(det), root, out=zero.copy(), where=root > 0)
         fro = np.sqrt(np.einsum("ij...,ij...->...", A, A.conj()).real)
         cap = np.sqrt(3.0) * np.divide(root, fro, out=zero, where=fro > 0)
-        return np.where(finite, np.ldexp(np.minimum(smin, cap), exponent), np.nan)
+        x = np.divide(cof[0], det, out=np.zeros((3,) + det.shape, dtype=np.complex128),
+                      where=np.abs(det) > _TINY)
+        return (np.where(finite, np.ldexp(np.minimum(smin, cap), exponent), np.nan), big,
+                x * np.ldexp(1.0, -exponent))
 
 
 def _top_eigenvalue(g: dict) -> np.ndarray:

@@ -7,6 +7,7 @@ import itertools
 import re
 import tracemalloc
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -1064,18 +1065,20 @@ def test_closed_form_independence_ranks_generators_like_the_svd(strip_fields, mo
 
 
 @pytest.mark.parametrize("name, m, pin", [
-    # pins 25% above the measured worst node: 6.23e-16, 5.94e-16, 4.45e-16
-    # and 5.26e-16 (LAPACK's det and solve read 5.43e-16, 6.04e-16,
-    # 5.11e-16 and 5.36e-16)
+    # pins 25% above the worst node of the Gram form V V^T: 6.23e-16,
+    # 5.94e-16, 4.45e-16 and 5.26e-16 (LAPACK's det and solve read 5.43e-16,
+    # 6.04e-16, 5.11e-16 and 5.36e-16); M0 from V's cofactor row reads
+    # 6.43e-16, 4.61e-16, 3.89e-16 and 5.21e-16
     ("smooth-complex-2d", 129, 7.8e-16),
     ("isotropic-c", 65, 7.4e-16),
     ("real-2d", 65, 5.6e-16),
     ("bzero-2d", 65, 6.6e-16),
 ])
 def test_pairing_solve_matches_an_extended_precision_reference(name, m, pin):
-    # M0 = sum_k y_k B_k / sqrt(y_0), y = cof(P)[0, :] / det P, per node
-    # against the same formula with P, its cofactors and M0 in extended
-    # precision; the flags are LAPACK's rule (det, then solve) on the same P
+    # M0 per node against M0 = sum_k y_k B_k / sqrt(y_0), y = cof(P)[0, :] /
+    # det P with P = V V^T, the same M0 in exact arithmetic, with P, its
+    # cofactors and M0 in extended precision; the flags agree with LAPACK's
+    # rule (det, then solve) on P
     stack = _preset_stack(name, m)
     M0, ok = recon._pairing(stack)[1:]
 
@@ -1106,7 +1109,8 @@ def _pairing_data(name, m):
 @pytest.mark.parametrize("name, m, pair_pin, norm_pin", [
     # pins 25% above the measured worst node: Tr(M0 M^g) 7.22e-16, 8.09e-16,
     # 2.39e-15 and 4.54e-16; Tr(M0 M0) - 1 7.75e-16, 6.64e-16, 6.32e-16 and
-    # 1.11e-15
+    # 1.11e-15.  In 2D these were the Gram form's; M0 from V's cofactor row
+    # reads 4.07e-16 and 8.88e-16
     ("constant-tensor-3d", 9, 9.0e-16, 9.7e-16),
     ("constant-tensor-3d", 17, 1.0e-15, 8.3e-16),
     ("cgo", 9, 3.0e-15, 7.9e-16),  # the 3D stack of the cgo family at 9^3
@@ -1164,7 +1168,9 @@ def test_a_dependent_stack_pairs_to_the_identity(name, m):
 def test_build_M_calls_lapack_once_for_each_3d_problem_and_never_in_2d(monkeypatch):
     # one slab of the node budget: in 3D one batched SVD gives the
     # independence and the solvable nodes, one batched solve gives M0, and
-    # no determinant is taken; the 2D closed forms make no LAPACK call
+    # no determinant is taken; the 2D closed forms make no LAPACK call.
+    # Neither forms the Gram matrix of V: the frame's closed form
+    # (_gram, _sym_frame) serves frames only
     calls = []
 
     def counted(name, fn):
@@ -1182,6 +1188,8 @@ def test_build_M_calls_lapack_once_for_each_3d_problem_and_never_in_2d(monkeypat
         fn = getattr(np.linalg, name)
         if callable(fn) and not isinstance(fn, type):
             monkeypatch.setattr(np.linalg, name, counted(name, fn))
+    for name in ("_gram", "_sym_frame"):
+        monkeypatch.setattr(recon, name, counted(name, getattr(recon, name)))
     (slab3, fr3), (slab2, fr2) = bundles
     build_M(slab3, fr3)
     assert sorted(calls) == ["solve", "svd"]
@@ -1218,15 +1226,70 @@ def test_equation_residual_reads_roundoff_on_exact_data(name, m, measured):
     assert _eq_residual(_preset_data(name, m)).max() <= 1.25 * measured
 
 
-def test_equation_residual_peaks_at_a_spiked_node():
+def _spiked_data():
+    # smooth-complex-2d at 33^2 with u_4 scaled by 1e3 at node (10, 20),
+    # where V's singular values are 5.76e5, 1.41 and 3.46e-6 (cond 1.7e11)
     u = _preset_data("smooth-complex-2d", 33)
     spiked = u[3].values.copy()
     spiked[10, 20] *= 1e3
     u[3] = ScalarField(u[3].grid, spiked)
-    r = _eq_residual(u)
-    # measured: 5.2e-9 at the spike against a median of 1.3e-16
-    assert np.unravel_index(np.argmax(r), r.shape) == (10, 20)
-    assert r.max() > 1e6 * np.median(r)
+    return u
+
+
+def test_equation_residual_peaks_at_a_spiked_node():
+    # the map that sees the spike is the pairing independence: measured
+    # 3.46e-6 at the spike against a median of 1.39.  With exactly I_n
+    # solutions every ratio's equation holds by construction, so
+    # eq_residual measures only the pairing's own error, and with M0 solved
+    # from V it reads roundoff at the spike too (7.8e-17; max 3.46e-16 at
+    # (7, 17)).
+    rb = build_ratios(_spiked_data())
+    fr = build_frame(rb)
+    diagnostics = reconstruct_class(rb, fr, build_M(rb, fr)).diagnostics
+    indep, r = diagnostics["pairing_indep"], diagnostics["eq_residual"]
+    assert np.unravel_index(np.argmin(indep), indep.shape) == (10, 20)
+    assert indep[10, 20] < 1e-5 * np.median(indep)
+    assert r[10, 20] <= 1.25 * 7.8e-17
+    assert r.max() <= 1.25 * 3.46e-16
+
+
+def _exact_M0(V):
+    # V x = e_0 by Cramer's rule, x = (r_1 x r_2) / det V, on complex
+    # numbers held as pairs of Fractions (every double is a rational), then
+    # M0 = unvec(x) / sqrt(x^T x) with one rounding of x and of x^T x
+    def mul(p, q):
+        return (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])
+
+    def add(*ps):
+        return (sum(p[0] for p in ps), sum(p[1] for p in ps))
+
+    def neg(p):
+        return (-p[0], -p[1])
+
+    r0, r1, r2 = [[(Fraction(z.real), Fraction(z.imag)) for z in row] for row in V]
+    cof = [add(mul(r1[(k + 1) % 3], r2[(k + 2) % 3]), neg(mul(r1[(k + 2) % 3], r2[(k + 1) % 3])))
+           for k in range(3)]
+    det = add(*(mul(a, c) for a, c in zip(r0, cof)))
+    d2 = det[0] * det[0] + det[1] * det[1]
+    x = [mul(c, (det[0] / d2, -det[1] / d2)) for c in cof]
+    xx = add(*(mul(t, t) for t in x))
+    xf = np.array([complex(float(a), float(b)) for a, b in x])
+    unvec = np.array([[xf[0], xf[1] / np.sqrt(2.0)], [xf[1] / np.sqrt(2.0), xf[2]]])
+    return unvec / np.sqrt(complex(float(xx[0]), float(xx[1])))
+
+
+def test_M0_at_a_spiked_node_matches_an_exact_solve():
+    # at the spike V's condition is 1.7e11; M0 against the exact solve of
+    # the same V, up to sign since build_M does not orient M0.  Measured
+    # 8.7e-19 (|M0| = 0.707)
+    rb = build_ratios(_spiked_data())
+    mb = build_M(rb, build_frame(rb))
+    node = (slice(None), 10, 20)
+    stack = np.concatenate([np.eye(2, dtype=complex)[None], mb.M[node]])
+    ref = _exact_M0(recon._vectorize_sym(stack))
+    M0 = mb.M0[node[1:]]
+    assert mb.ok[node[1:]]
+    assert min(np.abs(M0 - ref).max(), np.abs(M0 + ref).max()) <= 1.25 * 8.7e-19
 
 
 def test_a_winner_may_vanish_outside_its_patch():

@@ -157,6 +157,10 @@ def collect() -> dict:
     # the same stack with M^2 = M^1 at planted nodes and a NaN at one more,
     # so the pairing's fallback for an unsolvable node is compared too
     items["cgo 3D 9^3, M^2 = M^1 planted: stages"] = _attempt(lambda: _planted_stages(g))
+    # a 2D node where V's condition is 1.7e11, so the pairing's arithmetic
+    # shows in M0 and in the equation residual
+    items["smooth-complex-2d 33^2, u_4 × 1e3 at (10, 20): stages"] = _attempt(
+        lambda: _spiked_stages(g))
 
     items["stage errors"] = _stage_errors(g)
     items["derivatives"] = _attempt(lambda: _difference_operators(g))
@@ -252,6 +256,23 @@ def _planted_stages(g) -> dict:
     except g.ToolkitError as exc:
         error = (type(exc).__name__, str(exc), getattr(exc, "nodes", None))
     return {"M": _arrays(mb, ("M", "M0", "indep", "ok")), "class": error}
+
+
+def _spiked_stages(g) -> dict:
+    """``build_M``'s M0, indep and ok and ``reconstruct_class``'s
+    diagnostics on ``smooth-complex-2d`` at 33^2 with u_4 scaled by 1e3 at
+    node (10, 20)."""
+    grid = g.square_grid(33)
+    preset = g.PRESETS["smooth-complex-2d"]
+    data = g.synthesize(preset.coefficients(grid), preset.illumination(grid))
+    spiked = data[3].values.copy()
+    spiked[10, 20] *= 1e3
+    data[3] = g.ScalarField(grid, spiked)
+    rb = g.build_ratios(data)
+    fr = g.build_frame(rb)
+    mb = g.build_M(rb, fr)
+    return {"M": _arrays(mb, ("M0", "indep", "ok")),
+            "class": g.reconstruct_class(rb, fr, mb).diagnostics}
 
 
 def _strip(x1, x2, redundant=False) -> list:
