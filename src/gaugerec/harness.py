@@ -4,7 +4,8 @@ Everything the CLI can do lives here so it is scriptable from Python too.
 A config selects a mode (synthesize / reconstruct / roundtrip / qpat /
 elasto / stability), a preset or input files, a grid ladder, noise levels,
 and engine patching; ``run`` executes it deterministically for a given
-seed and returns a ReconstructionReport.
+seed and returns a ReconstructionReport.  Every mode that runs a preset
+synthesizes, in ``_synthesize_data`` alone, the equation the preset names.
 """
 
 from __future__ import annotations
@@ -59,6 +60,9 @@ __all__ = [
 ]
 
 MODES = ("synthesize", "reconstruct", "roundtrip", "qpat", "elasto", "stability")
+
+# mode -> the config list it runs a single entry of
+_ONE_ENTRY = {"synthesize": "grids", "stability": "grids", "qpat": "noise", "elasto": "noise"}
 
 
 def square_grid(size: int, dim: int = 2, extent=None) -> Grid:
@@ -126,7 +130,8 @@ def _isotropic_gamma(grid: Grid, amp: float = 0.3) -> tuple[np.ndarray, np.ndarr
 
 @dataclass(frozen=True)
 class Preset:
-    """Named experiment regime: coefficients plus a default illumination."""
+    """Named experiment regime: the coefficients of the equation its data solve
+    (app presets' c = -sigma or omega^2 rho included), plus a default illumination."""
 
     name: str
     dim: int
@@ -192,19 +197,21 @@ _SQ = np.array([[1.0, 0.4], [0.4, 0.7]])
 _SE = np.array([[0.8, 0.3], [0.3, -0.5]])
 
 
-def _p_app_gamma(S: np.ndarray):
-    """The stiffness preset Id + 0.2 bump S: real, no drift, c = 0."""
-    return lambda grid: _perturbed_tensor_coeffs(grid, 0.2 * S, np.zeros((2, 2)),
-                                                 np.zeros(2, dtype=np.complex128),
-                                                 lambda bump: 0.0 * bump)
-
-
-def _qpat_sigma(grid: Grid) -> ScalarField:
-    return ScalarField(grid, 1.0 + 0.5 * _bump_values(grid))
-
-
 _ELASTO_RHO = 1.0 + 0.3j
 _ELASTO_OMEGA = 1.0
+
+
+def _p_qpat(grid: Grid) -> CoefficientSet:
+    """div(gamma grad u) = sigma u, sigma = 1 + 0.5 bump: a real, drift-free gamma."""
+    return _perturbed_tensor_coeffs(grid, 0.2 * _SQ, np.zeros((2, 2)), np.zeros(2),
+                                    lambda bump: -(1.0 + 0.5 * bump).astype(np.complex128))
+
+
+def _p_elasto(grid: Grid) -> CoefficientSet:
+    """div(gamma grad u) + omega^2 rho u = 0: a real, drift-free gamma."""
+    c = _ELASTO_OMEGA ** 2 * _ELASTO_RHO
+    return _perturbed_tensor_coeffs(grid, 0.2 * _SE, np.zeros((2, 2)), np.zeros(2),
+                                    lambda bump: np.full(bump.shape, c))
 
 
 def _ill_harmonic(grid: Grid) -> IlluminationSet:
@@ -248,10 +255,8 @@ PRESETS: dict[str, Preset] = {
         extras={"a0": _A0_3D}),
     "isotropic-c": Preset("isotropic-c", 2, "pde", _p_isotropic_c,
                           _ill_cgo_isotropic),
-    "qpat-demo": Preset("qpat-demo", 2, "qpat", _p_app_gamma(_SQ), _ill_qpat,
-                        extras={"sigma": _qpat_sigma}),
-    "elasto-demo": Preset("elasto-demo", 2, "elasto", _p_app_gamma(_SE),
-                          _ill_elasto,
+    "qpat-demo": Preset("qpat-demo", 2, "qpat", _p_qpat, _ill_qpat),
+    "elasto-demo": Preset("elasto-demo", 2, "elasto", _p_elasto, _ill_elasto,
                           extras={"rho": _ELASTO_RHO, "omega": _ELASTO_OMEGA}),
 }
 
@@ -303,6 +308,8 @@ class ExperimentConfig:
                 raise ConfigError(key, "must not be empty")
             for i, x in enumerate(items):
                 check(f"{key}[{i}]", x, (kind,), what)
+            if len(items) > 1 and _ONE_ENTRY.get(self.mode) == key:
+                raise ConfigError(key, f"{self.mode} mode runs a single entry, got {len(items)}")
         check("mollify_width", self.mollify_width, (Real,), "a number")
         check("seed", self.seed, (Integral,), "an integer")
         check("engine", self.engine, (EngineConfig,), "an EngineConfig")
@@ -381,10 +388,11 @@ class ReconstructionReport:
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
+            json.dump(self.to_dict(), fh, indent=2, allow_nan=False)
 
 
 def _jsonify(obj):
+    """Plain JSON values; a non-finite float becomes None (null)."""
     if isinstance(obj, dict):
         return {str(k): _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -394,10 +402,10 @@ def _jsonify(obj):
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, (np.complexfloating, complex)):
         z = complex(obj)
-        return [z.real, z.imag]
+        return [_jsonify(z.real), _jsonify(z.imag)]
     if isinstance(obj, np.ndarray):
         return _jsonify(obj.tolist())
     return obj
@@ -505,9 +513,12 @@ def _build_illumination(cfg: ExperimentConfig, preset: Preset, grid: Grid) -> Il
 
 
 def _synthesize_data(cfg: ExperimentConfig, preset: Preset, grid: Grid
-                     ) -> tuple[CoefficientSet, list[ScalarField]]:
+                     ) -> tuple[CoefficientSet, IlluminationSet, list[ScalarField]]:
+    """The preset's model, the run's illumination and the solutions on
+    ``grid``: where every mode that runs a preset gets its data."""
     coeffs = preset.coefficients(grid)
-    return coeffs, synthesize(coeffs, _build_illumination(cfg, preset, grid))
+    ill = _build_illumination(cfg, preset, grid)
+    return coeffs, ill, synthesize(coeffs, ill)
 
 
 def _degrade(data: list[ScalarField], delta: float, cfg: ExperimentConfig
@@ -550,7 +561,7 @@ def _run_roundtrip(cfg: ExperimentConfig, out_dir: Path | None) -> Reconstructio
     for size in cfg.grids:
         grid = square_grid(size, preset.dim)
         t0 = time.perf_counter()
-        coeffs, data = _synthesize_data(cfg, preset, grid)
+        coeffs, _, data = _synthesize_data(cfg, preset, grid)
         t_syn = time.perf_counter() - t0
         truth = unit_truth(coeffs)
         for delta in cfg.noise:
@@ -580,7 +591,7 @@ def _run_synthesize(cfg: ExperimentConfig, out_dir: Path | None) -> Reconstructi
     preset = PRESETS[cfg.preset]
     grid = square_grid(cfg.grids[0], preset.dim)
     t0 = time.perf_counter()
-    _, data = _synthesize_data(cfg, preset, grid)
+    _, _, data = _synthesize_data(cfg, preset, grid)
     entries = [_entry(grid, fields=len(data))]
     outputs = []
     if out_dir is not None:
@@ -617,16 +628,13 @@ def _run_reconstruct(cfg: ExperimentConfig, out_dir: Path | None) -> Reconstruct
 
 
 def _qpat_data(cfg: ExperimentConfig, preset: Preset, grid: Grid) -> tuple[QpatData, dict]:
-    gamma_set = preset.coefficients(grid)
-    sigma = preset.extras["sigma"](grid)
-    model = CoefficientSet(gamma_set.a, gamma_set.b,
-                           ScalarField(grid, -sigma.values), gamma_set.diva)
-    ill = _build_illumination(cfg, preset, grid)
-    u = synthesize(model, ill)
+    """H_j = sigma u_j of the preset's solutions, its c = -sigma, and the truth."""
+    model, ill, u = _synthesize_data(cfg, preset, grid)
+    sigma = ScalarField(grid, -model.c.values.real)
     H = [ScalarField(grid, sigma.values * uj.values) for uj in u]
-    data = QpatData(H=H, f1=ill.traces[0], gamma_boundary=gamma_set.a,
+    data = QpatData(H=H, f1=ill.traces[0], gamma_boundary=model.a,
                     sigma_boundary=sigma)
-    return data, {"gamma": gamma_set.a, "sigma": sigma}
+    return data, {"gamma": model.a, "sigma": sigma}
 
 
 def _qpat_errors(sigma: ScalarField, truth: dict) -> dict:
@@ -637,15 +645,10 @@ def _qpat_errors(sigma: ScalarField, truth: dict) -> dict:
 
 def _elasto_data(cfg: ExperimentConfig, preset: Preset, grid: Grid
                  ) -> tuple[ElastoData, dict]:
-    gamma_set = preset.coefficients(grid)
-    rho = preset.extras["rho"]
-    omega = preset.extras["omega"]
-    c = ScalarField(grid, np.full(grid.shape, omega ** 2 * rho, dtype=np.complex128))
-    model = CoefficientSet(gamma_set.a, gamma_set.b, c, gamma_set.diva)
-    ill = _build_illumination(cfg, preset, grid)
-    u = synthesize(model, ill)
-    data = ElastoData(H=u, omega=omega, gamma_boundary=gamma_set.a)
-    return data, {"gamma": gamma_set.a, "rho": rho, "omega": omega}
+    """The preset's solutions as the displacements, and the truth."""
+    model, _, u = _synthesize_data(cfg, preset, grid)
+    data = ElastoData(H=u, omega=preset.extras["omega"], gamma_boundary=model.a)
+    return data, {"gamma": model.a, **preset.extras}
 
 
 def _elasto_errors(rho: ScalarField, truth: dict) -> dict:
@@ -657,7 +660,7 @@ def _elasto_errors(rho: ScalarField, truth: dict) -> dict:
 
 def _run_app(cfg: ExperimentConfig, out_dir: Path | None) -> ReconstructionReport:
     """qpat and elasto modes: the front end on every grid of the ladder,
-    with the first noise level (and smoothing) applied to its data."""
+    with the run's noise level (and smoothing) applied to its data."""
     preset = PRESETS[cfg.preset]
     if preset.kind != cfg.mode:
         raise ConfigError("preset", f"{cfg.mode} mode needs a {cfg.mode} preset")
@@ -697,31 +700,24 @@ def _run_stability(cfg: ExperimentConfig, out_dir: Path | None) -> Reconstructio
     instead of resampling noise at every level.
     """
     preset = PRESETS[cfg.preset]
-    deltas = [d for d in cfg.noise if d > 0]
+    deltas = sorted(d for d in cfg.noise if d > 0)
     if not deltas:
         raise ConfigError("noise", "stability mode needs positive noise levels")
-    grid = square_grid(cfg.grids[-1], preset.dim)
+    grid = square_grid(cfg.grids[0], preset.dim)
     t_total = time.perf_counter()
-    _, data = _synthesize_data(cfg, preset, grid)
+    _, _, data = _synthesize_data(cfg, preset, grid)
     rep0, _ = reconstruct_global(_degrade(data, 0.0, cfg), cfg.engine)
-    a0_, bp0, c0 = rep0.triple_arrays()
-    scale0 = max(float(np.abs(a0_).max()), float(np.abs(bp0).max()),
-                 float(np.abs(c0).max()))
+    reference = (*rep0.triple_arrays(), None)
 
-    entries = []
-    for delta in sorted(deltas):
+    entries, errors = [], []
+    for delta in deltas:
         rep, _ = reconstruct_global(_degrade(data, delta, cfg), cfg.engine)
-        a_, bp, c = rep.triple_arrays()
-        err = max(float(np.abs(a_ - a0_).max()), float(np.abs(bp - bp0).max()),
-                  float(np.abs(c - c0).max())) / scale0
+        errors.append(triple_errors(rep, reference)["triple"])
         entries.append(_entry(grid, delta=delta,
-                              errors={"vs_reference": err, "gauge": rep.gauge}))
-    logs = np.log([e["delta"] for e in entries])
-    errs = np.log([e["errors"]["vs_reference"] for e in entries])
-    slope = float(np.polyfit(logs, errs, 1)[0]) if len(entries) > 1 else float("nan")
-    stability = {"slope": slope,
-                 "deltas": [e["delta"] for e in entries],
-                 "errors": [e["errors"]["vs_reference"] for e in entries],
+                              errors={"vs_reference": errors[-1], "gauge": rep.gauge}))
+    slope = float(np.polyfit(np.log(deltas), np.log(errors), 1)[0]) \
+        if len(deltas) > 1 else float("nan")
+    stability = {"slope": slope, "deltas": deltas, "errors": errors,
                  "reference": "delta=0 reconstruction, shared realization"}
     return _report(cfg, "unit-frobenius", entries, t_total, stability=stability)
 

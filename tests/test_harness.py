@@ -243,6 +243,47 @@ def test_app_pipelines_are_looked_up_when_the_mode_runs(monkeypatch, mode):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("mode, preset, grids, noise", [
+    ("synthesize", "smooth-complex-2d", [17], [0.0]),
+    ("roundtrip", "smooth-complex-2d", [17, 33], [0.0, 1e-4]),
+    ("stability", "identity-2d", [17], [1e-4, 1e-3]),
+    ("qpat", "qpat-demo", [17], [0.0]),
+    ("elasto", "elasto-demo", [17], [0.0]),
+])
+def test_every_mode_synthesizes_its_preset_once_per_grid(monkeypatch, mode, preset,
+                                                         grids, noise):
+    # the benchmark's roundoff self-check rebinds forward.synthesize in every
+    # module that holds it, so each mode must call the harness global, and
+    # with the preset's own model
+    models = []
+    real = harness.synthesize
+
+    def counted(coeffs, *args, **kwargs):
+        models.append(coeffs)
+        return real(coeffs, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "synthesize", counted)
+    run(ExperimentConfig(mode=mode, preset=preset, grids=grids, noise=noise))
+    assert [m.grid.shape[0] for m in models] == grids
+    for m in models:
+        expected = PRESETS[preset].coefficients(m.grid)
+        assert np.array_equal(m.c.values, expected.c.values)
+        assert np.array_equal(m.a.values, expected.a.values)
+
+
+@pytest.mark.parametrize("preset, bounds", [
+    ("qpat-demo", (1.17e-2, 3.22e-3)),    # 9.38e-3, 2.58e-3: order 1.86
+    ("elasto-demo", (4.56e-3, 1.18e-3)),  # 3.65e-3, 9.42e-4: order 1.95
+])
+def test_app_presets_roundtrip_converges(preset, bounds):
+    # the presets' coefficients lacked the zeroth-order term their data
+    # solve, so the triple error stayed near 1, all of it in c
+    report = run(ExperimentConfig(mode="roundtrip", preset=preset, grids=[33, 65]))
+    errors = [e["errors"]["triple"] for e in report.entries]
+    assert errors[0] <= bounds[0] and errors[1] <= bounds[1]
+    assert report.orders["delta=0"]["triple"][0] >= 1.8
+
+
 @pytest.mark.parametrize("mode", ["qpat", "elasto"])
 def test_app_modes_smooth_their_data(mode):
     # elasto mode used to ignore noise and mollify_width
@@ -278,6 +319,22 @@ def test_report_serialization(tmp_path):
     # round-trips through JSON at full double precision
     assert doc["entries"][0]["errors"]["triple"] == \
         report.entries[0]["errors"]["triple"]
+
+
+def test_report_json_is_strict(tmp_path):
+    # a single noise level leaves the stability slope undefined, and a zero
+    # error an observed order: both were written as the non-JSON NaN
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    run(ExperimentConfig(mode="stability", preset="identity-2d", grids=[17],
+                         noise=[1e-4]), out_dir=tmp_path)
+    doc = json.loads((tmp_path / "report.json").read_text(), parse_constant=refuse)
+    assert doc["stability"]["slope"] is None
+    zero = [{"errors": {"triple": 0.0}, "h": h} for h in (0.1, 0.05)]
+    assert harness._jsonify({"orders": observed_orders(zero),
+                             "z": complex(1.0, float("inf"))}) == \
+        {"orders": [None], "z": [1.0, None]}
 
 
 def test_manifest_hashes_inputs(tmp_path):
@@ -394,6 +451,21 @@ def test_cli_refuses_empty_grids_and_noise_lists(tmp_path, capsys, mode, doc, fi
     path = write_config(tmp_path, "bad.json", doc)
     assert cli_main([mode, "--config", path]) == 1
     assert capsys.readouterr().err == f"error: {field}: must not be empty\n"
+
+
+@pytest.mark.parametrize("mode, doc, field", [
+    ("synthesize", {"preset": "identity-2d", "grids": [17, 33]}, "grids"),
+    ("stability", {"preset": "identity-2d", "grids": [17, 33], "noise": [1e-4]}, "grids"),
+    ("qpat", {"preset": "qpat-demo", "grids": [17], "noise": [0.0, 1e-4]}, "noise"),
+    ("elasto", {"preset": "elasto-demo", "grids": [17], "noise": [0.0, 1e-4]}, "noise"),
+], ids=["synthesize-grids", "stability-grids", "qpat-noise", "elasto-noise"])
+def test_cli_refuses_lists_a_mode_would_truncate(tmp_path, capsys, mode, doc, field):
+    # synthesize ran grids[0] only, stability grids[-1] and the app modes
+    # noise[0]: exit 1 naming the field
+    path = write_config(tmp_path, "bad.json", doc)
+    assert cli_main([mode, "--config", path]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {field}: {mode} mode runs a single entry, got 2\n"
 
 
 def archive_without_extent(tmp_path):

@@ -68,6 +68,9 @@ RUNS = {
     "roundtrip cgo override 33": dict(
         mode="roundtrip", preset="smooth-complex-2d", grids=[33],
         illumination={"family": "cgo", "params": {"k": 4.0, "eps": 0.5}}),
+    # the application presets' own models, zeroth-order term included
+    "roundtrip qpat-demo 33": dict(mode="roundtrip", preset="qpat-demo", grids=[33]),
+    "roundtrip elasto-demo 33": dict(mode="roundtrip", preset="elasto-demo", grids=[33]),
 }
 
 
@@ -166,6 +169,7 @@ def collect() -> dict:
     items["derivatives"] = _attempt(lambda: _difference_operators(g))
     items.update(_gauge_items(g))
     items["archive bytes"], items["archive values"] = _archives(g)
+    items.update(_archive_modes(g))
 
     grid = g.square_grid(9)
     x1 = grid.meshes[0]
@@ -223,6 +227,44 @@ def _archives(g) -> tuple[list, list]:
             back = g.load_field(path)
             values.append((back.kind, back.grid.shape, back.grid.extent, back.values))
     return files, values
+
+
+def _archive_modes(g) -> dict:
+    """synthesize mode into a temporary directory, then reconstruct mode on
+    the archives it wrote: each report, without timings, config echo and
+    directories, and the kind, grid and values of every archive it wrote."""
+    items = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = [os.path.join(tmp, "syn", f"solution_{j}.json") for j in range(5)]
+        runs = {
+            "synthesize smooth-complex-2d 33": ("syn", g.ExperimentConfig(
+                mode="synthesize", preset="smooth-complex-2d", grids=[33])),
+            "reconstruct 17/8 on its archives": ("rec", g.ExperimentConfig(
+                mode="reconstruct", inputs=inputs,
+                engine=g.EngineConfig(patch_size=17, overlap=8))),
+        }
+        for name, (sub, cfg) in runs.items():
+            out = os.path.join(tmp, sub)
+            report = _attempt(lambda: g.run(cfg, out).to_dict())
+            if isinstance(report, dict):
+                del report["config"]
+                for entry in report["entries"]:
+                    if "outputs" in entry:
+                        entry["outputs"] = [os.path.basename(p) for p in entry["outputs"]]
+            items[f"run {name}"] = _without_timings(report)
+            items[f"run {name}: archive values"] = _attempt(lambda: _archive_values(g, out))
+    return items
+
+
+def _archive_values(g, directory) -> list:
+    """(file name, kind, grid shape, extent, values) of each field archive in
+    ``directory``, in name order."""
+    out = []
+    for name in sorted(os.listdir(directory)):
+        if name != "report.json":
+            f = g.load_field(os.path.join(directory, name))
+            out.append((name, f.kind, f.grid.shape, f.grid.extent, f.values))
+    return out
 
 
 def _stages(g, data) -> dict:
