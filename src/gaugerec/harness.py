@@ -6,6 +6,11 @@ elasto / stability), a preset or input files, a grid ladder, noise levels,
 and engine patching; ``run`` executes it deterministically for a given
 seed and returns a ReconstructionReport.  Every mode that runs a preset
 synthesizes, in ``_synthesize_data`` alone, the equation the preset names.
+The roundtrip, qpat, elasto and stability modes are one experiment,
+``_run_ladder``: synthesize on each grid, degrade at each noise level,
+reconstruct and score against the truth.  The ``_MODES`` table gives each
+mode its runner, the config fields it does not read (refused unless at
+their defaults) and the list it runs a single entry of.
 """
 
 from __future__ import annotations
@@ -58,11 +63,6 @@ __all__ = [
     "square_grid",
     "write_manifest",
 ]
-
-MODES = ("synthesize", "reconstruct", "roundtrip", "qpat", "elasto", "stability")
-
-# mode -> the config list it runs a single entry of
-_ONE_ENTRY = {"synthesize": "grids", "stability": "grids", "qpat": "noise", "elasto": "noise"}
 
 
 def square_grid(size: int, dim: int = 2, extent=None) -> Grid:
@@ -282,7 +282,7 @@ class ExperimentConfig:
         if not isinstance(raw, dict):
             raise ConfigError("<root>", "config must be a JSON object")
         mode = raw.get("mode")
-        if mode not in MODES:
+        if mode not in _MODES:
             raise ConfigError("mode", f"must be one of {MODES}, got {mode!r}")
         for k in raw:
             if k not in cls.__dataclass_fields__:
@@ -296,8 +296,9 @@ class ExperimentConfig:
         return cls(**dict(raw, engine=EngineConfig(**eng_raw))).validate()
 
     def validate(self) -> "ExperimentConfig":
-        if self.mode not in MODES:
+        if self.mode not in _MODES:
             raise ConfigError("mode", f"must be one of {MODES}")
+        _, unread, one_entry = _MODES[self.mode]
         check = ConfigError.check
         check("preset", self.preset, (str, type(None)), "a preset name")
         for key, items, kind, what in (("grids", self.grids, Integral, "an integer"),
@@ -308,7 +309,7 @@ class ExperimentConfig:
                 raise ConfigError(key, "must not be empty")
             for i, x in enumerate(items):
                 check(f"{key}[{i}]", x, (kind,), what)
-            if len(items) > 1 and _ONE_ENTRY.get(self.mode) == key:
+            if len(items) > 1 and key == one_entry:
                 raise ConfigError(key, f"{self.mode} mode runs a single entry, got {len(items)}")
         check("mollify_width", self.mollify_width, (Real,), "a number")
         check("seed", self.seed, (Integral,), "an integer")
@@ -323,14 +324,21 @@ class ExperimentConfig:
             if not (eps > 0 and math.isfinite(eps * eps)):  # the cgo family damps by eps^2
                 raise ConfigError("illumination.params.eps",
                                   "must be positive, with a finite square")
+        default = ExperimentConfig(self.mode)
+        for key in unread:  # a field at its default value passes
+            value = getattr(self, key)
+            if (list(value) if isinstance(value, tuple) else value) != getattr(default, key):
+                raise ConfigError(key, f"{self.mode} mode does not read it")
         if self.mode == "reconstruct":
             if not self.inputs:
                 raise ConfigError("inputs", "reconstruct mode needs field archives")
-        elif self.preset is not None and self.preset not in PRESETS:
-            raise ConfigError("preset", f"unknown preset {self.preset!r} "
-                                        f"(known: {sorted(PRESETS)})")
         elif self.preset is None:
             raise ConfigError("preset", f"{self.mode} mode needs a preset")
+        elif self.preset not in PRESETS:
+            raise ConfigError("preset", f"unknown preset {self.preset!r} "
+                                        f"(known: {sorted(PRESETS)})")
+        elif self.mode in ("qpat", "elasto") and PRESETS[self.preset].kind != self.mode:
+            raise ConfigError("preset", f"{self.mode} mode needs a {self.mode} preset")
         if "a0" in params and self.preset in PRESETS:
             d = PRESETS[self.preset].dim
             try:
@@ -349,9 +357,15 @@ class ExperimentConfig:
                 if b != 2 * a - 1:
                     raise ConfigError("grids", "convergence ladders must be "
                                                "dyadically nested (m -> 2m-1)")
+        names = [f"{d:g}" for d in self.noise]  # the key of a level's orders and files
         for i, d in enumerate(self.noise):
             if d < 0:
                 raise ConfigError(f"noise[{i}]", "noise levels must be nonnegative")
+            if names[i] in names[:i]:
+                raise ConfigError(f"noise[{i}]", f"repeats noise[{names.index(names[i])}]: "
+                                                 f"both levels read {names[i]}")
+        if self.mode == "stability" and not any(d > 0 for d in self.noise):
+            raise ConfigError("noise", "stability mode needs positive noise levels")
         if self.mollify_width < 0:
             raise ConfigError("mollify_width", "must be nonnegative")
         if self.seed < 0:
@@ -554,39 +568,6 @@ def _report(cfg: ExperimentConfig, gauge: str, entries: list[dict], t_start: flo
                                 orders or {}, stability, timings, _echo(cfg))
 
 
-def _run_roundtrip(cfg: ExperimentConfig, out_dir: Path | None) -> ReconstructionReport:
-    preset = PRESETS[cfg.preset]
-    entries = []
-    t_total = time.perf_counter()
-    for size in cfg.grids:
-        grid = square_grid(size, preset.dim)
-        t0 = time.perf_counter()
-        coeffs, _, data = _synthesize_data(cfg, preset, grid)
-        t_syn = time.perf_counter() - t0
-        truth = unit_truth(coeffs)
-        for delta in cfg.noise:
-            degraded = _degrade(data, delta, cfg)
-            t1 = time.perf_counter()
-            rep, patch_map = reconstruct_global(degraded, cfg.engine)
-            t_rec = time.perf_counter() - t1
-            entries.append(_entry(
-                grid, delta=delta, errors=triple_errors(rep, truth),
-                admissible_patches=int(sum(patch_map.admissible)),
-                total_patches=len(patch_map.admissible),
-                timings={"synthesize": t_syn, "reconstruct": t_rec}))
-            if out_dir is not None and size == cfg.grids[-1]:
-                save_representative(rep, out_dir, f"rep_{{}}_{size}_d{delta:g}.json")
-    orders = {}
-    for delta in cfg.noise:
-        ladder = [e for e in entries if e["delta"] == delta]
-        if len(ladder) > 1:
-            orders[f"delta={delta:g}"] = {
-                key: observed_orders(ladder, key)
-                for key in ("a", "b_plus_diva", "c", "triple", "b")
-            }
-    return _report(cfg, "unit-frobenius", entries, t_total, orders=orders)
-
-
 def _run_synthesize(cfg: ExperimentConfig, out_dir: Path | None) -> ReconstructionReport:
     preset = PRESETS[cfg.preset]
     grid = square_grid(cfg.grids[0], preset.dim)
@@ -637,12 +618,6 @@ def _qpat_data(cfg: ExperimentConfig, preset: Preset, grid: Grid) -> tuple[QpatD
     return data, {"gamma": model.a, "sigma": sigma}
 
 
-def _qpat_errors(sigma: ScalarField, truth: dict) -> dict:
-    s_true = truth["sigma"].values
-    return {"sigma": float(np.abs(sigma.values - s_true).max())
-            / float(np.abs(s_true).max())}
-
-
 def _elasto_data(cfg: ExperimentConfig, preset: Preset, grid: Grid
                  ) -> tuple[ElastoData, dict]:
     """The preset's solutions as the displacements, and the truth."""
@@ -651,89 +626,109 @@ def _elasto_data(cfg: ExperimentConfig, preset: Preset, grid: Grid
     return data, {"gamma": model.a, **preset.extras}
 
 
-def _elasto_errors(rho: ScalarField, truth: dict) -> dict:
-    rho_true = complex(truth["rho"])
-    return {"rho": float(np.abs(rho.values - rho_true).max()) / abs(rho_true),
-            "rho_imag": float(np.abs(rho.values.imag - rho_true.imag).max())
-            / max(abs(rho_true.imag), 1e-300)}
+def _sup_error(x: np.ndarray, truth) -> float:
+    """max|x - truth| / max|truth|; the truth is a field, an array or a number."""
+    t = np.asarray(getattr(truth, "values", truth))
+    return float(np.abs(x - t).max()) / max(float(np.abs(t).max()), 1e-300)
 
 
-def _run_app(cfg: ExperimentConfig, out_dir: Path | None) -> ReconstructionReport:
-    """qpat and elasto modes: the front end on every grid of the ladder,
-    with the run's noise level (and smoothing) applied to its data."""
-    preset = PRESETS[cfg.preset]
-    if preset.kind != cfg.mode:
-        raise ConfigError("preset", f"{cfg.mode} mode needs a {cfg.mode} preset")
-    # mode -> (data builder, pipeline, name of its second output, its error figures);
-    # built per call, so a rebound module global (bench/spans.py) is the one run
-    build, pipeline, second, second_errors = {
-        "qpat": (_qpat_data, qpat_reconstruct, "sigma", _qpat_errors),
-        "elasto": (_elasto_data, elasto_reconstruct, "rho", _elasto_errors),
-    }[cfg.mode]
+def _run_ladder(cfg: ExperimentConfig, out_dir: Path | None) -> ReconstructionReport:
+    """The one experiment of the roundtrip, qpat, elasto and stability modes.
+
+    On each grid the preset's solutions are synthesized once and taken as
+    the mode's measurements: the solutions, H = sigma u (``_qpat_data``) or
+    the displacements (``_elasto_data``).  At each noise level they are
+    degraded, reconstructed by the mode's pipeline and scored against the
+    truth: the model's unit triple, the pair (gamma, sigma) or (gamma, rho),
+    or for stability the delta = 0 reconstruction.  The last grid's outputs
+    are written to ``out_dir``; orders are taken per noise level.
+
+    Stability runs its positive levels in increasing order on one seeded
+    realization scaled linearly, so the sweep isolates the response to one
+    perturbation direction, and fits the slope of log error on log delta.
+    """
+    mode, preset = cfg.mode, PRESETS[cfg.preset]
+    app = mode in ("qpat", "elasto")
+    levels = sorted(d for d in cfg.noise if d > 0) if mode == "stability" else cfg.noise
+
+    def reconstruct(data, delta) -> tuple:
+        """The mode's outputs from ``data`` degraded at ``delta``, and the
+        figures its entry records.  The pipelines are module globals looked
+        up per call, which bench/spans.py rebinds to time them."""
+        if not app:
+            rep, patch_map = reconstruct_global(_degrade(data, delta, cfg), cfg.engine)
+            return rep, {"admissible_patches": int(sum(patch_map.admissible)),
+                         "total_patches": len(patch_map.admissible)}
+        pipeline = qpat_reconstruct if mode == "qpat" else elasto_reconstruct
+        gamma, other, report = pipeline(replace(data, H=_degrade(data.H, delta, cfg)),
+                                        cfg.engine)
+        return {"gamma": gamma, "sigma" if mode == "qpat" else "rho": other}, \
+            {"pipeline": report}
+
     entries = []
     t_total = time.perf_counter()
     for size in cfg.grids:
         grid = square_grid(size, preset.dim)
-        data, truth = build(cfg, preset, grid)
-        data = replace(data, H=_degrade(data.H, cfg.noise[0], cfg))
         t0 = time.perf_counter()
-        gamma, other, pipeline_report = pipeline(data, cfg.engine)
-        dt = time.perf_counter() - t0
-        g_true = truth["gamma"].values
-        errors = {"gamma": float(np.abs(gamma.values - g_true).max())
-                  / float(np.abs(g_true).max()),
-                  **second_errors(other, truth), "gauge": "anchored"}
-        entries.append(_entry(grid, errors=errors, pipeline=pipeline_report,
-                              timings={"reconstruct": dt}))
-        if out_dir is not None and size == cfg.grids[-1]:
-            save_field(gamma, out_dir / f"{cfg.mode}_gamma_{size}.json")
-            save_field(other, out_dir / f"{cfg.mode}_{second}_{size}.json")
-    return _report(cfg, "anchored", entries, t_total)
-
-
-def _run_stability(cfg: ExperimentConfig, out_dir: Path | None) -> ReconstructionReport:
-    """Perturbation response: reconstruct from data + delta * noise and
-    compare against the delta = 0 reconstruction.
-
-    The same seeded realization is reused across deltas (scaled linearly)
-    so the sweep isolates the response to one perturbation direction
-    instead of resampling noise at every level.
-    """
-    preset = PRESETS[cfg.preset]
-    deltas = sorted(d for d in cfg.noise if d > 0)
-    if not deltas:
-        raise ConfigError("noise", "stability mode needs positive noise levels")
-    grid = square_grid(cfg.grids[0], preset.dim)
-    t_total = time.perf_counter()
-    _, _, data = _synthesize_data(cfg, preset, grid)
-    rep0, _ = reconstruct_global(_degrade(data, 0.0, cfg), cfg.engine)
-    reference = (*rep0.triple_arrays(), None)
-
-    entries, errors = [], []
-    for delta in deltas:
-        rep, _ = reconstruct_global(_degrade(data, delta, cfg), cfg.engine)
-        errors.append(triple_errors(rep, reference)["triple"])
-        entries.append(_entry(grid, delta=delta,
-                              errors={"vs_reference": errors[-1], "gauge": rep.gauge}))
-    slope = float(np.polyfit(np.log(deltas), np.log(errors), 1)[0]) \
-        if len(deltas) > 1 else float("nan")
-    stability = {"slope": slope, "deltas": deltas, "errors": errors,
-                 "reference": "delta=0 reconstruction, shared realization"}
-    return _report(cfg, "unit-frobenius", entries, t_total, stability=stability)
+        if app:
+            data, truth = (_qpat_data if mode == "qpat" else _elasto_data)(cfg, preset, grid)
+        else:
+            model, _, data = _synthesize_data(cfg, preset, grid)
+            truth = unit_truth(model) if mode == "roundtrip" \
+                else (*reconstruct(data, 0.0)[0].triple_arrays(), None)
+        t_syn = time.perf_counter() - t0
+        for delta in levels:
+            t1 = time.perf_counter()
+            out, figures = reconstruct(data, delta)
+            t_rec = time.perf_counter() - t1
+            if app:
+                errors = {k: _sup_error(f.values, truth[k]) for k, f in out.items()}
+                if mode == "elasto":
+                    errors["rho_imag"] = _sup_error(out["rho"].values.imag, truth["rho"].imag)
+                errors["gauge"] = "anchored"
+            else:
+                errors = triple_errors(out, truth)
+                if mode == "stability":
+                    errors = {"vs_reference": errors["triple"], "gauge": out.gauge}
+            entries.append(_entry(grid, delta=delta, errors=errors, **figures,
+                                  timings={"synthesize": t_syn, "reconstruct": t_rec}))
+            if out_dir is not None and size == cfg.grids[-1]:
+                if app:
+                    for k, f in out.items():
+                        save_field(f, out_dir / f"{mode}_{k}_{size}.json")
+                elif mode == "roundtrip":
+                    save_representative(out, out_dir, f"rep_{{}}_{size}_d{delta:g}.json")
+    keys = [k for k in entries[0]["errors"] if k != "gauge"]
+    orders = {f"delta={d:g}": {k: observed_orders(entries[i::len(levels)], k) for k in keys}
+              for i, d in enumerate(levels)} if len(cfg.grids) > 1 else {}
+    stability = None
+    if mode == "stability":
+        response = [e["errors"]["vs_reference"] for e in entries]
+        slope = float(np.polyfit(np.log(levels), np.log(response), 1)[0]) \
+            if len(levels) > 1 else float("nan")
+        stability = {"slope": slope, "deltas": levels, "errors": response,
+                     "reference": "delta=0 reconstruction, shared realization"}
+    return _report(cfg, "anchored" if app else "unit-frobenius", entries, t_total,
+                   orders=orders, stability=stability)
 
 
 def _echo(cfg: ExperimentConfig) -> dict:
     return _jsonify(asdict(cfg))
 
 
-_RUNNERS = {
-    "synthesize": _run_synthesize,
-    "reconstruct": _run_reconstruct,
-    "roundtrip": _run_roundtrip,
-    "qpat": _run_app,
-    "elasto": _run_app,
-    "stability": _run_stability,
+# mode -> (runner, the config fields it does not read, the list it runs one
+# entry of); ``ExperimentConfig.validate`` refuses an unread field that is not
+# at its default value, and a longer list than the mode runs
+_MODES = {
+    "synthesize": (_run_synthesize, ("noise", "mollify_width", "engine", "inputs"), "grids"),
+    "reconstruct": (_run_reconstruct,
+                    ("preset", "grids", "noise", "mollify_width", "illumination"), None),
+    "roundtrip": (_run_ladder, ("inputs",), None),
+    "qpat": (_run_ladder, ("inputs",), "noise"),
+    "elasto": (_run_ladder, ("inputs",), "noise"),
+    "stability": (_run_ladder, ("inputs",), "grids"),
 }
+MODES = tuple(_MODES)
 
 
 def run(config: ExperimentConfig, out_dir=None) -> ReconstructionReport:
@@ -743,7 +738,7 @@ def run(config: ExperimentConfig, out_dir=None) -> ReconstructionReport:
     if out_dir is not None:
         out_path = Path(out_dir)
         out_path.mkdir(parents=True, exist_ok=True)
-    report = _RUNNERS[config.mode](config, out_path)
+    report = _MODES[config.mode][0](config, out_path)
     if out_path is not None:
         report.save(out_path / "report.json")
     return report

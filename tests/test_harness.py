@@ -468,6 +468,83 @@ def test_cli_refuses_lists_a_mode_would_truncate(tmp_path, capsys, mode, doc, fi
         f"error: {field}: {mode} mode runs a single entry, got 2\n"
 
 
+@pytest.mark.parametrize("mode, doc, field", [
+    ("synthesize", {"preset": "identity-2d", "grids": [17], "noise": [1e-2]}, "noise"),
+    ("synthesize", {"preset": "identity-2d", "grids": [17], "mollify_width": 2.0},
+     "mollify_width"),
+    ("synthesize", {"preset": "identity-2d", "grids": [17],
+                    "engine": {"patch_size": 9, "overlap": 4}}, "engine"),
+    ("synthesize", {"preset": "identity-2d", "grids": [17], "inputs": ["u.json"]}, "inputs"),
+    ("reconstruct", {"inputs": ["u.json"], "preset": "identity-2d"}, "preset"),
+    ("reconstruct", {"inputs": ["u.json"], "grids": [65]}, "grids"),
+    ("reconstruct", {"inputs": ["u.json"], "noise": [1e-2]}, "noise"),
+    ("reconstruct", {"inputs": ["u.json"], "mollify_width": 2.0}, "mollify_width"),
+    ("reconstruct", {"inputs": ["u.json"], "illumination": {"family": "harmonic"}},
+     "illumination"),
+    ("roundtrip", {"preset": "identity-2d", "grids": [17], "inputs": ["u.json"]}, "inputs"),
+    ("qpat", {"preset": "qpat-demo", "grids": [17], "inputs": ["u.json"]}, "inputs"),
+    ("elasto", {"preset": "elasto-demo", "grids": [17], "inputs": ["u.json"]}, "inputs"),
+    ("stability", {"preset": "identity-2d", "grids": [17], "noise": [1e-4],
+                   "inputs": ["u.json"]}, "inputs"),
+])
+def test_cli_refuses_fields_a_mode_does_not_read(tmp_path, capsys, mode, doc, field):
+    # synthesize ignored noise, smoothing and the engine, and reconstruct the
+    # preset, grids, noise, smoothing and illumination: exit 1 naming the field
+    path = write_config(tmp_path, "bad.json", doc)
+    assert cli_main([mode, "--config", path, "--seed", "3"]) == 1
+    assert capsys.readouterr().err == f"error: {field}: {mode} mode does not read it\n"
+
+
+@pytest.mark.parametrize("mode, doc", [
+    ("synthesize", {"preset": "identity-2d", "grids": [17], "noise": [0], "mollify_width": 0,
+                    "engine": {"patch_size": None, "overlap": 8}, "inputs": []}),
+    ("reconstruct", {"inputs": ["u.json"], "preset": None, "grids": (33,), "noise": [0.0],
+                     "mollify_width": 0.0, "illumination": {}}),
+    ("qpat", {"preset": "qpat-demo", "inputs": ()}),
+])
+def test_fields_a_mode_does_not_read_pass_at_their_defaults(mode, doc):
+    # the seed too, which the CLI's --seed sets for every mode
+    cfg = ExperimentConfig.from_dict({"mode": mode, "seed": 3, **doc})
+    assert cfg.seed == 3
+
+
+@pytest.mark.parametrize("mode, grids, noise", [
+    ("roundtrip", [17, 33], [0.0, 0.0]),
+    ("roundtrip", [17, 33], [1e-4, 0.0, 1.000001e-4]),  # both read 0.0001
+    ("stability", [17], [1e-4, 1e-4]),
+])
+def test_config_refuses_noise_levels_that_read_alike(mode, grids, noise):
+    # a level's orders and output files are named by its :g text; the repeat
+    # gave orders of [nan, -2.42, nan] under a RuntimeWarning, or a stability
+    # slope fitted to one abscissa
+    with pytest.raises(ConfigError, match=r"repeats noise\[0\]: both levels read ") as info:
+        ExperimentConfig.from_dict({"mode": mode, "preset": "smooth-complex-2d",
+                                    "grids": grids, "noise": noise})
+    assert info.value.field == f"noise[{len(noise) - 1}]"
+
+
+@pytest.mark.parametrize("mode, preset, grids, noise, names", [
+    ("roundtrip", "smooth-complex-2d", [17, 33], [0.0, 1e-4],
+     [f"rep_{part}_33_d{delta}.json" for part in ("a", "bpda", "c")
+      for delta in ("0", "0.0001")]),
+    ("qpat", "qpat-demo", [17, 33], [0.0], ["qpat_gamma_33.json", "qpat_sigma_33.json"]),
+    ("elasto", "elasto-demo", [17], [0.0], ["elasto_gamma_17.json", "elasto_rho_17.json"]),
+    ("stability", "identity-2d", [17], [1e-4, 1e-3], []),
+])
+def test_ladder_modes_write_the_last_grids_outputs_by_name(tmp_path, mode, preset, grids,
+                                                          noise, names):
+    run(ExperimentConfig(mode=mode, preset=preset, grids=grids, noise=noise),
+        out_dir=tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names + ["report.json"])
+
+
+def test_app_ladders_report_orders_of_their_errors():
+    report = run(ExperimentConfig(mode="qpat", preset="qpat-demo", grids=[17, 33]))
+    orders = report.orders["delta=0"]
+    assert list(orders) == ["gamma", "sigma"]
+    assert all(len(v) == 1 and v[0] > 1.5 for v in orders.values())  # 1.76, 2.98
+
+
 def archive_without_extent(tmp_path):
     from gaugerec import save_field
     path = tmp_path / "u.json"

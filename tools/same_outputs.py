@@ -230,9 +230,11 @@ def _archives(g) -> tuple[list, list]:
 
 
 def _archive_modes(g) -> dict:
-    """synthesize mode into a temporary directory, then reconstruct mode on
-    the archives it wrote: each report, without timings, config echo and
-    directories, and the kind, grid and values of every archive it wrote."""
+    """Runs that write to an output directory, each into its own temporary
+    one: synthesize mode, reconstruct mode on the archives it wrote, and the
+    roundtrip, qpat and elasto modes.  Each report, without timings, config
+    echo and directories, and the name, kind, grid and values of every
+    archive the run wrote."""
     items = {}
     with tempfile.TemporaryDirectory() as tmp:
         inputs = [os.path.join(tmp, "syn", f"solution_{j}.json") for j in range(5)]
@@ -242,6 +244,13 @@ def _archive_modes(g) -> dict:
             "reconstruct 17/8 on its archives": ("rec", g.ExperimentConfig(
                 mode="reconstruct", inputs=inputs,
                 engine=g.EngineConfig(patch_size=17, overlap=8))),
+            "roundtrip smooth-complex-2d [17, 33] noisy to a directory": (
+                "round", g.ExperimentConfig(mode="roundtrip", preset="smooth-complex-2d",
+                                            grids=[17, 33], noise=[0.0, 1e-4])),
+            "qpat 33 to a directory": ("qpat", g.ExperimentConfig(
+                mode="qpat", preset="qpat-demo", grids=[33])),
+            "elasto 33 to a directory": ("elasto", g.ExperimentConfig(
+                mode="elasto", preset="elasto-demo", grids=[33])),
         }
         for name, (sub, cfg) in runs.items():
             out = os.path.join(tmp, sub)
