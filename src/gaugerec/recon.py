@@ -20,12 +20,13 @@ representative of the coefficient triple:
 
 ``reconstruct_global`` selects u_1, frame, and generators per patch.  The
 engine is pointwise, so one rule cuts the grid into kernel calls in every
-run, with or without patches: frames are ranked on the whole grid from one
-Gram matrix of all ratio gradients per u_1 (each frame's H is a sub-block
-of it, and its condition number comes from the closed form that
-``build_frame`` uses), and a candidate is evaluated in slabs of whole rows
-within a fixed node budget, only on the nodes of the boxes that name it,
-in rounds (``_select_patches``, ``_evaluate``).
+run, with or without patches: the frames of a u_1 are bounded on a sample
+of the grid, its nodes of even indices, and a frame's condition field
+(the closed form that ``build_frame`` uses) is evaluated on the whole grid
+only when its bound can rank it first on some box (``_Selector.frames``);
+a candidate is evaluated in slabs of whole rows within a fixed node
+budget, only on the nodes of the boxes that name it, in rounds
+(``_select_patches``, ``_evaluate``).
 One rule, ``_reasons``, judges admissibility per node: a patch is
 admissible where every node passes, and ``reconstruct_class`` raises at the
 nodes that fail.  Each field is reduced at once over every patch box; a
@@ -42,6 +43,7 @@ per winning candidate, and a patch chains the signs inside its box;
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 from dataclasses import dataclass, field as dc_field
 from numbers import Integral
@@ -371,6 +373,16 @@ def _sym_frame(h: dict, frame) -> tuple[dict, dict, np.ndarray, np.ndarray, np.n
     norms = np.sqrt(_sym_norm2(mod) * _sym_norm2(adj_mod))
     cond = np.divide(norms, np.abs(det), out=np.full(ok.shape, np.inf), where=ok)
     return e, cof, det, ok, cond
+
+
+def _frame_conds(G: np.ndarray, frames: list[tuple[int, ...]]) -> np.ndarray:
+    """The condition field of each of ``frames``, stacked (len(frames),
+    *shape): ``build_frame``'s ``cond`` for the frames of the ratio
+    gradients ``G`` (m, *shape, n), bit for bit, from their products
+    (:func:`_gram`) and :func:`_sym_frame` frame by frame.  Every step is
+    elementwise, so a node gets the same bits in any array it sits in."""
+    h = _gram(G)
+    return np.array([_sym_frame(h, f)[-1] for f in frames])
 
 
 def _sym_norm2(mod: dict) -> np.ndarray:
@@ -788,11 +800,15 @@ def _patch_boxes(shape: tuple[int, ...], cfg: EngineConfig) -> list[tuple[slice,
     return [tuple(combo) for combo in itertools.product(*per_axis)]
 
 
-def _box_reduce(x: np.ndarray, axes: list[tuple[list[int], int]], ufunc) -> np.ndarray:
+def _box_reduce(x: np.ndarray, axes: list[tuple[list[int], int]], ufunc,
+                stride: int = 1) -> np.ndarray:
     """``ufunc.reduce`` of ``x`` over every box of the patch ``axes``
     (:func:`_patch_axes`), which span the last axes of ``x``: an array of
     shape x.shape[:-dim] + (number of boxes,), the boxes in the order of
-    :func:`_patch_boxes`.
+    :func:`_patch_boxes`.  With ``stride``, ``x`` holds only the grid's
+    nodes whose indices are all multiples of it, and a box reduces those of
+    its nodes: the indices [ceil(s / stride), ceil((s + length) / stride))
+    of ``x`` on an axis where the box starts at s.
 
     Separable: along each axis in turn, the window of the patch length at
     each patch start is reduced.  For ``np.minimum``, ``np.maximum``,
@@ -803,8 +819,9 @@ def _box_reduce(x: np.ndarray, axes: list[tuple[list[int], int]], ufunc) -> np.n
     lead = x.ndim - len(axes)
     for k, (starts, length) in enumerate(axes):
         head = (slice(None),) * (lead + k)
-        x = np.stack([ufunc.reduce(x[head + (slice(s, s + length),)], axis=lead + k)
-                      for s in starts], axis=lead + k)
+        windows = [slice(-(-s // stride), -(-(s + length) // stride)) for s in starts]
+        x = np.stack([ufunc.reduce(x[head + (w,)], axis=lead + k) for w in windows],
+                     axis=lead + k)
     return x.reshape(x.shape[:lead] + (-1,))
 
 
@@ -834,13 +851,15 @@ def _patch_weight(geometry: tuple[tuple[int, bool, bool], ...], overlap: int) ->
 
 _MAX_FRAMES = 5    # frames tried per u_1 candidate, best conditioned first
 _MAX_SUBSETS = 30  # generator subsets scored per frame
+_SAMPLE_STRIDE = 2  # the frame ranking's bounds read the nodes of indices divisible by it
 
 
 # The node budget of every candidate call, in complex entries of the
 # (K, *slab, n, n) pairing stack, K = num_generators + 1: 5461 nodes in 2D,
-# 1213 in 3D.  Chosen by measurement: at 17^3 it takes the traced peak of a
-# single patch from 27.9 to 14.7 MiB, where the whole-grid frame ranking
-# sets it, and a smaller budget lowers it no further.
+# 1213 in 3D.  Chosen by measurement: the candidate's slabs set the traced
+# peak of a single patch, 14.1 MiB at 17^3 and 16.9 MiB at 129^2, against
+# 27.9 and 26.1 MiB with the candidate and the frame ranking on the whole
+# grid; a budget of 2^15 lowers them only to 12.9 and 16.4 MiB.
 _SLAB_ENTRIES = 2 ** 16
 
 
@@ -949,11 +968,13 @@ class _UnitGauge:
 class _Selector:
     """The selector's full-grid fields and their per-box tables.
 
-    The condition fields that rank the frames of a u_1 are built in one
-    call on the whole grid when a patch first asks for them, from one Gram
-    matrix of its ratio gradients (:func:`_gram`, :func:`_sym_frame`), and
-    reduced at once over every patch box (:func:`_box_reduce`) to their
-    worst node; only these tables are kept.  A candidate is evaluated only
+    The frames of a u_1 are ranked per box in the exact order of their
+    worst node's condition number, lazily (:meth:`frames`): every frame is
+    bounded on a sample of the grid in one table (:meth:`bounds`), and a
+    frame's condition field is built on the whole grid, and reduced at once
+    over every patch box (:func:`_box_reduce`) to its worst node, only when
+    some box's order reaches it with a finite bound (:meth:`worst_cond`);
+    only these tables are kept.  A candidate is evaluated only
     on the nodes of the boxes that have named it (:meth:`evaluate`), in the
     node budget's ``slabs`` (:func:`_budget_slabs`), into full-grid fields
     that are NaN (reason 255) elsewhere, kept in one entry with its per-box
@@ -1007,17 +1028,50 @@ class _Selector:
             return self._reduce(node, np.logical_and)
         return self._cached(("finite", i1), build)
 
-    def cond_fields(self, i1: int) -> tuple[np.ndarray, ...]:
-        """The condition field of each frame of ``combos`` on the whole grid
-        (not kept)."""
-        with np.errstate(all="ignore"):
-            h = _gram(self.ratios(i1).grad_v)
-            return tuple(_sym_frame(h, combo)[-1] for combo in self.combos)
+    def bounds(self, i1: int) -> np.ndarray:
+        """Per frame of ``combos`` and box, a lower bound of the frame's
+        largest condition number on the box: its largest on the box's nodes
+        of the sample, those whose indices are all multiples of
+        ``_SAMPLE_STRIDE``, gathered contiguously (:func:`_frame_conds`).
+        A sample node's cond has the bits it has on the grid, so a bound
+        of inf is the box's largest."""
+        def build():
+            sample = (slice(None),) + (slice(None, None, _SAMPLE_STRIDE),) * self.grid.dim
+            G = np.ascontiguousarray(self.ratios(i1).grad_v[sample])
+            with np.errstate(all="ignore"):
+                return _box_reduce(_frame_conds(G, self.combos), self.axes, np.maximum,
+                                   _SAMPLE_STRIDE)
+        return self._cached(("bounds", i1), build)
 
-    def conds(self, i1: int) -> np.ndarray:
-        """Per frame of ``combos`` and box, the largest condition number."""
-        return self._cached(("conds", i1), lambda: self._reduce(
-            np.array(self.cond_fields(i1)), np.maximum))
+    def worst_cond(self, i1: int, f: int) -> list[float]:
+        """Per box, the largest condition number of frame ``combos[f]`` of
+        u_1 = ``u[i1]``, from its condition field on the whole grid (not
+        kept)."""
+        def build():
+            G = self.ratios(i1).grad_v[list(self.combos[f])]
+            with np.errstate(all="ignore"):
+                cond = _frame_conds(G, [tuple(range(self.grid.dim))])
+            return self._reduce(cond, np.maximum)[0].tolist()
+        return self._cached(("cond", i1, f), build)
+
+    def frames(self, i1: int, k: int):
+        """The frames of u_1 = ``u[i1]`` on box ``k`` with their largest
+        condition numbers there, best conditioned first: the order of
+        ``sorted((max cond, frame))``, as a generator.
+
+        A heap holds each frame keyed by its bound (:meth:`bounds`) until
+        its largest is known (:meth:`worst_cond`).  Only a frame that comes
+        first with a finite bound is evaluated on the whole grid, and then
+        for every box at once; the frame at the top with its largest known,
+        or a bound of inf, comes next: no frame left can come before it."""
+        heap = [(bound, f, False) for f, bound in enumerate(self.bounds(i1)[:, k].tolist())]
+        heapq.heapify(heap)
+        while heap:
+            value, f, exact = heapq.heappop(heap)
+            if exact or value == np.inf:
+                yield value, self.combos[f]
+            else:
+                heapq.heappush(heap, (self.worst_cond(i1, f)[k], f, True))
 
     def evaluate(self, i1: int, frame, subset, boxes: list[int]) -> None:
         """Evaluate the fields of :func:`_candidate` on the nodes of ``boxes``
@@ -1055,7 +1109,9 @@ def _select_on_patch(sel: _Selector, k: int):
     The patch reads column ``k`` of the selector's per-box tables
     (:class:`_Selector`).  A u_1 is tried where it clears ``U1_FLOOR_REL``
     and its ratio derivatives are finite on the patch; frames go best
-    conditioned first, candidates by worst-node score.  For each frame it
+    conditioned first (:meth:`_Selector.frames`, which evaluates a frame on
+    the whole grid only when the patch's walk reaches it), candidates by
+    worst-node score.  For each frame it
     tries, the generator yields the keys (u1, frame, subset) of its
     candidates and reads their tables once they are evaluated on the patch
     (:func:`_select_patches`).  Frame by frame, the best-scoring candidate
@@ -1073,8 +1129,7 @@ def _select_on_patch(sel: _Selector, k: int):
         if not sel.finite(i1)[k]:
             continue
         others = [j for j in range(len(sel.u)) if j != i1]
-        frame_scored = sorted(zip(sel.conds(i1)[:, k].tolist(), sel.combos))
-        for _, combo in frame_scored[:_MAX_FRAMES]:
+        for _, combo in itertools.islice(sel.frames(i1, k), _MAX_FRAMES):
             top = top_ok = None
             pool = [j for j in range(len(others)) if j not in combo]
             subsets = list(itertools.islice(itertools.combinations(pool, G_needed),
@@ -1132,8 +1187,9 @@ def reconstruct_global(u: list[ScalarField], config: EngineConfig | None = None
 
     Every patch picks its own u_1, frame, and generator subset from per-box
     tables (:class:`_Selector`, :func:`_select_patches`): a candidate is
-    evaluated only on the nodes of the boxes that name it, and the condition
-    fields that rank the frames of a u_1 on the whole grid.  Then, in box
+    evaluated only on the nodes of the boxes that name it, and a frame's
+    condition field on the whole grid only when its bound on a sample of the
+    grid can rank it first on some box the walk reaches.  Then, in box
     order, each patch's representative, normalized to the pointwise
     unit-Frobenius gauge (independent of the u_1 choice; set up once on the
     grid per winning candidate, :class:`_UnitGauge`), is blended with a

@@ -419,11 +419,15 @@ def test_candidate_windows_equal_the_engine_on_the_window(monkeypatch, shape, bo
     i1 = sel["u1"]
     others = [j for j in range(len(fields)) if j != i1]
     win = build_ratios([fields[i1]] + [fields[j] for j in others]).window(box)
-    conds = selector.cond_fields(i1)
-    for c, frame in enumerate(itertools.combinations(range(len(others)), grid.dim)):
+    grad_v = selector.ratios(i1).grad_v
+    ranked = []
+    for c, frame in enumerate(selector.combos):
         cond = build_frame(win, frame=frame).cond
-        assert np.array_equal(conds[c][box], cond), frame
-        assert selector.conds(i1)[c, k] == cond.max(), frame
+        field = recon._frame_conds(grad_v[list(frame)], [tuple(range(grid.dim))])[0]
+        assert np.array_equal(field[box], cond), frame
+        assert selector.worst_cond(i1, c)[k] == cond.max(), frame
+        ranked.append((cond.max(), frame))
+    assert list(selector.frames(i1, k)) == sorted(ranked)
     frame = tuple(others.index(j) for j in sel["frame"])
     subset = tuple(others.index(j) for j in sel["generators"])
     _, (score, reason, *_), *tables = selector.candidate(i1, frame, subset)
@@ -442,7 +446,7 @@ def test_candidate_windows_equal_the_engine_on_the_window(monkeypatch, shape, bo
 
 @pytest.mark.parametrize("name", ["smooth-complex-2d", "isotropic-c"])
 def test_candidate_frame_condition_equals_the_ranking_field_by_bytes(name):
-    # a box's frame ranking reads the whole-grid condition fields, its
+    # a box's frame ranking reads a frame's whole-grid condition field, its
     # admissibility the candidate's own cond, computed in the node budget's
     # slabs or on gathered chunks.  At 129^2 a whole-grid complex temporary
     # (266 kB) passes numpy's 256 kB elision size and a slab's does not;
@@ -459,10 +463,73 @@ def test_candidate_frame_condition_equals_the_ranking_field_by_bytes(name):
     with np.errstate(all="ignore"):
         for i1 in range(len(u)):
             rb = sel.ratios(i1)
-            for frame, field in zip(sel.combos, sel.cond_fields(i1)):
+            for frame in sel.combos:
+                field = recon._frame_conds(rb.grad_v[list(frame)], [(0, 1)])[0]
                 for at in calls:
                     cond = build_frame(rb.gather(at), frame).cond
                     assert cond.tobytes() == field[at].tobytes(), (i1, frame)
+
+
+def _lazy_case_data(strip_fields, name, m):
+    if name.startswith("strip"):
+        grid = square_grid(m)
+        return grid, strip_fields(grid, redundant=name == "strip redundant")
+    if name == "cgo-3d":
+        grid = square_grid(m, 3)
+        return grid, cgo_family(grid).fields()
+    preset = PRESETS[name.removesuffix(" cgo")]
+    grid = square_grid(m, preset.dim)
+    ill = cgo_family(grid) if name.endswith(" cgo") else preset.illumination(grid)
+    return grid, synthesize(preset.coefficients(grid), ill)
+
+
+@pytest.mark.parametrize("name, m, patch_size, overlap, lifted", [
+    ("smooth-complex-2d", 33, None, 0, False),
+    ("smooth-complex-2d", 33, 17, 8, False),
+    ("isotropic-c cgo", 33, 17, 8, False),  # every frame finite on every box
+    ("strip redundant", 63, 17, 12, True),  # the column x1 = 0.5 is row 31, off the sample
+    ("strip redundant", 65, 17, 12, False),  # ... and row 32 at 65^2, on it
+    ("strip minimal", 63, 17, 12, True),    # most frames of every u_1 built on the grid
+    ("strip minimal", 65, 17, 12, True),
+    ("constant-tensor-3d", 9, None, 0, False),
+    ("constant-tensor-3d", 13, 9, 4, True),  # singular frame nodes scattered off the sample
+    ("cgo-3d", 9, None, 0, False),
+])
+def test_lazy_frame_order_equals_the_sorted_window_maxima(strip_fields, name, m, patch_size,
+                                                          overlap, lifted):
+    # every box walks the frames of each u_1 in the order of the largest
+    # condition number on its window, though a frame's field is evaluated on
+    # the whole grid only where its sampled bound can come first; the
+    # sampled cond holds the bytes of the whole-grid field at the sample
+    grid, u = _lazy_case_data(strip_fields, name, m)
+    sel = recon._Selector(u, grid, EngineConfig(patch_size=patch_size, overlap=overlap))
+    sample = (slice(None, None, recon._SAMPLE_STRIDE),) * grid.dim
+    walked = 0
+    for i1 in range(len(u)):
+        rb = sel.ratios(i1)
+        with np.errstate(all="ignore"):
+            sampled = recon._frame_conds(np.ascontiguousarray(rb.grad_v[(slice(None),) + sample]),
+                                         sel.combos)
+            for c, frame in enumerate(sel.combos):
+                field = recon._frame_conds(rb.grad_v[list(frame)], [tuple(range(grid.dim))])[0]
+                assert sampled[c].tobytes() == field[sample].tobytes(), (i1, frame)
+        for k, box in enumerate(sel.boxes):
+            if not sel.finite(i1)[k]:
+                continue
+            win = rb.window(box)
+            with np.errstate(all="ignore"):
+                want = sorted((build_frame(win, frame=frame).cond.max(), frame)
+                              for frame in sel.combos)
+            got = list(itertools.islice(sel.frames(i1, k), recon._MAX_FRAMES))
+            assert got == want[:recon._MAX_FRAMES], (i1, box)
+            walked += 1
+    assert walked >= len(sel.boxes)
+    # off the sample: a frame the walks evaluated on the whole grid has a
+    # finite bound on a walked box where its largest cond is inf
+    evaluated = [key[1:] for key in sel._built if key[0] == "cond"]
+    assert lifted == any(np.isfinite(sel.bounds(i1)[f, k]) and sel.worst_cond(i1, f)[k] == np.inf
+                         for i1, f in evaluated for k in range(len(sel.boxes))
+                         if sel.finite(i1)[k])
 
 
 @pytest.mark.parametrize("shape, patch_size", [
@@ -802,6 +869,23 @@ def test_the_single_patch_working_set_is_pinned(name, m, pin_mib):
     finally:
         tracemalloc.stop()
     assert peak <= pin_mib * 2 ** 20
+
+
+def test_a_single_patch_ranks_one_frame_on_the_whole_grid(monkeypatch):
+    # constant-tensor-3d's 56 frames of u_1 are bounded on the sample, and
+    # only the frame that comes first gets its condition field on the grid
+    u = _preset_data("constant-tensor-3d", 17)
+    shapes = []
+
+    def frame_conds(G, frames):
+        shapes.append((G.shape[1:-1], len(frames)))
+        return real_frame_conds(G, frames)
+
+    real_frame_conds = recon._frame_conds
+    monkeypatch.setattr(recon, "_frame_conds", frame_conds)
+    _, pm = reconstruct_global(u)
+    assert pm.admissible == [True]
+    assert shapes == [((9, 9, 9), 56), ((17, 17, 17), 1)]
 
 
 @pytest.mark.parametrize("name, m, patch_size, overlap, pin_mib", [

@@ -152,6 +152,23 @@ def collect() -> dict:
                 for v in _strip(*grid.meshes, redundant=redundant)]
         items[f"strip {'redundant' if redundant else 'minimal'} 65 17/12: "
               "reconstruct_global"] = _attempt(lambda: _global(g, data, strip))
+    # at 63^2 the degenerate column x1 = 0.5 is row 31, which no node of
+    # even indices reaches
+    grid = g.square_grid(63)
+    for redundant in (True, False):
+        data = [g.ScalarField(grid, v.astype(complex))
+                for v in _strip(*grid.meshes, redundant=redundant)]
+        items[f"strip {'redundant' if redundant else 'minimal'} 63 17/12: "
+              "reconstruct_global"] = _attempt(lambda: _global(g, data, strip))
+    # frames that are finite almost everywhere, and boxes whose frame orders differ
+    data = g.cgo_family(g.square_grid(13, 3)).fields()
+    items["cgo 3D 13^3 9/4: reconstruct_global"] = _attempt(
+        lambda: _global(g, data, g.EngineConfig(patch_size=9, overlap=4)))
+    grid = g.square_grid(65)
+    preset = g.PRESETS["isotropic-c"]
+    data = g.synthesize(preset.coefficients(grid), preset.illumination(grid))
+    items["isotropic-c 65 17/8: reconstruct_global"] = _attempt(
+        lambda: _global(g, data, g.EngineConfig(patch_size=17, overlap=8)))
 
     # a 3D frame whose condition ranges from 10 to 288, so the 3 x 3 closed
     # form is compared on real work (constant-tensor-3d's frame has cond 3)
