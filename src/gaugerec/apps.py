@@ -5,7 +5,9 @@ solve div(gamma grad u) = sigma u with known Dirichlet traces.  The ratio
 fields H_j/H_1 = u_j/u_1 feed the class engine directly (prepending the
 constant 1 stands in for the missing u_1), the multiplicative scale is
 recovered by transport, and the remaining factor of u_1 is removed by one
-conservative flux solve for w = 1/u_1.
+conservative flux solve for w = 1/u_1: ``_FluxOperator`` supplies the stencil
+of -div(D grad w), and ``DirichletSystem`` factors, solves and gates it as it
+does the forward model.
 
 Elastic amplitude data: the solutions themselves are observed, so the class
 engine output only needs its scale pinned from the boundary values of the
@@ -15,14 +17,14 @@ density.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .errors import NonPositiveH1
 from .fields import SYM_PAIRS, ScalarField, SymTensorField, common_grid
-from .forward import BoundaryTrace, _flat_strides, _InteriorLU
+from .forward import BoundaryTrace, DirichletSystem, _flat_strides
 from .gauge import recover_tau_b_zero
 from .recon import EngineConfig, reconstruct_global
 
@@ -66,64 +68,55 @@ class ElastoData:
 # Conservative discretization of w -> -div(D grad w)
 # ---------------------------------------------------------------------------
 
-def _flux_stencil(D: SymTensorField, nodes: np.ndarray) -> dict:
-    """Coefficients of -div(D grad w) at the interior ``nodes`` (flat indices).
+@dataclass
+class _FluxOperator:
+    """The operator w -> -div(D grad w) of the flux solve, for
+    :class:`~gaugerec.forward.DirichletSystem`.
 
     Diagonal blocks use half-node averages of D (flux conservative); mixed
     blocks use centered differencing of the cross flux on full nodes.  All
     neighbor offsets of interior nodes stay on the grid.
     """
-    grid = D.grid
-    n = grid.dim
-    h = grid.spacing
-    strides = _flat_strides(grid.shape)
-    Dflat = D.as_matrix().reshape(-1, n, n)
 
-    entries: dict[tuple[int, ...], np.ndarray] = {}
+    D: SymTensorField
 
-    def add(offset: np.ndarray, vals: np.ndarray) -> None:
-        key = tuple(int(o) for o in offset)
-        entries[key] = entries.get(key, 0.0) - vals
+    @property
+    def grid(self):
+        return self.D.grid
 
-    def shifted(comp_i: int, comp_j: int, shift: np.ndarray) -> np.ndarray:
-        return Dflat[nodes + int(shift @ strides), comp_i, comp_j]
+    def stencil(self, nodes: np.ndarray) -> dict:
+        """Coefficients of -div(D grad w) at the interior ``nodes`` (flat indices)."""
+        grid = self.grid
+        n = grid.dim
+        h = grid.spacing
+        strides = _flat_strides(grid.shape)
+        Dflat = self.D.as_matrix().reshape(-1, n, n)
+        entries: dict[tuple[int, ...], np.ndarray] = {}
 
-    zero = np.zeros(n, dtype=np.intp)
-    for p in range(n):
-        ep = zero.copy()
-        ep[p] = 1
-        d_here = shifted(p, p, zero)
-        d_plus = 0.5 * (d_here + shifted(p, p, ep))
-        d_minus = 0.5 * (d_here + shifted(p, p, -ep))
-        add(ep, d_plus / h[p] ** 2)
-        add(-ep, d_minus / h[p] ** 2)
-        add(zero, -(d_plus + d_minus) / h[p] ** 2)
-    for p in range(n):
-        for q in range(n):
-            if p == q:
-                continue
-            ep = zero.copy()
-            ep[p] = 1
-            eq = zero.copy()
-            eq[q] = 1
-            dpq_plus = shifted(p, q, ep)
-            dpq_minus = shifted(p, q, -ep)
+        def add(offset: np.ndarray, vals: np.ndarray) -> None:
+            key = tuple(int(o) for o in offset)
+            entries[key] = entries.get(key, 0.0) - vals
+
+        def shifted(comp_i: int, comp_j: int, shift: np.ndarray) -> np.ndarray:
+            return Dflat[nodes + int(shift @ strides), comp_i, comp_j]
+
+        e, zero = np.eye(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
+        for p in range(n):
+            d_here = shifted(p, p, zero)
+            d_plus = 0.5 * (d_here + shifted(p, p, e[p]))
+            d_minus = 0.5 * (d_here + shifted(p, p, -e[p]))
+            add(e[p], d_plus / h[p] ** 2)
+            add(-e[p], d_minus / h[p] ** 2)
+            add(zero, -(d_plus + d_minus) / h[p] ** 2)
+        for p, q in itertools.permutations(range(n), 2):
+            dpq_plus = shifted(p, q, e[p])
+            dpq_minus = shifted(p, q, -e[p])
             scale = 1.0 / (4.0 * h[p] * h[q])
-            add(ep + eq, dpq_plus * scale)
-            add(ep - eq, -dpq_plus * scale)
-            add(-ep + eq, -dpq_minus * scale)
-            add(-ep - eq, dpq_minus * scale)
-    return entries
-
-
-def _flux_solve(D: SymTensorField, rhs_interior: np.ndarray,
-                boundary_values: np.ndarray) -> np.ndarray:
-    """Solve -div(D grad w) = rhs_interior inside, w = boundary_values on the
-    boundary."""
-    system = _InteriorLU(D.grid, partial(_flux_stencil, D))
-    w = system.solve(boundary_values[:, None],
-                     rhs_interior.reshape(-1)[system.order][:, None])
-    return w.reshape(D.grid.shape)
+            add(e[p] + e[q], dpq_plus * scale)
+            add(e[p] - e[q], -dpq_plus * scale)
+            add(-e[p] + e[q], -dpq_minus * scale)
+            add(-e[p] - e[q], dpq_minus * scale)
+        return entries
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +182,8 @@ def qpat_reconstruct(data: QpatData, config: EngineConfig | None = None
 
     sb = grid.on_boundary(data.sigma_boundary.values)
     lam = np.mean(grid.on_boundary(H1.values) / (sb * data.f1.values))
-    w = _flux_solve(D, H1.values / lam, 1.0 / data.f1.values)
+    w = DirichletSystem(_FluxOperator(D)).solve(
+        BoundaryTrace(grid, 1.0 / data.f1.values), ScalarField(grid, H1.values / lam)).values
 
     gamma = SymTensorField(grid, D.values * (w * w)[..., None])
     sigma = ScalarField(grid, H1.values * w)

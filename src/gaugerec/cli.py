@@ -56,7 +56,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # json recurses per nesting level
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return 1
     if isinstance(raw, dict):  # anything else is refused by from_dict below

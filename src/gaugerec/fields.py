@@ -382,10 +382,12 @@ def mollify(f: ScalarField, width: float) -> ScalarField:
     """Truncated Gaussian smoothing with boundary renormalization.
 
     ``width`` is the kernel standard deviation in units of the node spacing;
-    the kernel is truncated at 4 sigma.  Near the boundary the filter output
-    is divided by the filtered indicator function so that constants are
-    reproduced exactly.  ``width = 0`` returns the field unchanged; a
-    negative or non-finite width raises ValueError.
+    the kernel is truncated at 4 sigma, or at the length of the grid's
+    longest axis (m - 1 spacings) if that is shorter, since a wider kernel
+    reads no more data.  Near the boundary the filter output is divided by
+    the filtered indicator function so that constants are reproduced
+    exactly.  ``width = 0`` returns the field unchanged; a negative or
+    non-finite width raises ValueError.
     """
     from scipy.ndimage import gaussian_filter
 
@@ -393,7 +395,8 @@ def mollify(f: ScalarField, width: float) -> ScalarField:
         raise ValueError(f"width must be finite and nonnegative, got {width}")
     if width == 0:
         return f
-    kw = dict(sigma=width, mode="constant", cval=0.0, truncate=4.0)
+    radius = min(int(4.0 * width + 0.5), max(f.grid.shape) - 1)  # scipy's 4-sigma radius
+    kw = dict(sigma=width, mode="constant", cval=0.0, radius=radius)
     norm = gaussian_filter(np.ones(f.grid.shape), **kw)
     re = gaussian_filter(f.values.real, **kw)
     im = gaussian_filter(f.values.imag, **kw)
@@ -434,28 +437,43 @@ def save_field(f: _Field, path) -> None:
         fh.write(json.dumps(payload))
 
 
+def _entry(obj, key: str, where: str):
+    """``obj[key]``; ValueError naming the key when ``obj`` is not a JSON
+    object or lacks it."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(obj).__name__}")
+    if key not in obj:
+        raise ValueError(f"{where} has no {key!r}")
+    return obj[key]
+
+
 def load_field(path) -> _Field:
     """Read an archive written by :func:`save_field`.
 
-    ValueError naming the key when the grid or ``"kind"`` is invalid, when
-    ``"dtype"`` is not ``"<c16"``, when ``"values"`` is not base64 text, or
-    when it decodes to a length other than 16 bytes per value of the grid and
-    kind; an archive whose ``"values"`` is a list of [re, im] pairs predates
-    the binary payload and is refused.  The field constructor then refuses
-    non-finite values.
+    ValueError naming the key when the archive is not a JSON object (or
+    nests too deeply to be read), when a key is missing, when the grid or
+    ``"kind"`` is invalid, when ``"dtype"`` is not ``"<c16"``, when
+    ``"values"`` is not base64 text, or when it decodes to a length other
+    than 16 bytes per value of the grid and kind; an archive whose
+    ``"values"`` is a list of [re, im] pairs predates the binary payload and
+    is refused.  The field constructor then refuses non-finite values.
     """
     with open(path) as fh:
-        payload = json.load(fh)
-    grid = Grid(
-        tuple(payload["grid"]["shape"]),
-        tuple(tuple(e) for e in payload["grid"]["extent"]),
-    )
-    kind = payload["kind"]
+        try:
+            payload = json.load(fh)
+        except RecursionError:  # json's decoder recurses once per nesting level
+            raise ValueError("the archive nests too deeply to be a field archive") from None
+    header = _entry(payload, "grid", "the archive")
+    shape, extent = _entry(header, "shape", "'grid'"), _entry(header, "extent", "'grid'")
     try:
-        cls = _KIND_TO_CLS[kind]
-    except KeyError:
-        raise ValueError(f"unknown field kind {kind!r}") from None
-    text = payload["values"]
+        grid = Grid(tuple(shape), tuple(tuple(e) for e in extent))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"'grid' is invalid: {exc}") from None
+    kind = _entry(payload, "kind", "the archive")
+    cls = _KIND_TO_CLS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown field kind {kind!r}")
+    text = _entry(payload, "values", "the archive")
     if isinstance(text, list) and "dtype" not in payload:
         raise ValueError("'values' is a list of [re, im] pairs: the archive predates the "
                          "binary payload and must be re-synthesized")

@@ -17,19 +17,22 @@ known boundary values move to the right-hand side.  The interior nodes are
 numbered by nested dissection of the box (George 1973: recursive bisection,
 each separator plane after the two halves it splits), and SuperLU factors the
 interior block in that order, without a column permutation of its own.  The
-order depends only on the grid shape and is computed once per shape.  The
-factorization is done once per coefficient set, and an illumination family
-is solved as one block of right-hand sides: one SuperLU solve and one sparse
-product for the residuals of all its traces.  The conservative flux solve of
-the photoacoustic front end goes through the same factor and solve
-(``_InteriorLU``).  Every solution is checked, column by column, against the
-relative residual ``_RTOL`` (``_residual_gate``, which the gauge's
-transform-based Poisson solve shares); above it the solve raises
-SingularSystem.
+order depends only on the grid shape and is computed once per shape.
+
+One class, ``DirichletSystem``, orders, assembles, factors, solves and gates
+every Dirichlet problem of the package.  An operator supplies only its
+``grid`` and its ``stencil(nodes)``: ``CoefficientSet.stencil`` for the
+model, and the conservative flux operator of the photoacoustic front end for
+w = 1/u_1.  The factorization is done once per operator, and an illumination
+family is solved as one block of right-hand sides: one SuperLU solve and one
+sparse product for the residuals of all its traces.  Every solution is
+checked, column by column, against the relative residual ``_RTOL``
+(``_residual_gate``, which the gauge's transform-based Poisson solve shares);
+above it the solve raises SingularSystem.
 
 Importing this module, or the package, loads numpy only.  scipy.sparse is
 imported inside the functions that build or factor a sparse operator
-(``_stencil_rows``, ``_InteriorLU``), as the gauge's transforms and the
+(``_stencil_rows``, ``DirichletSystem``), as the gauge's transforms and the
 mollifier import theirs, so a process pays for scipy at its first
 factorization, transform or smoothing, and one that does none of them
 (``gaugerec reconstruct`` on archives) never loads it.
@@ -117,6 +120,37 @@ class CoefficientSet:
         if bad.any():
             raise EllipticityViolation(
                 "Re(a) violates the ellipticity bounds", nodes=np.argwhere(bad))
+
+    def stencil(self, nodes: np.ndarray) -> dict:
+        """Stencil of the non-divergence operator at the interior ``nodes``
+        (flat indices; see :func:`_stencil_rows`), after :meth:`validate`."""
+        self.validate()
+        grid = self.grid
+        n = grid.dim
+        h = grid.spacing
+        amat = self.a.as_matrix().reshape(-1, n, n)[nodes]
+        drift = (self.diva.values + self.b.values).reshape(-1, n)[nodes]
+        stencil = {}
+        center = self.c.values.reshape(-1)[nodes].astype(np.complex128)
+        for p in range(n):
+            app = amat[:, p, p]
+            dp = drift[:, p]
+            center -= 2.0 * app / h[p] ** 2
+            for s in (+1, -1):
+                off = [0] * n
+                off[p] = s
+                stencil[tuple(off)] = app / h[p] ** 2 + s * dp / (2.0 * h[p])
+        stencil[(0,) * n] = center
+        for p in range(n):
+            for q in range(p + 1, n):
+                apq = amat[:, p, q]
+                for sp_ in (+1, -1):
+                    for sq in (+1, -1):
+                        off = [0] * n
+                        off[p] = sp_
+                        off[q] = sq
+                        stencil[tuple(off)] = (sp_ * sq) * apq / (2.0 * h[p] * h[q])
+        return stencil
 
 
 @dataclass
@@ -228,29 +262,32 @@ def _stencil_rows(grid: Grid, nodes: np.ndarray, stencil: dict,
         shape=(nodes.size, grid.num_nodes))
 
 
-class _InteriorLU:
-    """Factored interior rows of a Dirichlet problem, with a residual gate.
+class DirichletSystem:
+    """Assembled and factored Dirichlet problem of one operator, reusable
+    across right-hand sides.
 
-    ``stencil_at(nodes)`` returns the operator's stencil at the given
-    interior nodes (see :func:`_stencil_rows`).  The operator is assembled as
-    n_I x N rows: rows and the first n_I columns follow the
+    ``operator`` supplies the ``grid`` and ``stencil(nodes)``, its stencil at
+    the given interior nodes (see :func:`_stencil_rows`); a
+    :class:`CoefficientSet` is one.  The operator is assembled as n_I x N
+    rows: rows and the first n_I columns follow the
     :func:`_nested_dissection` order of the interior nodes, and the boundary
     nodes follow in ``grid.boundary_flat`` order.  The leading square block
     A_II is therefore already ordered for elimination and is factored without
     a column permutation.  A solve takes u_I from A_II u_I = s_I - A_IB f and
-    sets u_B = f.
+    sets u_B = f; ``synthesize`` solves a whole illumination family with one
+    factorization and one block solve.
     """
 
-    def __init__(self, grid: Grid, stencil_at):
+    def __init__(self, operator):
         from scipy.sparse.linalg import splu
 
-        self.grid = grid
+        self.grid = grid = operator.grid
         self.order = order = _nested_dissection(grid.shape)
         n_int = order.size
         columns = np.empty(grid.num_nodes, dtype=np.intp)
         columns[order] = np.arange(n_int)
         columns[grid.boundary_flat] = np.arange(n_int, grid.num_nodes)
-        self._A = _stencil_rows(grid, order, stencil_at(order), columns).tocsc()
+        self._A = _stencil_rows(grid, order, operator.stencil(order), columns).tocsc()
         self._absA = abs(self._A)
         # A 4-column panel (SuperLU's default is wider) lowered the peak
         # memory of a 129^2 factorization by about 8 MB and was not slower
@@ -261,28 +298,40 @@ class _InteriorLU:
         except RuntimeError as exc:
             raise SingularSystem(f"factorization failed: {exc}") from exc
 
-    def solve(self, f: np.ndarray, s: np.ndarray | None = None,
-              indexed: bool = False) -> np.ndarray:
-        """Flat solutions over the grid, one column per right-hand side.
+    def solve(self, f: BoundaryTrace | list[BoundaryTrace],
+              source: ScalarField | None = None) -> ScalarField | list[ScalarField]:
+        """The solution for one trace, or the list of solutions for a
+        sequence of traces, with the interior ``source`` (zero when omitted)
+        in every problem.
 
-        ``f`` holds the boundary values, (k_B, r) in ``boundary_flat``
-        order; ``s`` the interior source, (n_I, r) or (n_I, 1) in solver
-        order, zero when omitted.  The r columns take one SuperLU solve and
-        one sparse product for their residuals; a column with a non-finite
-        solution or a relative residual above ``_RTOL`` raises
-        SingularSystem, naming the first such column as ``trace_index``
-        when ``indexed``.
+        The traces are one block of right-hand sides: one SuperLU solve and
+        one sparse product for their residuals.  A solution that is not
+        finite or whose relative residual exceeds ``_RTOL`` raises
+        SingularSystem; for a sequence, it carries the index of the first
+        failing member as ``trace_index``.  Traces and source must lie on the
+        system's grid (GridMismatch otherwise).
         """
+        single = isinstance(f, BoundaryTrace)
+        traces = [f] if single else list(f)
+        if not traces:
+            return []
+        common_grid([self, *traces] + ([] if source is None else [source]))
         n_int = self.order.size
-        if s is None:
+        if source is None:
             s = np.zeros((n_int, 1), dtype=np.complex128)
-        x = np.concatenate([self._lu.solve(s - self._A[:, n_int:] @ f), f])
-        self._gate(x, f, s, indexed)
+        else:
+            s = source.values.reshape(-1)[self.order][:, None]
+        fb = np.stack([tr.values for tr in traces], axis=1)
+        x = np.concatenate([self._lu.solve(s - self._A[:, n_int:] @ fb), fb])
+        self._gate(x, fb, s, indexed=not single)
         # column-major, so that each solution is one contiguous column
         u = np.empty(x.shape, dtype=np.complex128, order="F")
         u[self.order] = x[:n_int]
-        u[self.grid.boundary_flat] = f
-        return u
+        u[self.grid.boundary_flat] = fb
+        del x  # freed before the solutions are copied out, to keep a block's peak down
+        out = [ScalarField(self.grid, u[:, j].reshape(self.grid.shape))
+               for j in range(len(traces))]
+        return out[0] if single else out
 
     def _gate(self, x: np.ndarray, f: np.ndarray, s: np.ndarray, indexed: bool) -> None:
         """``_residual_gate`` for solutions ``x`` in solver order.  Each
@@ -321,75 +370,6 @@ def _residual_gate(x: np.ndarray, resid_max, absax_max, f: np.ndarray,
             raise SingularSystem("solution is not finite", trace_index=index)
         raise SingularSystem("direct solve residual above tolerance",
                              residual=float(rel[j]), trace_index=index)
-
-
-class DirichletSystem:
-    """Assembled and factored Dirichlet problem for one coefficient set.
-
-    Reusable across right-hand sides; ``synthesize`` solves a whole
-    illumination family with one factorization and one block solve.
-    """
-
-    def __init__(self, coeffs: CoefficientSet):
-        coeffs.validate()
-        self.coeffs = coeffs
-        self.grid = coeffs.grid
-        self._lu = _InteriorLU(self.grid, self._assemble)
-
-    def _assemble(self, nodes: np.ndarray) -> dict:
-        """Stencil of the non-divergence operator at the interior ``nodes``."""
-        grid = self.grid
-        n = grid.dim
-        h = grid.spacing
-        amat = self.coeffs.a.as_matrix().reshape(-1, n, n)[nodes]
-        drift = (self.coeffs.diva.values + self.coeffs.b.values).reshape(-1, n)[nodes]
-        stencil = {}
-        center = self.coeffs.c.values.reshape(-1)[nodes].astype(np.complex128)
-        for p in range(n):
-            app = amat[:, p, p]
-            dp = drift[:, p]
-            center -= 2.0 * app / h[p] ** 2
-            for s in (+1, -1):
-                off = [0] * n
-                off[p] = s
-                stencil[tuple(off)] = app / h[p] ** 2 + s * dp / (2.0 * h[p])
-        stencil[(0,) * n] = center
-        for p in range(n):
-            for q in range(p + 1, n):
-                apq = amat[:, p, q]
-                for sp_ in (+1, -1):
-                    for sq in (+1, -1):
-                        off = [0] * n
-                        off[p] = sp_
-                        off[q] = sq
-                        stencil[tuple(off)] = (sp_ * sq) * apq / (2.0 * h[p] * h[q])
-        return stencil
-
-    def solve(self, f: BoundaryTrace | list[BoundaryTrace],
-              source: ScalarField | None = None) -> ScalarField | list[ScalarField]:
-        """The solution for one trace, or the list of solutions for a
-        sequence of traces, with the interior ``source`` (zero when omitted)
-        in every problem.
-
-        The traces are one block of right-hand sides: one SuperLU solve and
-        one residual gate for all of them (``_InteriorLU.solve``).  For a
-        sequence, the SingularSystem of a failing member carries its index
-        as ``trace_index``.  Traces and source must lie on the system's grid
-        (GridMismatch otherwise).
-        """
-        single = isinstance(f, BoundaryTrace)
-        traces = [f] if single else list(f)
-        if not traces:
-            return []
-        common_grid([self, *traces] + ([] if source is None else [source]))
-        s = None
-        if source is not None:
-            s = source.values.reshape(-1)[self._lu.order][:, None]
-        fb = np.stack([tr.values for tr in traces], axis=1)
-        u = self._lu.solve(fb, s, indexed=not single)
-        out = [ScalarField(self.grid, u[:, j].reshape(self.grid.shape))
-               for j in range(len(traces))]
-        return out[0] if single else out
 
 
 def gauge_transform(coeffs: CoefficientSet, tau: ScalarField) -> CoefficientSet:

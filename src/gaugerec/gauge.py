@@ -258,5 +258,4 @@ def recover_tau_divfree_b(rep: ClassRepresentative,
         VectorField(grid, -b_field.values),
         minus_div_b,
     )
-    tau = DirichletSystem(coeffs).solve(boundary_tau)
-    return ScalarField(grid, tau.values)
+    return DirichletSystem(coeffs).solve(boundary_tau)

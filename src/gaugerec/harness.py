@@ -65,6 +65,9 @@ __all__ = [
 ]
 
 
+MAX_GRID_NODES = 2 ** 20  # most nodes a config's grid may have (1024^2, 101^3)
+
+
 def square_grid(size: int, dim: int = 2, extent=None) -> Grid:
     if extent is None:
         extent = ((0.0, 1.0),) * dim
@@ -349,9 +352,13 @@ class ExperimentConfig:
             if not ok:
                 raise ConfigError("illumination.params.a0",
                                   f"must be a {d}x{d} matrix of numbers, got {params['a0']!r}")
+        dim = PRESETS[self.preset].dim if self.preset in PRESETS else 2
         for i, g in enumerate(self.grids):
             if g < 9:
                 raise ConfigError(f"grids[{i}]", "grids need at least 9 nodes per axis")
+            if int(g) ** dim > MAX_GRID_NODES:  # refused before anything is allocated
+                raise ConfigError(f"grids[{i}]", f"{g}^{dim} nodes exceed the "
+                                                 f"{MAX_GRID_NODES} a grid may have")
         if self.mode == "roundtrip" and len(self.grids) > 1:
             for a, b in zip(self.grids, self.grids[1:]):
                 if b != 2 * a - 1:
@@ -589,7 +596,7 @@ def _run_reconstruct(cfg: ExperimentConfig, out_dir: Path | None) -> Reconstruct
     for i, path in enumerate(cfg.inputs):
         try:
             f = load_field(path)
-        except (OSError, ValueError, KeyError, TypeError, IndexError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"inputs[{i}]", f"cannot read the field archive {path!r}: "
                                               f"{type(exc).__name__}: {exc}") from exc
         if not isinstance(f, ScalarField):

@@ -5,6 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from gaugerec import (
+    BoundaryTrace,
+    DirichletSystem,
     ElastoData,
     GridMismatch,
     NonPositiveH1,
@@ -15,9 +17,9 @@ from gaugerec import (
     qpat_reconstruct,
     square_grid,
 )
-from gaugerec.harness import PRESETS, ExperimentConfig
+from gaugerec.harness import PRESETS, ExperimentConfig, run
 from gaugerec.harness import _elasto_data, _qpat_data
-from gaugerec.apps import _flux_solve, _flux_stencil
+from gaugerec.apps import _FluxOperator
 from gaugerec.forward import _stencil_rows
 
 
@@ -27,7 +29,7 @@ def divergence_form_matrix(D):
     assembled for applying the operator."""
     grid = D.grid
     int_flat = np.flatnonzero(grid.interior_mask.ravel())
-    rows = _stencil_rows(grid, int_flat, _flux_stencil(D, int_flat)).tocoo()
+    rows = _stencil_rows(grid, int_flat, _FluxOperator(D).stencil(int_flat)).tocoo()
     bnd = grid.boundary_flat
     return sp.csr_matrix(
         (np.concatenate([rows.data, np.ones(bnd.size)]),
@@ -136,8 +138,31 @@ def test_flux_solve_matches_dense_identity_row_solve():
     rhs = source.reshape(-1).astype(complex)
     rhs[grid.boundary_flat] = boundary
     w_ref = np.linalg.solve(divergence_form_matrix(D).toarray(), rhs)
-    w = _flux_solve(D, source, boundary)
+    w = DirichletSystem(_FluxOperator(D)).solve(BoundaryTrace(grid, boundary),
+                                                ScalarField(grid, source)).values
     assert np.abs(w.reshape(-1) - w_ref).max() <= 1e-12 * np.abs(w_ref).max()
+
+
+def test_qpat_factors_every_operator_through_dirichlet_system(monkeypatch):
+    # the forward model and the flux solve: one SuperLU factorization per
+    # DirichletSystem, and no other path to splu
+    import scipy.sparse.linalg
+
+    counts = {"splu": 0, "systems": 0}
+    splu, init = scipy.sparse.linalg.splu, DirichletSystem.__init__
+
+    def counted_splu(*args, **kwargs):
+        counts["splu"] += 1
+        return splu(*args, **kwargs)
+
+    def counted_init(self, operator):
+        counts["systems"] += 1
+        init(self, operator)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counted_splu)
+    monkeypatch.setattr(DirichletSystem, "__init__", counted_init)
+    run(ExperimentConfig(mode="qpat", preset="qpat-demo", grids=[33]))
+    assert counts == {"splu": 2, "systems": 2}
 
 
 # ---------------------------------------------------------------------------

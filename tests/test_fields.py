@@ -277,6 +277,36 @@ def test_mollify_smooths_noise():
     assert np.abs(out.values).max() < 0.6 * np.abs(noise).max()
 
 
+def test_mollify_wider_than_the_grid_reads_the_grid_mean():
+    # the kernel stops at the longest axis: a 1e9 width takes a 17-entry
+    # kernel on 9^2, not one of 8e9 entries
+    g = grid2(9)
+    f = ScalarField(g, np.cos(3 * g.meshes[0]) + 1j * g.meshes[1] ** 2)
+    tracemalloc.start()
+    try:
+        out = mollify(f, 1e9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    mean = f.values.mean()
+    assert np.abs(out.values - mean).max() <= 1e-12 * np.abs(mean)
+    assert peak < 1e6
+
+
+@pytest.mark.parametrize("width", [0.3, 2.0, 4.0])
+def test_mollify_keeps_the_four_sigma_kernel_up_to_its_cut(width):
+    # widths up to (m - 1)/4 = 4 on 17^2 filter bit for bit as scipy's own
+    # 4-sigma truncation
+    from scipy.ndimage import gaussian_filter
+
+    g = grid2(17)
+    f = ScalarField(g, np.sin(3 * g.meshes[0]) * np.exp(1j * g.meshes[1]))
+    kw = dict(sigma=width, mode="constant", cval=0.0, truncate=4.0)
+    ref = (gaussian_filter(f.values.real, **kw) + 1j * gaussian_filter(f.values.imag, **kw)) \
+        / gaussian_filter(np.ones(g.shape), **kw)
+    assert np.array_equal(mollify(f, width).values, ref)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.floats(min_value=0.2, max_value=4.0),
        st.floats(min_value=-3.0, max_value=3.0))
@@ -387,7 +417,35 @@ def _drop_last_value(doc):
     doc["values"] = base64.b64encode(base64.b64decode(doc["values"])[:-16]).decode()
 
 
+def test_load_refuses_an_archive_nested_past_the_json_reader(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ValueError, match="nests too deeply"):
+        load_field(path)
+    cfg = tmp_path / "rec.json"
+    cfg.write_text(json.dumps({"mode": "reconstruct", "inputs": [str(path)]}))
+    assert cli_main(["reconstruct", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: inputs[0]: cannot read the field archive")
+
+
+def _drop(*keys):
+    def tamper(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        del doc[keys[-1]]
+    return tamper
+
+
 @pytest.mark.parametrize("tamper, message", [
+    (lambda doc: [doc], "the archive must be a JSON object, got list"),
+    (_drop("values"), "the archive has no 'values'"),
+    (_drop("kind"), "the archive has no 'kind'"),
+    (_drop("grid", "extent"), "'grid' has no 'extent'"),
+    (lambda doc: doc.update(grid=[doc["grid"]]), "'grid' must be a JSON object, got list"),
+    (lambda doc: doc.update(grid=None), "'grid' must be a JSON object, got NoneType"),
+    (lambda doc: doc["grid"].update(extent=1), "'grid' is invalid"),
+    (lambda doc: doc["grid"].update(extent=[[0, 10 ** 400], [0, 1]]), "'grid' is invalid"),
+    (lambda doc: doc.update(kind=["scalar"]), "unknown field kind"),
     (_old_text_values, "predates the binary payload"),
     (lambda doc: doc.update(dtype="<c8"), "'dtype' must be '<c16'"),
     # characters outside the alphabet that a lenient decoder would skip
@@ -396,14 +454,16 @@ def _drop_last_value(doc):
     (lambda doc: doc.update(kind="symtensor"), "'values' holds 1296 bytes"),
     (lambda doc: doc["grid"].update(shape=[2**40, 2**40]), "'values' holds 1296 bytes"),
     (_nan_value, r"non-finite values \(1 node\(s\), first at \(4, 4\)\)"),
-], ids=["old-text-format", "dtype-c8", "not-base64", "one-value-short",
+], ids=["json-list", "no-values", "no-kind", "no-extent", "list-grid", "null-grid",
+        "number-extent", "extent-overflows-a-float", "list-kind",
+        "old-text-format", "dtype-c8", "not-base64", "one-value-short",
         "scalar-relabelled-symtensor", "huge-shape", "non-finite-value"])
 def test_load_refuses_malformed_archives(tmp_path, capsys, tamper, message):
     g = grid2(9)
     path = tmp_path / "u.json"
     save_field(ScalarField(g, g.meshes[0] + 1j * g.meshes[1]), path)
     doc = json.loads(path.read_text())
-    tamper(doc)
+    doc = tamper(doc) or doc  # a tamper that returns a document replaces it
     path.write_text(json.dumps(doc))
     tracemalloc.start()
     try:

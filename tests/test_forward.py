@@ -321,9 +321,9 @@ def test_nested_dissection_separators_decouple_their_halves(shape):
     matrix couples the two halves, and the separator is ordered after both."""
     grid = box_grid(shape)
     system = DirichletSystem(variable_coeffs(grid))
-    order = system._lu.order
+    order = system.order
     n_int = order.size
-    coupled = system._lu._A[:, :n_int].tocoo()
+    coupled = system._A[:, :n_int].tocoo()
     node_row = np.asarray(order)[coupled.row]
     node_col = np.asarray(order)[coupled.col]
     position = np.empty(grid.num_nodes, dtype=int)

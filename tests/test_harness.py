@@ -399,6 +399,13 @@ def test_cli_reports_config_errors(tmp_path, capsys):
     assert "preset" in err
 
 
+def test_cli_refuses_a_config_nested_past_the_json_reader(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert cli_main(["roundtrip", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: config is not valid JSON: maximum recursion")
+
+
 @pytest.mark.parametrize("override, field", [
     ({"grids": 33}, "grids"),
     ({"grids": [33.5]}, "grids[0]"),
@@ -414,6 +421,7 @@ def test_cli_reports_config_errors(tmp_path, capsys):
      "illumination.params.eps"),
     ({"illumination": {"family": "cgo", "params": {"eps": 1e300}}},
      "illumination.params.eps"),
+    ({"grids": [1000000000]}, "grids[0]"),  # refused by its node count, never allocated
 ])
 def test_cli_names_the_field_of_a_mistyped_config_value(tmp_path, capsys,
                                                          override, field):
@@ -421,6 +429,15 @@ def test_cli_names_the_field_of_a_mistyped_config_value(tmp_path, capsys,
     path = write_config(tmp_path, "bad.json", doc)
     assert cli_main(["roundtrip", "--config", path]) == 1
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+
+@pytest.mark.parametrize("preset, largest", [("identity-2d", 1024), ("constant-tensor-3d", 101)])
+def test_a_grid_may_have_at_most_max_grid_nodes(preset, largest):
+    # 1024^2 = 2^20 and 101^3 <= 2^20 < 102^3
+    assert harness.MAX_GRID_NODES == 2 ** 20
+    ExperimentConfig(mode="roundtrip", preset=preset, grids=[largest]).validate()
+    with pytest.raises(ConfigError, match=r"grids\[0\]: .* exceed the 1048576 a grid may have"):
+        ExperimentConfig(mode="roundtrip", preset=preset, grids=[largest + 1]).validate()
 
 
 @pytest.mark.parametrize("override, argv, field", [

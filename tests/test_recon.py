@@ -1288,12 +1288,6 @@ def _eq_residual(u):
     return reconstruct_class(rb, fr, build_M(rb, fr)).diagnostics["eq_residual"]
 
 
-def _preset_data(name, m):
-    preset = PRESETS[name]
-    grid = square_grid(m, preset.dim)
-    return synthesize(preset.coefficients(grid), preset.illumination(grid))
-
-
 @pytest.mark.parametrize("name, m, measured", [
     # the equation's terms vanish on the constant classes; each solution's
     # residual is judged against the size of its own terms, so these read
@@ -1313,7 +1307,7 @@ def test_equation_residual_reads_roundoff_on_exact_data(name, m, measured):
 def _spiked_data():
     # smooth-complex-2d at 33^2 with u_4 scaled by 1e3 at node (10, 20),
     # where V's singular values are 5.76e5, 1.41 and 3.46e-6 (cond 1.7e11)
-    u = _preset_data("smooth-complex-2d", 33)
+    u = list(_preset_data("smooth-complex-2d", 33))  # the cached list stays whole
     spiked = u[3].values.copy()
     spiked[10, 20] *= 1e3
     u[3] = ScalarField(u[3].grid, spiked)

@@ -62,6 +62,9 @@ RUNS = {
     "qpat 65": dict(mode="qpat", preset="qpat-demo", grids=[65]),
     "qpat 33 noisy": dict(mode="qpat", preset="qpat-demo", grids=[33],
                           noise=[1e-4], mollify_width=1.0),
+    # the widest mollifier whose 4-sigma kernel the grid's length leaves uncut
+    "qpat 33 mollified at (m-1)/4": dict(mode="qpat", preset="qpat-demo", grids=[33],
+                                         noise=[1e-4], mollify_width=8.0),
     "elasto 65": dict(mode="elasto", preset="elasto-demo", grids=[65]),
     "stability 33": dict(mode="stability", preset="smooth-complex-2d", grids=[33],
                          noise=[1e-5, 1e-4]),
