@@ -11,101 +11,19 @@ The package is organized bottom-up:
 ``apps``      photoacoustic and elastography front ends
 ``harness``   presets, experiment configs, noise, reports
 ``cli``       the ``gaugerec`` command
+
+The top level re-exports the ``__all__`` of every module but ``cli``, so each
+public name is declared once, in its module.
 """
 
 from ._version import __version__
-from .errors import (
-    ComplexCoefficients,
-    ConfigError,
-    CoverageFailure,
-    DegenerateTensor,
-    EllipticityViolation,
-    FrameDegenerate,
-    GridMismatch,
-    MDependent,
-    NonFiniteData,
-    NonIntegrableField,
-    NonPositiveH1,
-    SingularSystem,
-    ToolkitError,
-    VanishingGauge,
-    VanishingU1,
-)
-from .fields import (
-    SYM_PAIRS,
-    Grid,
-    ScalarField,
-    SymTensorField,
-    VectorField,
-    divergence,
-    divergence_tensor,
-    gradient,
-    hessian,
-    grad_values,
-    hess_values,
-    load_field,
-    mollify,
-    save_field,
-)
-from .forward import (
-    BoundaryTrace,
-    CoefficientSet,
-    DirichletSystem,
-    gauge_transform,
-    synthesize,
-)
-from .illum import (
-    ExponentialMember,
-    IlluminationSet,
-    PolynomialMember,
-    cgo_family,
-    complement_basis,
-    constant_tensor_family,
-    harmonic_family,
-    local_polynomial_family,
-    num_generators,
-    num_solutions,
-    plane_wave_family,
-)
-from .recon import (
-    ClassRepresentative,
-    EngineConfig,
-    FrameData,
-    MBundle,
-    PatchMap,
-    RatioBundle,
-    build_frame,
-    build_M,
-    build_ratios,
-    reconstruct_class,
-    reconstruct_global,
-    unit_gauge_triple,
-)
-from .gauge import (
-    curl_residual,
-    integrate_gradient,
-    recover_tau_b_zero,
-    recover_tau_divfree_b,
-    recover_tau_known_phi,
-)
-from .apps import (
-    ElastoData,
-    QpatData,
-    elasto_reconstruct,
-    qpat_reconstruct,
-)
-from .harness import (
-    ExperimentConfig,
-    PRESETS,
-    Preset,
-    ReconstructionReport,
-    add_noise,
-    noise_realization,
-    run,
-    square_grid,
-    triple_errors,
-    unit_truth,
-    write_manifest,
-)
+from .errors import *
+from .fields import *
+from .forward import *
+from .illum import *
+from .recon import *
+from .gauge import *
+from .apps import *
+from .harness import *
 
 __all__ = [name for name in dir() if not name.startswith("_")]

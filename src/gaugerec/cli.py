@@ -90,7 +90,7 @@ def main(argv=None) -> int:
     if out_dir is not None:
         print(f"report written to {out_dir / 'report.json'}")
     else:
-        json.dump(report.to_dict(), sys.stdout, indent=2)
+        json.dump(report.to_dict(), sys.stdout, indent=2, allow_nan=False)
         print()
     return 0
 

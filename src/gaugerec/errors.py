@@ -112,8 +112,9 @@ class EllipticityViolation(_NodeError):
     """Re(a) fails the two-sided ellipticity bound somewhere on the grid."""
 
 
-class VanishingGauge(ToolkitError):
-    """A gauge factor tau vanishes (or dips below the configured floor)."""
+class VanishingGauge(_NodeError):
+    """A gauge factor tau vanishes (or dips below the configured floor) at
+    ``nodes``."""
 
 
 class DegenerateTensor(ToolkitError):

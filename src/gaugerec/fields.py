@@ -143,10 +143,6 @@ class Grid:
         mask.setflags(write=False)
         return mask
 
-    @property
-    def interior_mask(self) -> np.ndarray:
-        return ~self.boundary_mask
-
     @cached_property
     def boundary_flat(self) -> np.ndarray:
         """Flat (row-major) indices of the boundary nodes, ascending."""
@@ -407,7 +403,7 @@ def mollify(f: ScalarField, width: float) -> ScalarField:
 # Archives
 # ---------------------------------------------------------------------------
 
-_KIND_TO_CLS = {"scalar": ScalarField, "vector": VectorField, "symtensor": SymTensorField}
+_KIND_TO_CLS = {cls.kind: cls for cls in (ScalarField, VectorField, SymTensorField)}
 _DTYPE = "<c16"
 
 

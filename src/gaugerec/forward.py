@@ -178,16 +178,8 @@ class BoundaryTrace:
         self.values = vals
 
     @classmethod
-    def from_function(cls, grid: Grid, fn, label: str = "") -> "BoundaryTrace":
-        """Evaluate ``fn`` on the (k, dim) boundary coordinates."""
-        vals = np.asarray(fn(grid.boundary_points), dtype=np.complex128)
-        return cls(grid, vals.reshape(-1), label)
-
-    @classmethod
     def from_node_values(cls, grid: Grid, full, label: str = "") -> "BoundaryTrace":
-        """Restrict a full node array (or ScalarField) to the boundary."""
-        if isinstance(full, ScalarField):
-            full = full.values
+        """Restrict a full node array to the boundary."""
         return cls(grid, grid.on_boundary(full), label)
 
 
@@ -240,20 +232,18 @@ def _dissect(block: np.ndarray, parts: list) -> None:
 
 
 def _stencil_rows(grid: Grid, nodes: np.ndarray, stencil: dict,
-                  columns: np.ndarray | None = None) -> sp.csr_matrix:
+                  columns: np.ndarray) -> sp.csr_matrix:
     """Sparse operator with one row per entry of ``nodes`` (interior flat
     indices) and one column per grid node.
 
     ``stencil`` maps an integer offset tuple to the coefficients at ``nodes``.
-    ``columns[j]`` is the column of grid node j (the identity when omitted).
+    ``columns[j]`` is the column of grid node j.
     """
     import scipy.sparse as sp
 
     strides = _flat_strides(grid.shape)
     offsets = np.array([np.asarray(off) @ strides for off in stencil], dtype=np.intp)
-    cols = nodes[:, None] + offsets
-    if columns is not None:
-        cols = columns[cols]
+    cols = columns[nodes[:, None] + offsets]
     data = np.stack([np.asarray(v, dtype=np.complex128) for v in stencil.values()],
                     axis=1)
     k = len(stencil)
@@ -382,8 +372,9 @@ def gauge_transform(coeffs: CoefficientSet, tau: ScalarField) -> CoefficientSet:
     """
     grid = common_grid([coeffs, tau])
     t = tau.values
-    if float(np.abs(t).min()) < 1e-10:
-        raise VanishingGauge("|tau| dips below the floor 1e-10")
+    low = np.abs(t) < 1e-10
+    if low.any():
+        raise VanishingGauge("|tau| dips below the floor 1e-10", nodes=np.argwhere(low))
     a_new = SymTensorField(grid, coeffs.a.values * t[..., None])
     gt = grad_values(t, grid.spacing)
     b_new = VectorField(

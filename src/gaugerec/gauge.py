@@ -135,8 +135,10 @@ def _exp_poisson(grid: Grid, source: np.ndarray,
     """
     from scipy.fft import dstn, idstn
 
-    if (np.abs(boundary_tau.values) == 0).any():
-        raise VanishingGauge("boundary tau datum vanishes")
+    zero = boundary_tau.values == 0
+    if zero.any():
+        raise VanishingGauge("boundary tau datum vanishes",
+                             nodes=np.argwhere(grid.boundary_mask)[zero])
     source = ScalarField(grid, source).values
     inner = (slice(1, -1),) * grid.dim
     f = np.log(boundary_tau.values)
@@ -202,7 +204,8 @@ def recover_tau_b_zero(rep: ClassRepresentative, anchor,
         tau = np.exp(integrate_gradient(g).values)
         corner = tau.reshape(-1)[0]
         if corner == 0:
-            raise VanishingGauge("recovered tau vanishes at the anchor node")
+            raise VanishingGauge("recovered tau vanishes at the anchor node",
+                                 nodes=[(0,) * grid.dim])
         tau = tau * (complex(anchor) / corner)
     if diagnostics is not None and anchored:
         tb = grid.on_boundary(tau)

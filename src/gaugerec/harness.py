@@ -29,6 +29,7 @@ from ._version import __version__ as _pkg_version
 from .apps import ElastoData, QpatData, elasto_reconstruct, qpat_reconstruct
 from .errors import ConfigError
 from .fields import (
+    MIN_NODES_PER_AXIS,
     Grid,
     ScalarField,
     SymTensorField,
@@ -240,28 +241,24 @@ def _ill_elasto(grid: Grid) -> IlluminationSet:
     return plane_wave_family(grid, kappa_sq=-(_ELASTO_OMEGA ** 2) * _ELASTO_RHO)
 
 
-PRESETS: dict[str, Preset] = {
-    "identity-2d": Preset("identity-2d", 2, "pde", _p_identity, _ill_harmonic),
-    "smooth-complex-2d": Preset("smooth-complex-2d", 2, "pde",
-                                _p_smooth_complex, _ill_harmonic),
-    "bzero-2d": Preset("bzero-2d", 2, "pde", _p_bzero, _ill_harmonic),
-    "real-2d": Preset("real-2d", 2, "pde", _p_real, _ill_harmonic),
-    "constant-tensor-2d": Preset(
-        "constant-tensor-2d", 2, "pde",
-        lambda grid: CoefficientSet.constant(grid, _A0_2D),
-        lambda grid: constant_tensor_family(grid, _A0_2D),
-        extras={"a0": _A0_2D}),
-    "constant-tensor-3d": Preset(
-        "constant-tensor-3d", 3, "pde",
-        lambda grid: CoefficientSet.constant(grid, _A0_3D),
-        lambda grid: constant_tensor_family(grid, _A0_3D),
-        extras={"a0": _A0_3D}),
-    "isotropic-c": Preset("isotropic-c", 2, "pde", _p_isotropic_c,
-                          _ill_cgo_isotropic),
-    "qpat-demo": Preset("qpat-demo", 2, "qpat", _p_qpat, _ill_qpat),
-    "elasto-demo": Preset("elasto-demo", 2, "elasto", _p_elasto, _ill_elasto,
-                          extras={"rho": _ELASTO_RHO, "omega": _ELASTO_OMEGA}),
-}
+PRESETS: dict[str, Preset] = {p.name: p for p in (
+    Preset("identity-2d", 2, "pde", _p_identity, _ill_harmonic),
+    Preset("smooth-complex-2d", 2, "pde", _p_smooth_complex, _ill_harmonic),
+    Preset("bzero-2d", 2, "pde", _p_bzero, _ill_harmonic),
+    Preset("real-2d", 2, "pde", _p_real, _ill_harmonic),
+    Preset("constant-tensor-2d", 2, "pde",
+           lambda grid: CoefficientSet.constant(grid, _A0_2D),
+           lambda grid: constant_tensor_family(grid, _A0_2D),
+           extras={"a0": _A0_2D}),
+    Preset("constant-tensor-3d", 3, "pde",
+           lambda grid: CoefficientSet.constant(grid, _A0_3D),
+           lambda grid: constant_tensor_family(grid, _A0_3D),
+           extras={"a0": _A0_3D}),
+    Preset("isotropic-c", 2, "pde", _p_isotropic_c, _ill_cgo_isotropic),
+    Preset("qpat-demo", 2, "qpat", _p_qpat, _ill_qpat),
+    Preset("elasto-demo", 2, "elasto", _p_elasto, _ill_elasto,
+           extras={"rho": _ELASTO_RHO, "omega": _ELASTO_OMEGA}),
+)}
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +314,20 @@ class ExperimentConfig:
         check("mollify_width", self.mollify_width, (Real,), "a number")
         check("seed", self.seed, (Integral,), "an integer")
         check("engine", self.engine, (EngineConfig,), "an EngineConfig")
-        check("illumination", self.illumination, (dict,), "an object")
-        params = check("illumination.params", self.illumination.get("params", {}),
-                       (dict,), "an object")
+        ill = check("illumination", self.illumination, (dict,), "an object")
+        for key in ill:
+            if key not in ("family", "params"):
+                raise ConfigError(f"illumination.{key}", "unknown option")
+        family = check("illumination.family", ill.get("family"), (str, type(None)),
+                       "a family name")
+        if family is not None and family not in _FAMILIES:
+            raise ConfigError("illumination.family", f"unknown family {family!r} "
+                                                     f"(known: {sorted(_FAMILIES)})")
+        params = check("illumination.params", ill.get("params", {}), (dict,), "an object")
+        for key in params:  # the preset's own family, when none is named, reads none
+            if key not in (_FAMILIES[family][1] if family else ()):
+                reader = f"the {family} family" if family else "the preset's own illumination"
+                raise ConfigError(f"illumination.params.{key}", f"{reader} does not read it")
         if "k" in params:
             check("illumination.params.k", params["k"], (Real, type(None)), "a number")
         if "eps" in params:
@@ -342,6 +350,10 @@ class ExperimentConfig:
                                         f"(known: {sorted(PRESETS)})")
         elif self.mode in ("qpat", "elasto") and PRESETS[self.preset].kind != self.mode:
             raise ConfigError("preset", f"{self.mode} mode needs a {self.mode} preset")
+        if family == "constant-tensor" and self.preset in PRESETS:
+            if "a0" not in params and "a0" not in PRESETS[self.preset].extras:
+                raise ConfigError("illumination.params.a0", f"the constant-tensor family "
+                                  f"needs a0, and preset {self.preset!r} has none")
         if "a0" in params and self.preset in PRESETS:
             d = PRESETS[self.preset].dim
             try:
@@ -354,8 +366,9 @@ class ExperimentConfig:
                                   f"must be a {d}x{d} matrix of numbers, got {params['a0']!r}")
         dim = PRESETS[self.preset].dim if self.preset in PRESETS else 2
         for i, g in enumerate(self.grids):
-            if g < 9:
-                raise ConfigError(f"grids[{i}]", "grids need at least 9 nodes per axis")
+            if g < MIN_NODES_PER_AXIS:
+                raise ConfigError(f"grids[{i}]", f"grids need at least {MIN_NODES_PER_AXIS} "
+                                                 f"nodes per axis")
             if int(g) ** dim > MAX_GRID_NODES:  # refused before anything is allocated
                 raise ConfigError(f"grids[{i}]", f"{g}^{dim} nodes exceed the "
                                                  f"{MAX_GRID_NODES} a grid may have")
@@ -517,20 +530,17 @@ def observed_orders(entries: list[dict], key: str = "triple") -> list[float]:
 # ---------------------------------------------------------------------------
 
 def _build_illumination(cfg: ExperimentConfig, preset: Preset, grid: Grid) -> IlluminationSet:
+    """The config's illumination family (``_FAMILIES``) on ``grid``, else the
+    preset's own."""
     fam = cfg.illumination.get("family")
-    params = cfg.illumination.get("params", {})
     if fam is None:
         return preset.illumination(grid)
-    if fam == "harmonic":
-        return harmonic_family(grid)
-    if fam == "constant-tensor":
-        a0 = params.get("a0", preset.extras.get("a0"))
-        if a0 is None:
-            raise ConfigError("illumination.params.a0", "constant-tensor family needs a0")
-        return constant_tensor_family(grid, np.asarray(a0, dtype=np.complex128))
-    if fam == "cgo":
-        return cgo_family(grid, k=params.get("k"), eps=params.get("eps", 0.5))
-    raise ConfigError("illumination.family", f"unknown family {fam!r}")
+    return _FAMILIES[fam][0](grid, preset, **cfg.illumination.get("params", {}))
+
+
+def _ill_constant_tensor(grid: Grid, preset: Preset, a0=None) -> IlluminationSet:
+    a0 = preset.extras["a0"] if a0 is None else a0
+    return constant_tensor_family(grid, np.asarray(a0, dtype=np.complex128))
 
 
 def _synthesize_data(cfg: ExperimentConfig, preset: Preset, grid: Grid
@@ -736,6 +746,17 @@ _MODES = {
     "stability": (_run_ladder, ("inputs",), "grids"),
 }
 MODES = tuple(_MODES)
+
+# illumination family -> (its builder, called with the grid, the preset and
+# the config's params, and the params it reads); ``ExperimentConfig.validate``
+# refuses any other family or param.  The builders look the family functions
+# up per call, which bench/spans.py rebinds to time them.
+_FAMILIES = {
+    "harmonic": (lambda grid, preset: harmonic_family(grid), ()),
+    "constant-tensor": (_ill_constant_tensor, ("a0",)),
+    "cgo": (lambda grid, preset, k=None, eps=0.5: cgo_family(grid, k=k, eps=eps),
+            ("k", "eps")),
+}
 
 
 def run(config: ExperimentConfig, out_dir=None) -> ReconstructionReport:

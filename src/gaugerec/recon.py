@@ -936,11 +936,11 @@ class _UnitGauge:
     (:func:`_flip_at_center`).  s and the edge signs of a/s on every grid
     line (:func:`_edge_prefix`) are computed once on the whole grid.  Each
     step is pointwise or exact, so a box gets the bits its windows give as
-    a grid of their own, and raises VanishingGauge at a box that holds a
-    node of |Tr(a a)| < 1e-28.  The triple may be NaN outside the boxes
-    that read it (a candidate evaluated only where it was named): an edge
-    with a NaN end reads +1, and a box multiplies only the +-1 signs of its
-    own edges, so it gets the same bits.
+    a grid of their own, and raises VanishingGauge, naming the nodes, at a
+    box that holds a node of |Tr(a a)| < 1e-28.  The triple may be NaN
+    outside the boxes that read it (a candidate evaluated only where it was
+    named): an edge with a NaN end reads +1, and a box multiplies only the
+    +-1 signs of its own edges, so it gets the same bits.
     """
 
     def __init__(self, triple: list[np.ndarray], axes: list[tuple[list[int], int]]):
@@ -956,8 +956,12 @@ class _UnitGauge:
     def window(self, k: int, box: tuple[slice, ...]) -> tuple[np.ndarray, ...]:
         """The unit-gauge (a, b + div a, c) on box ``k``, ``box``, and the
         scale that divided them."""
-        if self.vanishing[k]:
-            raise VanishingGauge("Tr(a a) vanishes; the unit gauge is undefined")
+        if self.vanishing[k]:  # the nodes are found again on this box alone
+            a = self.triple[0][box]
+            with np.errstate(all="ignore"):
+                low = np.abs(np.einsum("...ij,...ji->...", a, a)) < 1e-28
+            raise VanishingGauge("Tr(a a) vanishes; the unit gauge is undefined",
+                                 nodes=np.argwhere(low) + [sl.start for sl in box])
         center = tuple(sl.start + (sl.stop - sl.start) // 2 for sl in box)
         sgn = _scan_signs(self.prefix, box)
         scale = self.s[box] * _flip_at_center(sgn, self.triple[0][center] / self.s[center])

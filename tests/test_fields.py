@@ -55,7 +55,7 @@ def test_grid_geometry():
     assert g.diameter == pytest.approx(np.sqrt(1.0 + 4.0))
     # boundary nodes of a rectangle: full perimeter, counted once
     assert g.boundary_flat.size == 17 * 33 - 15 * 31
-    assert g.interior_mask.sum() == 15 * 31
+    assert (~g.boundary_mask).sum() == 15 * 31
     assert g.points.shape == (17, 33, 2)
     assert g.boundary_points.shape == (g.boundary_flat.size, 2)
 

@@ -104,7 +104,8 @@ def test_coefficient_fields_on_another_grid_are_rejected():
 
 def test_boundary_trace_contracts():
     grid = square_grid(17)
-    tr = BoundaryTrace.from_function(grid, lambda p: p[:, 0] + 2.0 * p[:, 1])
+    p = grid.boundary_points
+    tr = BoundaryTrace(grid, p[:, 0] + 2.0 * p[:, 1])
     assert tr.values.shape == (grid.boundary_flat.size,)
     x1, x2 = grid.meshes
     tr2 = BoundaryTrace.from_node_values(grid, x1 + 2.0 * x2)
@@ -185,7 +186,7 @@ def test_discrete_maximum_principle(seed):
 def test_residual_tolerance_is_enforced(monkeypatch):
     grid = square_grid(9)
     cs = const_coeffs(grid, np.eye(2), [0, 0], 0.0)
-    f = BoundaryTrace.from_function(grid, lambda p: p[:, 0] ** 2)
+    f = BoundaryTrace(grid, grid.boundary_points[:, 0] ** 2)
     # no solve meets a zero residual bound, so the gate must trip
     monkeypatch.setattr(gaugerec.forward, "_RTOL", 0.0)
     with pytest.raises(SingularSystem):
@@ -217,7 +218,8 @@ def test_block_solve_names_the_first_failing_trace(monkeypatch):
     grid = square_grid(9)
     cs = const_coeffs(grid, np.eye(2), [0.2, -0.1], 0.3)
     zero = BoundaryTrace(grid, np.zeros(grid.boundary_flat.size))
-    f = BoundaryTrace.from_function(grid, lambda p: np.exp(p[:, 0]) * p[:, 1])
+    p = grid.boundary_points
+    f = BoundaryTrace(grid, np.exp(p[:, 0]) * p[:, 1])
     monkeypatch.setattr(gaugerec.forward, "_RTOL", 0.0)
     with pytest.raises(SingularSystem) as info:
         synthesize(cs, [zero, zero, f])
@@ -286,7 +288,7 @@ def dense_identity_row_system(cs):
 @pytest.mark.parametrize("shape", [(9, 9), (12, 9), (9, 10, 11), (13, 9, 9)])
 def test_nested_dissection_orders_every_interior_node_once(shape):
     order = _nested_dissection(shape)
-    interior = np.flatnonzero(box_grid(shape).interior_mask.ravel())
+    interior = np.flatnonzero(~box_grid(shape).boundary_mask.ravel())
     assert order.size == interior.size
     assert np.array_equal(np.sort(order), interior)
 
@@ -364,7 +366,7 @@ def test_interior_solve_matches_dense_identity_row_solve(shape):
     for source in (None, src):
         rhs = np.zeros(grid.num_nodes, dtype=complex)
         if source is not None:
-            rhs[grid.interior_mask.ravel()] = source.values[grid.interior_mask]
+            rhs[~grid.boundary_mask.ravel()] = source.values[~grid.boundary_mask]
         rhs[grid.boundary_flat] = f.values
         u_ref = np.linalg.solve(A, rhs).reshape(grid.shape)
         u = system.solve(f, source=source).values
@@ -395,8 +397,9 @@ def test_gauge_transform_rejects_vanishing_tau():
     grid = square_grid(9)
     cs = const_coeffs(grid, np.eye(2), [0, 0], 0.0)
     tau = ScalarField(grid, grid.meshes[0] + 0j)  # zero along one edge
-    with pytest.raises(VanishingGauge):
+    with pytest.raises(VanishingGauge) as info:
         gauge_transform(cs, tau)
+    assert info.value.nodes.tolist() == [[0, j] for j in range(9)]
 
 
 def test_gauge_moves_leave_the_data_invariant():

@@ -14,6 +14,7 @@ from gaugerec import (
     ScalarField,
     SingularSystem,
     SymTensorField,
+    VanishingGauge,
     VectorField,
     curl_residual,
     gradient,
@@ -183,3 +184,13 @@ def test_sine_transform_poisson_keeps_the_residual_gate(monkeypatch):
     with pytest.raises(SingularSystem) as info:
         _exp_poisson(grid, source, tau_b)
     assert info.value.trace_index is None and info.value.residual > 0.0
+
+
+def test_a_zero_in_the_boundary_datum_names_its_nodes():
+    grid = square_grid(17)
+    source, tau_b = poisson_problem(grid)
+    values = tau_b.values.copy()
+    values[[3, 40]] = 0.0
+    with pytest.raises(VanishingGauge, match="boundary tau datum vanishes") as info:
+        _exp_poisson(grid, source, BoundaryTrace(grid, values))
+    assert np.array_equal(info.value.nodes, np.argwhere(grid.boundary_mask)[[3, 40]])

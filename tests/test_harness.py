@@ -391,6 +391,39 @@ def test_cli_synthesize_then_reconstruct(tmp_path):
     assert sorted(manifest["inputs"]) == solutions
 
 
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def _without_timings(obj):
+    if isinstance(obj, dict):
+        return {k: _without_timings(v) for k, v in obj.items() if k != "timings"}
+    if isinstance(obj, list):
+        return [_without_timings(v) for v in obj]
+    return obj
+
+
+def test_cli_prints_the_report_without_an_output_directory(tmp_path, capsys):
+    doc = {"mode": "roundtrip", "preset": "smooth-complex-2d", "grids": [17]}
+    path = write_config(tmp_path, "roundtrip.json", doc)
+    assert cli_main(["roundtrip", "--config", path]) == 0
+    printed = _strict_json(capsys.readouterr().out)
+    report = run(ExperimentConfig.from_dict(doc)).to_dict()
+    assert _without_timings(printed) == _without_timings(report)
+    assert list(tmp_path.iterdir()) == [tmp_path / "roundtrip.json"]
+
+
+def test_cli_prints_a_one_level_stability_slope_as_null(tmp_path, capsys):
+    path = write_config(tmp_path, "stability.json", {
+        "mode": "stability", "preset": "identity-2d", "grids": [17], "noise": [1e-4]})
+    assert cli_main(["stability", "--config", path]) == 0
+    out = capsys.readouterr().out
+    assert '"slope": null' in out
+    assert _strict_json(out)["stability"]["slope"] is None
+
+
 def test_cli_reports_config_errors(tmp_path, capsys):
     bad = write_config(tmp_path, "bad.json",
                        {"mode": "roundtrip", "preset": "missing-preset"})
@@ -422,13 +455,27 @@ def test_cli_refuses_a_config_nested_past_the_json_reader(tmp_path, capsys):
     ({"illumination": {"family": "cgo", "params": {"eps": 1e300}}},
      "illumination.params.eps"),
     ({"grids": [1000000000]}, "grids[0]"),  # refused by its node count, never allocated
+    # an illumination entry its family does not read was ignored, and an
+    # unknown family, or one the preset cannot build, failed inside the run,
+    # after the output directory was made
+    ({"illumination": {"family": "harmonic", "params": {"k": 4.0}}},
+     "illumination.params.k"),
+    ({"illumination": {"params": {"eps": 0.3}}}, "illumination.params.eps"),
+    ({"illumination": {"family": "cgo", "params": {"bogus": 1}}},
+     "illumination.params.bogus"),
+    ({"illumination": {"family": "harmonic", "extra": 1}}, "illumination.extra"),
+    ({"illumination": {"family": "nope"}}, "illumination.family"),
+    ({"preset": "smooth-complex-2d", "illumination": {"family": "constant-tensor"}},
+     "illumination.params.a0"),
 ])
 def test_cli_names_the_field_of_a_mistyped_config_value(tmp_path, capsys,
                                                          override, field):
     doc = {"mode": "roundtrip", "preset": "identity-2d", "grids": [17], **override}
     path = write_config(tmp_path, "bad.json", doc)
-    assert cli_main(["roundtrip", "--config", path]) == 1
+    out = tmp_path / "out"
+    assert cli_main(["roundtrip", "--config", path, "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("preset, largest", [("identity-2d", 1024), ("constant-tensor-3d", 101)])

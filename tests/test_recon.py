@@ -39,7 +39,7 @@ from gaugerec import (
 from gaugerec import recon
 from gaugerec.errors import ConfigError
 from gaugerec.fields import Grid
-from gaugerec.harness import PRESETS, triple_errors, unit_truth
+from gaugerec.harness import PRESETS, add_noise, triple_errors, unit_truth
 from gaugerec.illum import num_generators
 from gaugerec.forward import synthesize
 
@@ -659,10 +659,12 @@ def test_unit_gauge_of_a_box_chains_planted_flips_and_refuses_vanishing_boxes(sh
     for k, box in enumerate(recon._patch_boxes(grid.shape, cfg)):
         window = [x[box].copy() for x in triple]
         if all(sl.start <= z < sl.stop for sl, z in zip(box, zero)):
-            with pytest.raises(VanishingGauge):
+            with pytest.raises(VanishingGauge) as info:
                 unit_gauge_triple(*window)
-            with pytest.raises(VanishingGauge):
+            assert info.value.nodes.tolist() == [[z - sl.start for sl, z in zip(box, zero)]]
+            with pytest.raises(VanishingGauge) as info:
                 gauge.window(k, box)
+            assert info.value.nodes.tolist() == [list(zero)]
             refused += 1
             continue
         for g, w in zip(gauge.window(k, box), unit_gauge_triple(*window)[:3]):
@@ -1562,6 +1564,62 @@ def test_class_is_lipschitz_in_smooth_data(name, sizes, measured):
         assert at[0] <= 1.25 * pin, (m, at)
         moduli.append(at[0])
     assert max(moduli) <= 1.1 * min(moduli), moduli
+
+
+def _class_distance(got, want) -> float:
+    """max|got - want| over the triple, relative to the largest sup of
+    ``want``, with the global sign of ``got`` that fits best (the unit
+    gauge fixes the class up to one sign)."""
+    scale = max(float(np.abs(w).max()) for w in want)
+    return min(max(float(np.abs(s * g - w).max()) for g, w in zip(got, want))
+               for s in (1, -1)) / scale
+
+
+@pytest.mark.parametrize("name, m, patch_size, overlap", [
+    ("smooth-complex-2d", 65, None, 8),
+    ("smooth-complex-2d", 65, 17, 8),
+    ("constant-tensor-3d", 17, None, 8),
+])
+def test_metamorphic_relations(name, m, patch_size, overlap):
+    # exact symmetries of the inverse problem, each read at most 2.3e-13
+    # but the scaling (1.3e-11): transposing or reflecting the grid moves
+    # the class with it, conjugation conjugates it bit for bit, and neither
+    # rescaling the members nor reordering those after u_1 moves it
+    cfg = EngineConfig(patch_size=patch_size, overlap=overlap)
+    u = _preset_data(name, m)
+    grid, n = u[0].grid, u[0].grid.dim
+    a, bpda, c = base = reconstruct_global(u, cfg)[0].triple_arrays()
+
+    def rebuilt(change):
+        data = [ScalarField(grid, change(j, f.values)) for j, f in enumerate(u)]
+        return reconstruct_global(data, cfg)[0].triple_arrays()
+
+    axes = tuple(range(n))[::-1]
+    transposed = (np.transpose(a, axes + (n, n + 1))[..., axes, :][..., axes],
+                  np.transpose(bpda, axes + (n,))[..., axes], np.transpose(c))
+    assert _class_distance(rebuilt(lambda j, v: np.transpose(v)), transposed) < 1e-10
+    s = np.ones(n)
+    s[0] = -1.0  # x0 -> 1 - x0 flips a_0k (k != 0) and b_0
+    reflected = (np.flip(a, 0) * np.outer(s, s), np.flip(bpda, 0) * s, np.flip(c, 0))
+    assert _class_distance(rebuilt(lambda j, v: np.flip(v, 0)), reflected) < 1e-10
+    conjugated = tuple(np.conj(x) for x in base)
+    assert _class_distance(rebuilt(lambda j, v: np.conj(v)), conjugated) == 0.0
+    rng = np.random.default_rng(5)
+    lam = np.exp(rng.standard_normal(len(u)) + 2j * np.pi * rng.random(len(u)))
+    assert _class_distance(rebuilt(lambda j, v: lam[j] * v), base) < 1e-10
+    order = [0, *(1 + rng.permutation(len(u) - 1))]
+    assert _class_distance(rebuilt(lambda j, v: u[order[j]].values), base) < 1e-10
+
+
+def test_a_blend_that_cancels_at_a_node_names_it():
+    # noisy isotropic-c data at 65^2 in 17/8 patches: patch signs are
+    # aligned by one overlap sum each, some come out -1, and two patches
+    # cancel the blend's Tr(a a) to 8.9e-33 at (20, 50); one patch runs fine
+    u = [add_noise(f, 1e-4, 1 + j) for j, f in enumerate(_preset_data("isotropic-c", 65))]
+    with pytest.raises(VanishingGauge, match=r"Tr\(a a\) vanishes") as info:
+        reconstruct_global(u, EngineConfig(patch_size=17, overlap=8))
+    assert info.value.nodes.tolist() == [[20, 50]]
+    reconstruct_global(u)
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,15 @@ def collect() -> dict:
     data = g.synthesize(preset.coefficients(grid), preset.illumination(grid))
     items["isotropic-c 65 17/8: reconstruct_global"] = _attempt(
         lambda: _global(g, data, g.EngineConfig(patch_size=17, overlap=8)))
+    # noisy data, where patches blend with the sign -1: 26 of 49 on
+    # smooth-complex-2d, and on isotropic-c two of them cancel the blend's
+    # Tr(a a) at a node, so the item records the error
+    for name in ("smooth-complex-2d", "isotropic-c"):
+        preset = g.PRESETS[name]
+        data = [g.add_noise(f, 1e-4, 1 + j) for j, f in
+                enumerate(g.synthesize(preset.coefficients(grid), preset.illumination(grid)))]
+        items[f"{name} 65 17/8 noise 1e-4: reconstruct_global"] = _attempt(
+            lambda: _global(g, data, g.EngineConfig(patch_size=17, overlap=8)))
 
     # a 3D frame whose condition ranges from 10 to 288, so the 3 x 3 closed
     # form is compared on real work (constant-tensor-3d's frame has cond 3)
